@@ -10,7 +10,7 @@ from .model import (CentrifugalMode, PotentialParams, QuantumState,
                     effective_potential, potential_curvature, potential_minimum,
                     potential_value)
 from .oracle import (AuditResult, OracleResult, RadialGrid, approximation_audit,
-                     default_grid, solve_radial, sturm_count)
+                     default_grid, oracle_energy, solve_radial, sturm_count)
 from .specfun import QuadratureRule, gauss_legendre, jacobi, ln_gamma
 from .spectrum import (SpectrumEntry, bound_states, coulomb_limit_energy,
                        critical_coupling, degenerate_partners, energy,
@@ -55,6 +55,7 @@ __all__ = [
     "ln_gamma",
     "normalization_closed_form",
     "normalization_quadrature",
+    "oracle_energy",
     "parse_spectroscopic",
     "potential_curvature",
     "potential_minimum",

@@ -3,6 +3,7 @@ oracle comparisons, and degeneracy listings.
 
 Exit codes are stable: 0 success, 2 usage error, 3 unbound state,
 4 solver failure.  Identical flags produce byte-identical output.
+Each subcommand returns a :class:`Report`; ``main`` renders and writes it.
 """
 
 import argparse
@@ -10,11 +11,12 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, LabelError, UnboundStateError
 from .model import CentrifugalMode, PotentialParams, QuantumState
-from .oracle import RadialGrid, approximation_audit, default_grid, solve_radial
+from .oracle import RadialGrid, approximation_audit, oracle_energy
 from .reference import audit_reference_table
 from .spectrum import (critical_coupling, degenerate_partners, energy,
                        epsilon_parameter, parse_spectroscopic, shape_parameter,
@@ -28,27 +30,44 @@ EXIT_USAGE = 2
 EXIT_UNBOUND = 3
 EXIT_SOLVER = 4
 
+_FORMATS = ("text", "csv", "json")
+
 
 class UsageError(Exception):
     """Bad flag combination or value; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run-wide settings."""
+# exception types -> (exit code, stderr prefix)
+_EXIT_CODES = {
+    (UsageError, DomainError, LabelError): (EXIT_USAGE, "error"),
+    UnboundStateError: (EXIT_UNBOUND, "unbound state"),
+    ConvergenceError: (EXIT_SOLVER, "solver failure"),
+}
 
-    params: PotentialParams
-    D: int
-    output_format: str
-    precision: int
-    out_path: str | None
+
+@dataclass(frozen=True)
+class Report:
+    """A subcommand's result before rendering.
+
+    ``payload`` is the JSON document.  Table commands fill ``header`` and
+    ``rows`` and may add a ``footer`` that follows the text table only;
+    the other commands set ``text``, printed as-is for both text and csv.
+    ``notice`` goes to stdout after the report has been written to --out.
+    """
+
+    payload: object
+    header: Sequence[str] = ()
+    rows: Sequence[Sequence[str]] = ()
+    footer: str = ""
+    text: str | None = None
+    notice: str = ""
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_physics_flags(sub: argparse.ArgumentParser, with_dim: bool = True) -> None:
+def _add_physics_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--A", type=float, default=None, help="dimensionless coupling A")
     sub.add_argument("--A-over-b", dest="a_over_b", type=float, default=None,
                      help="coupling as the ratio A/b (pairs with --inv-b)")
@@ -58,13 +77,12 @@ def _add_physics_flags(sub: argparse.ArgumentParser, with_dim: bool = True) -> N
     sub.add_argument("--alpha", type=float, default=None, help="shape parameter alpha")
     sub.add_argument("--mu", type=float, default=None, help="reduced mass (default 1, atomic units)")
     sub.add_argument("--hbar", type=float, default=None, help="hbar (default 1, atomic units)")
-    if with_dim:
-        sub.add_argument("--dim", type=int, default=None, help="spatial dimension D >= 2")
+    sub.add_argument("--dim", type=int, default=None, help="spatial dimension D >= 2")
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", dest="output_format", default=None,
-                     choices=("text", "csv", "json"), help="output format (default text)")
+                     choices=_FORMATS, help="output format (default text)")
     sub.add_argument("--precision", type=int, default=None,
                      help="decimal digits in text/csv output (1..17, default 9)")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -162,51 +180,39 @@ def _pick(args, config: dict[str, str], key: str, cast, fallback=None):
     return fallback
 
 
-def _resolve_run(args, need_dim: bool = True) -> RunConfig:
-    config = _load_config(getattr(args, "config", None))
+def _pick_either(args, config: dict[str, str], key: str, alt_key: str,
+                 flags: str, what: str) -> tuple[float | None, float | None]:
+    """Values of two alternative float flags, exactly one of which is given."""
+    value, alt_value = _pick(args, config, key, float), _pick(args, config, alt_key, float)
+    if value is not None and alt_value is not None:
+        raise UsageError(f"give either {flags}, not both")
+    if value is None and alt_value is None:
+        raise UsageError(f"{what} required: give {flags}")
+    return value, alt_value
+
+
+def _resolve_params(args, config: dict[str, str]) -> tuple[PotentialParams, int]:
+    """Potential parameters and dimension D from flags, then the config file."""
     mu = _pick(args, config, "mu", float, 1.0)
     hbar = _pick(args, config, "hbar", float, 1.0)
-    b_flag = _pick(args, config, "b", float)
-    inv_b = _pick(args, config, "inv_b", float)
-    if b_flag is not None and inv_b is not None:
-        raise UsageError("give either --b or --inv-b, not both")
-    if b_flag is not None:
-        b = b_flag
-    elif inv_b is not None:
+    b, inv_b = _pick_either(args, config, "b", "inv_b", "--b or --inv-b", "screening length")
+    if b is None:
         if inv_b <= 0.0:
             raise UsageError("--inv-b must be positive")
         b = 1.0 / inv_b
-    else:
-        raise UsageError("screening length required: give --b or --inv-b")
-    a_flag = _pick(args, config, "A", float)
-    a_over_b = _pick(args, config, "a_over_b", float)
-    if a_flag is not None and a_over_b is not None:
-        raise UsageError("give either --A or --A-over-b, not both")
-    if a_flag is not None:
-        a_value = a_flag
-    elif a_over_b is not None:
+    a_value, a_over_b = _pick_either(args, config, "A", "a_over_b", "--A or --A-over-b",
+                                     "coupling")
+    if a_value is None:
         a_value = a_over_b * b
-    else:
-        raise UsageError("coupling required: give --A or --A-over-b")
     alpha = _pick(args, config, "alpha", float)
     if alpha is None:
         raise UsageError("--alpha is required")
-    dim = _pick(args, config, "dim", int) if need_dim else 3
-    if need_dim:
-        if dim is None:
-            raise UsageError("--dim is required")
-        if dim < 2:
-            raise UsageError("--dim must be >= 2")
-    precision = _pick(args, config, "precision", int, 9)
-    if not 1 <= precision <= 17:
-        raise UsageError("--precision must lie in 1..17")
-    output_format = _pick(args, config, "output_format", str, "text")
-    try:
-        params = PotentialParams(A=a_value, alpha=alpha, b=b, mu=mu, hbar=hbar)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-    return RunConfig(params=params, D=dim, output_format=output_format,
-                     precision=precision, out_path=getattr(args, "out", None))
+    dim = _pick(args, config, "dim", int)
+    if dim is None:
+        raise UsageError("--dim is required")
+    if dim < 2:
+        raise UsageError("--dim must be >= 2")
+    return PotentialParams(A=a_value, alpha=alpha, b=b, mu=mu, hbar=hbar), dim
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -229,12 +235,8 @@ def _resolve_states(args) -> list[tuple[int, int]]:
     if args.states:
         for label in args.states.split(","):
             label = label.strip()
-            if not label:
-                continue
-            try:
+            if label:
                 pairs.add(parse_spectroscopic(label))
-            except LabelError as exc:
-                raise UsageError(str(exc)) from exc
     elif args.n_range is not None and args.l_range is not None:
         for n in _parse_range(args.n_range, "--n"):
             for l in _parse_range(args.l_range, "--l"):
@@ -246,24 +248,7 @@ def _resolve_states(args) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda pair: (pair[1], pair[0]))
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
-def _format_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _format_csv(header: list[str], rows: list[list[str]]) -> str:
+def _format_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -271,8 +256,17 @@ def _format_csv(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _format_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _render(report: Report, output_format: str) -> str:
+    if output_format == "json":
+        return json.dumps(report.payload, sort_keys=True, indent=2) + "\n"
+    if report.text is not None:
+        return report.text
+    if output_format == "csv":
+        return _format_csv(report.header, report.rows)
+    lines = [report.header, *report.rows]
+    widths = [max(len(line[i]) for line in lines) for i in range(len(report.header))]
+    return "".join("  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+                   for line in lines) + report.footer
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -280,65 +274,46 @@ def _fmt(value: float, precision: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, config, precision) and returns a Report
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(args) -> int:
-    run = _resolve_run(args)
-    states = _resolve_states(args)
+def _cmd_spectrum(args, config, precision) -> Report:
+    params, dim = _resolve_params(args, config)
     rows: list[list[str]] = []
     records = []
-    bound_count = 0
-    for n, l in states:
-        state = QuantumState(n=n, l=l, D=run.D)
+    for n, l in _resolve_states(args):
+        state = QuantumState(n=n, l=l, D=dim)
         label = state_label(n, l)
-        record = {"label": label, "n": n, "l": l, "D": run.D}
+        record = {"label": label, "n": n, "l": l, "D": dim}
         try:
-            entry = energy(run.params, state)
-            bound_count += 1
+            entry = energy(params, state)
             record.update(status="bound", energy=entry.energy,
                           epsilon=entry.epsilon, eta=entry.eta)
-            rows.append([label, str(n), str(l), str(run.D),
-                         _fmt(entry.energy, run.precision),
-                         _fmt(entry.epsilon, run.precision),
-                         _fmt(entry.eta, run.precision), "bound"])
         except UnboundStateError as exc:
-            eta = 0.5 * (shape_parameter(run.params, state) - 1.0)
+            eta = 0.5 * (shape_parameter(params, state) - 1.0)
             record.update(status="unbound", energy=None, epsilon=exc.epsilon, eta=eta)
-            rows.append([label, str(n), str(l), str(run.D), "-",
-                         _fmt(exc.epsilon, run.precision),
-                         _fmt(eta, run.precision), "unbound"])
+        energy_cell = "-" if record["energy"] is None else _fmt(record["energy"], precision)
+        rows.append([label, str(n), str(l), str(dim), energy_cell,
+                     _fmt(record["epsilon"], precision), _fmt(record["eta"], precision),
+                     record["status"]])
         records.append(record)
+    bound = any(record["status"] == "bound" for record in records)
     header = ["label", "n", "l", "D", "energy", "epsilon", "eta", "status"]
-    if run.output_format == "json":
-        text = _format_json(records)
-    elif run.output_format == "csv":
-        text = _format_csv(header, rows)
-    else:
-        text = _format_table(header, rows)
-        if bound_count == 0:
-            text += "note: no bound states for these parameters\n"
-    _emit(text, run.out_path)
-    return EXIT_OK
+    return Report(payload=records, header=header, rows=rows,
+                  footer="" if bound else "note: no bound states for these parameters\n")
 
 
-def _cmd_table(args) -> int:
-    config = _load_config(getattr(args, "config", None))
-    precision = _pick(args, config, "precision", int, 9)
-    if not 1 <= precision <= 17:
-        raise UsageError("--precision must lie in 1..17")
-    output_format = _pick(args, config, "output_format", str, "text")
+def _cmd_table(args, config, precision) -> Report:
     audit = audit_reference_table()
-    header = ["state", "inv_b", "D", "alpha", "reference", "computed", "deviation", "flag"]
     rows = []
     payload = {}
+    footer = f"\nsuspected erratum cells: {sum(item.suspect for item in audit)}\n"
     for item in audit:
         cell = item.cell
-        flag = "SUSPECT" if item.suspect else "ok"
         rows.append([cell.label, f"{cell.inv_b:.3f}", str(cell.D), cell.alpha_label,
                      _fmt(cell.reference_energy, precision),
                      _fmt(item.computed_energy, precision),
-                     f"{item.deviation:.3e}", flag])
+                     f"{item.deviation:.3e}", "SUSPECT" if item.suspect else "ok"])
         key = f"{cell.label},{cell.inv_b:.3f},{cell.alpha_label},{cell.D}"
         payload[key] = {
             "reference": cell.reference_energy,
@@ -346,200 +321,117 @@ def _cmd_table(args) -> int:
             "deviation": item.deviation,
             "suspect": item.suspect,
         }
-    suspects = [item for item in audit if item.suspect]
-    if output_format == "json":
-        text = _format_json(payload)
-    elif output_format == "csv":
-        text = _format_csv(header, rows)
-    else:
-        text = _format_table(header, rows)
-        text += f"\nsuspected erratum cells: {len(suspects)}\n"
-        for item in suspects:
-            cell = item.cell
-            text += (f"  {cell.label} D={cell.D} alpha={cell.alpha_label} "
-                     f"1/b={cell.inv_b:.3f}: published {_fmt(cell.reference_energy, precision)}, "
-                     f"recomputed {_fmt(item.computed_energy, precision)}\n")
-    _emit(text, getattr(args, "out", None))
-    return EXIT_OK
+        if item.suspect:
+            footer += (f"  {cell.label} D={cell.D} alpha={cell.alpha_label} "
+                       f"1/b={cell.inv_b:.3f}: published {_fmt(cell.reference_energy, precision)}, "
+                       f"recomputed {_fmt(item.computed_energy, precision)}\n")
+    header = ["state", "inv_b", "D", "alpha", "reference", "computed", "deviation", "flag"]
+    return Report(payload=payload, header=header, rows=rows, footer=footer)
 
 
-def _cmd_wavefunction(args) -> int:
-    run = _resolve_run(args)
+def _cmd_wavefunction(args, config, precision) -> Report:
+    params, dim = _resolve_params(args, config)
     states = _resolve_states(args)
     if len(states) != 1:
         raise UsageError("wavefunction wants exactly one state")
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
     n, l = states[0]
-    state = QuantumState(n=n, l=l, D=run.D)
-    try:
-        solution = radial_wavefunction(run.params, state)
-    except UnboundStateError as exc:
-        sys.stderr.write(f"unbound state: {exc}\n")
-        return EXIT_UNBOUND
-    quad_norm = normalization_quadrature(run.params, solution.entry)
+    solution = radial_wavefunction(params, QuantumState(n=n, l=l, D=dim))
+    quad_norm = normalization_quadrature(params, solution.entry)
     # ratio of closed-form to quadrature normalization, squared: unit norm check
     norm_check = (solution.norm_constant / quad_norm) ** 2
-    table = solution.sample(args.samples)
+    samples = solution.sample(args.samples).tolist()
+    columns = ["r", "z", "g", "g_squared"]
     label = state_label(n, l)
-    if run.output_format == "json":
-        payload = {
-            "label": label, "n": n, "l": l, "D": run.D,
-            "energy": solution.entry.energy,
-            "epsilon": solution.entry.epsilon,
-            "node_count": solution.node_count,
-            "norm": norm_check,
-            "columns": ["r", "z", "g", "g_squared"],
-            "samples": [list(map(float, row)) for row in table],
-        }
-        text = _format_json(payload)
-    else:
-        header = ["r", "z", "g", "g_squared"]
-        rows = [[_fmt(v, run.precision) for v in row] for row in table]
-        text = _format_csv(header, rows)
-        text += f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n"
-    _emit(text, run.out_path)
-    if run.out_path is not None:
-        sys.stdout.write(
-            f"{label}: wrote {args.samples} samples to {run.out_path} "
-            f"(norm={norm_check:.12f}, nodes={solution.node_count})\n"
-        )
-    return EXIT_OK
+    text = _format_csv(columns, [[_fmt(v, precision) for v in row] for row in samples])
+    text += f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n"
+    payload = {
+        "label": label, "n": n, "l": l, "D": dim,
+        "energy": solution.entry.energy,
+        "epsilon": solution.entry.epsilon,
+        "node_count": solution.node_count,
+        "norm": norm_check,
+        "columns": columns,
+        "samples": samples,
+    }
+    notice = (f"{label}: wrote {args.samples} samples to {args.out} "
+              f"(norm={norm_check:.12f}, nodes={solution.node_count})\n")
+    return Report(payload=payload, text=text, notice=notice)
 
 
-def _cmd_oracle(args) -> int:
-    run = _resolve_run(args)
+def _cmd_oracle(args, config, precision) -> Report:
+    params, dim = _resolve_params(args, config)
     states = _resolve_states(args)
-    grid_override = None
+    grid = None
     if args.r_min is not None or args.r_max is not None or args.n_points is not None:
         if args.r_max is None or args.n_points is None:
             raise UsageError("grid override needs --r-max and --n-points (and optional --r-min)")
-        try:
-            grid_override = RadialGrid(
-                r_min=args.r_min if args.r_min is not None else 1e-12 * run.params.b,
-                r_max=args.r_max, n_points=args.n_points)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
+        grid = RadialGrid(r_min=args.r_min if args.r_min is not None else 1e-12 * params.b,
+                          r_max=args.r_max, n_points=args.n_points)
 
-    both = args.mode == "both"
-    header = ["label", "n", "l", "D", "closed"]
-    if both:
-        header += ["exact", "approx", "rel_err_approx", "rel_err_exact"]
-    else:
-        header += [args.mode, "rel_err"]
+    columns = (["exact", "approx", "rel_err_approx", "rel_err_exact"] if args.mode == "both"
+               else [args.mode, "rel_err"])
     rows = []
     records = []
-    try:
-        for n, l in states:
-            state = QuantumState(n=n, l=l, D=run.D)
-            label = state_label(n, l)
-            if epsilon_parameter(run.params, state) <= 0.0:
-                rows.append([label, str(n), str(l), str(run.D), "-"]
-                            + ["unbound"] * (len(header) - 5))
-                records.append({"label": label, "n": n, "l": l, "D": run.D,
-                                "status": "unbound"})
-                continue
-            if both:
-                audit = approximation_audit(run.params, state, grid=grid_override)
-                rows.append([label, str(n), str(l), str(run.D),
-                             _fmt(audit.e_closed, run.precision),
-                             _fmt(audit.e_exact, run.precision),
-                             _fmt(audit.e_approx, run.precision),
-                             f"{audit.rel_errors[0]:.3e}", f"{audit.rel_errors[1]:.3e}"])
-                records.append({"label": label, "n": n, "l": l, "D": run.D,
-                                "status": "ok", "closed": audit.e_closed,
-                                "exact": audit.e_exact, "approx": audit.e_approx,
-                                "rel_err_approx": audit.rel_errors[0],
-                                "rel_err_exact": audit.rel_errors[1]})
-            else:
-                mode = (CentrifugalMode.EXACT if args.mode == "exact"
-                        else CentrifugalMode.APPROXIMATED)
-                grid = grid_override or default_grid(run.params, run.D, l, k=n + 1)
-                result = solve_radial(run.params, run.D, l, mode=mode, grid=grid,
-                                      k=n + 1, richardson=True)
-                if len(result.eigenvalues) <= n:
-                    raise ConvergenceError(
-                        f"oracle found only {len(result.eigenvalues)} bound levels "
-                        f"for {label}; grid {grid}")
-                e_closed = energy(run.params, state).energy
-                e_oracle = result.best(n)
-                rel = abs(e_closed - e_oracle) / abs(e_oracle)
-                rows.append([label, str(n), str(l), str(run.D),
-                             _fmt(e_closed, run.precision),
-                             _fmt(e_oracle, run.precision), f"{rel:.3e}"])
-                records.append({"label": label, "n": n, "l": l, "D": run.D,
-                                "status": "ok", "closed": e_closed,
-                                args.mode: e_oracle, "rel_err": rel})
-    except ConvergenceError as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return EXIT_SOLVER
-    if run.output_format == "json":
-        text = _format_json(records)
-    elif run.output_format == "csv":
-        text = _format_csv(header, rows)
-    else:
-        text = _format_table(header, rows)
-    _emit(text, run.out_path)
-    return EXIT_OK
+    for n, l in states:
+        state = QuantumState(n=n, l=l, D=dim)
+        label = state_label(n, l)
+        record = {"label": label, "n": n, "l": l, "D": dim}
+        if epsilon_parameter(params, state) <= 0.0:
+            rows.append([label, str(n), str(l), str(dim), "-"] + ["unbound"] * len(columns))
+            records.append({**record, "status": "unbound"})
+            continue
+        if args.mode == "both":
+            audit = approximation_audit(params, state, grid=grid)
+            values = {"closed": audit.e_closed, "exact": audit.e_exact,
+                      "approx": audit.e_approx, "rel_err_approx": audit.rel_errors[0],
+                      "rel_err_exact": audit.rel_errors[1]}
+        else:
+            e_oracle = oracle_energy(params, state, CentrifugalMode(args.mode), grid)
+            e_closed = energy(params, state).energy
+            values = {"closed": e_closed, args.mode: e_oracle,
+                      "rel_err": abs(e_closed - e_oracle) / abs(e_oracle)}
+        rows.append([label, str(n), str(l), str(dim)]
+                    + [f"{values[key]:.3e}" if key.startswith("rel_err")
+                       else _fmt(values[key], precision) for key in ["closed", *columns]])
+        records.append({**record, "status": "ok", **values})
+    return Report(payload=records, header=["label", "n", "l", "D", "closed", *columns],
+                  rows=rows)
 
 
-def _cmd_degeneracy(args) -> int:
-    run = _resolve_run(args, need_dim=True)
+def _cmd_degeneracy(args, config, precision) -> Report:
+    params, dim = _resolve_params(args, config)
     if args.dmin < 2 or args.dmax < args.dmin:
         raise UsageError("need 2 <= dmin <= dmax")
-    state = QuantumState(n=args.n, l=args.l, D=run.D)
-    partners = degenerate_partners(state, args.dmin, args.dmax)
+    state = QuantumState(n=args.n, l=args.l, D=dim)
     shared_energy = None
-    rows = []
     records = []
-    for partner in partners:
+    for partner in degenerate_partners(state, args.dmin, args.dmax):
         try:
-            entry = energy(run.params, partner)
-            shared_energy = entry.energy
+            shared_energy = energy(params, partner).energy
             status = "bound"
         except UnboundStateError:
             status = "unbound"
         except DomainError:
             status = "undefined"  # q = 0 with |1 - 2 alpha| < 1: no real solution
-        rows.append([state_label(partner.n, partner.l), str(partner.n),
-                     str(partner.l), str(partner.D), status])
         records.append({"label": state_label(partner.n, partner.l), "n": partner.n,
                         "l": partner.l, "D": partner.D, "status": status})
     header = ["label", "n", "l", "D", "status"]
-    if run.output_format == "json":
-        text = _format_json({"partners": records, "energy": shared_energy})
-    elif run.output_format == "csv":
-        text = _format_csv(header, rows)
-    else:
-        text = _format_table(header, rows)
-        if shared_energy is not None:
-            text += f"shared energy: {_fmt(shared_energy, run.precision)}\n"
-        else:
-            text += "shared energy: unbound for these parameters\n"
-    _emit(text, run.out_path)
-    return EXIT_OK
+    shared = ("unbound for these parameters" if shared_energy is None
+              else _fmt(shared_energy, precision))
+    return Report(payload={"partners": records, "energy": shared_energy}, header=header,
+                  rows=[[str(record[key]) for key in header] for record in records],
+                  footer=f"shared energy: {shared}\n")
 
 
-def _cmd_critical_coupling(args) -> int:
-    config = _load_config(getattr(args, "config", None))
-    precision = _pick(args, config, "precision", int, 9)
-    if not 1 <= precision <= 17:
-        raise UsageError("--precision must lie in 1..17")
-    output_format = _pick(args, config, "output_format", str, "text")
+def _cmd_critical_coupling(args, config, precision) -> Report:
     if args.dim < 2:
         raise UsageError("--dim must be >= 2")
-    state = QuantumState(n=args.n, l=args.l, D=args.dim)
-    try:
-        a_critical = critical_coupling(state, args.alpha)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-    if output_format == "json":
-        text = _format_json({"n": args.n, "l": args.l, "D": args.dim,
-                             "alpha": args.alpha, "A_c": a_critical})
-    else:
-        text = f"A_c = {a_critical:.{precision}f}\n"
-    _emit(text, getattr(args, "out", None))
-    return EXIT_OK
+    a_critical = critical_coupling(QuantumState(n=args.n, l=args.l, D=args.dim), args.alpha)
+    return Report(payload={"n": args.n, "l": args.l, "D": args.dim,
+                           "alpha": args.alpha, "A_c": a_critical},
+                  text=f"A_c = {_fmt(a_critical, precision)}\n")
 
 
 _COMMANDS = {
@@ -560,16 +452,31 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage problems; keep that contract
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (DomainError, LabelError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ConvergenceError as exc:
-        sys.stderr.write(f"solver failure: {exc}\n")
-        return EXIT_SOLVER
+        config = _load_config(args.config)
+        precision = _pick(args, config, "precision", int, 9)
+        if not 1 <= precision <= 17:
+            raise UsageError("--precision must lie in 1..17")
+        output_format = _pick(args, config, "output_format", str, "text")
+        if output_format not in _FORMATS:
+            raise UsageError(f"bad config value for output_format: {output_format!r}")
+        report = _COMMANDS[args.command](args, config, precision)
+        text = _render(report, output_format)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write output file: {exc}") from exc
+            sys.stdout.write(report.notice)
+    except Exception as exc:
+        for kinds, (code, prefix) in _EXIT_CODES.items():
+            if isinstance(exc, kinds):
+                sys.stderr.write(f"{prefix}: {exc}\n")
+                return code
+        raise
+    return EXIT_OK
 
 
 if __name__ == "__main__":

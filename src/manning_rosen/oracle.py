@@ -28,6 +28,7 @@ __all__ = [
     "default_grid",
     "sturm_count",
     "solve_radial",
+    "oracle_energy",
     "approximation_audit",
 ]
 
@@ -204,6 +205,22 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                         warnings=tuple(warnings))
 
 
+def oracle_energy(params: PotentialParams, state: QuantumState, mode: CentrifugalMode,
+                  grid: RadialGrid | None = None) -> float:
+    """Richardson-refined oracle energy of one state in one centrifugal mode.
+
+    Raises :class:`ConvergenceError` when the grid holds fewer than n + 1
+    bound levels.
+    """
+    res = solve_radial(params, state.D, state.l, mode=mode, grid=grid,
+                       k=state.n + 1, richardson=True)
+    if len(res.eigenvalues) <= state.n:
+        raise ConvergenceError(
+            f"oracle found only {len(res.eigenvalues)} bound levels in {mode.value} "
+            f"mode for {state}; grid {res.grid}")
+    return res.best(state.n)
+
+
 @dataclass(frozen=True)
 class AuditResult:
     """Closed form vs. both oracle modes for one state."""
@@ -225,18 +242,8 @@ def approximation_audit(params: PotentialParams, state: QuantumState,
     pair measures the physical quality of the replacement.
     """
     e_closed = _closed_energy(params, state).energy
-    results = {}
-    for mode in (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED):
-        res = solve_radial(params, state.D, state.l, mode=mode, grid=grid,
-                           k=state.n + 1, richardson=True)
-        if len(res.eigenvalues) <= state.n:
-            raise ConvergenceError(
-                f"oracle found only {len(res.eigenvalues)} bound levels in "
-                f"{mode.value} mode; cannot audit state index {state.n}"
-            )
-        results[mode] = res.best(state.n)
-    e_exact = results[CentrifugalMode.EXACT]
-    e_approx = results[CentrifugalMode.APPROXIMATED]
+    e_exact = oracle_energy(params, state, CentrifugalMode.EXACT, grid)
+    e_approx = oracle_energy(params, state, CentrifugalMode.APPROXIMATED, grid)
     return AuditResult(
         e_closed=e_closed,
         e_exact=e_exact,

@@ -83,10 +83,7 @@ class RadialSolution:
 
     def decay_cutoff(self) -> float:
         """Radius past which |g| has dropped below ~1e-12 of its peak."""
-        eps, eta = self.entry.epsilon, self.entry.eta
-        z_peak = eps / (eps + 1.0 + eta)
-        r_peak = -self.b * math.log(z_peak)
-        return r_peak + self.b * (12.0 * math.log(10.0) + 5.0) / eps
+        return _decay_cutoff(self.entry.epsilon, self.entry.eta, self.b)
 
     def sample(self, n_samples: int, r_min: float | None = None,
                r_max: float | None = None) -> np.ndarray:
@@ -103,11 +100,15 @@ class RadialSolution:
         return np.column_stack([r, z, g, g * g])
 
 
+def _decay_cutoff(eps: float, eta: float, b: float) -> float:
+    """Radius past which |g| has dropped below ~1e-12 of its peak."""
+    z_peak = eps / (eps + 1.0 + eta)
+    return -b * math.log(z_peak) + b * (12.0 * math.log(10.0) + 5.0) / eps
+
+
 def _count_nodes(eps: float, eta: float, n: int, b: float) -> int:
     """Interior sign changes of g on a dense geometric grid."""
-    z_peak = eps / (eps + 1.0 + eta)
-    r_cut = -b * math.log(z_peak) + b * (12.0 * math.log(10.0) + 5.0) / eps
-    r = np.geomspace(1e-4 * b, r_cut, 4001)
+    r = np.geomspace(1e-4 * b, _decay_cutoff(eps, eta, b), 4001)
     g = _g_bare(np.exp(-r / b), eps, eta, n)
     # ignore magnitudes at rounding-noise level so endpoints cannot flip sign
     significant = np.abs(g) > 1e-13 * np.max(np.abs(g))
@@ -208,11 +209,14 @@ def normalization_quadrature(params: PotentialParams, entry: SpectrumEntry) -> f
 
     Independent of the closed form; adaptive order doubling to 1e-10
     relative agreement (cap 4096), raising :class:`ConvergenceError` with
-    the last two estimates on failure.
+    the last two estimates on failure or when the integral is zero or non-finite.
     """
     if entry.epsilon <= 0.0:
         raise DomainError("normalization requires a bound state (epsilon > 0)")
     integral = _norm_integral_quadrature(entry.state.n, entry.epsilon, entry.eta)
+    if not 0.0 < integral < math.inf:
+        raise ConvergenceError(f"norm integral is {integral!r}: the integrand "
+                               f"under- or overflows at every quadrature node")
     return 1.0 / math.sqrt(params.b * integral)
 
 

@@ -236,3 +236,80 @@ class TestCriticalCouplingCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["A_c"] == pytest.approx(9.0)
+
+
+CONTRACT_CASES = {
+    # command argv, and the text-only footer it prints (None: no footer)
+    "spectrum": (["spectrum", "--b", "1", "--A", "1", "--alpha", "0", "--dim", "3",
+                  "--states", "5s,6s"], "note: no bound states"),
+    "table": (["table"], "suspected erratum cells: 4"),
+    "wavefunction": (["wavefunction", "--inv-b", "0.025", "--A-over-b", "2", "--alpha",
+                      "0.75", "--dim", "2", "--states", "4d", "--samples", "20"], None),
+    "oracle": (["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
+                "--states", "1s,9s", "--mode", "approx"], None),
+    "degeneracy": (TestDegeneracyCommand.BASE + ["--dim", "2", "--n", "0", "--l", "4",
+                                                 "--dmin", "2", "--dmax", "8"],
+                   "shared energy:"),
+    "critical-coupling": (["critical-coupling", "--n", "0", "--l", "0", "--dim", "3",
+                           "--alpha", "0"], None),
+}
+
+
+class TestOutputContract:
+    """Every subcommand renders, writes and exits the same way in every format."""
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("command", sorted(CONTRACT_CASES))
+    def test_out_file_matches_stdout(self, command, fmt, tmp_path, capsys):
+        argv, footer = CONTRACT_CASES[command]
+        argv = argv + ["--format", fmt]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out_file = tmp_path / "report"
+        assert main(argv + ["--out", str(out_file)]) == 0
+        notice = capsys.readouterr().out
+        assert out_file.read_bytes() == stdout.encode()
+        if command == "wavefunction":
+            assert notice.startswith("4d: wrote 20 samples to ")
+        else:
+            assert notice == ""
+        if footer is not None:
+            assert (footer in stdout) == (fmt == "text")
+        if command == "critical-coupling" and fmt != "json":
+            assert stdout == "A_c = 1.000000000\n"
+
+    def test_wavefunction_text_and_csv_are_identical(self, capsys):
+        argv = CONTRACT_CASES["wavefunction"][0]
+        assert main(argv + ["--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("command", ["spectrum", "critical-coupling", "wavefunction"])
+    def test_unwritable_out_exits_2(self, command, tmp_path, capsys):
+        target = tmp_path / "missing-dir" / "report"
+        assert main(CONTRACT_CASES[command][0] + ["--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot write output file:" in captured.err
+        assert captured.out == ""
+
+    def test_bad_config_format_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("output_format=xml\n")
+        assert main(["table", "--config", str(config)]) == 2
+        assert "output_format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["approx", "exact", "both"])
+    def test_too_coarse_oracle_grid_exits_4(self, mode, capsys):
+        rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
+                   "--states", "1s", "--r-max", "2000", "--n-points", "3", "--mode", mode])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: oracle found only 0 bound levels")
+        assert captured.out == ""
+
+    def test_underflowing_norm_quadrature_exits_4(self, capsys):
+        rc = main(["wavefunction", "--A", "1e7", "--b", "1", "--alpha", "1.5", "--dim", "3",
+                   "--n", "0", "--l", "0"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("solver failure: norm integral is 0.0")

@@ -63,6 +63,13 @@ class TestNormalization:
         with pytest.raises(DomainError):
             normalization_closed_form(synthetic_entry(-1.0, 0.0), 1.0)
 
+    def test_underflowing_integrand_raises_convergence_error(self):
+        # eps ~ 3.3e6: the integrand underflows to 0 at every quadrature node
+        params = PotentialParams(A=1e7, alpha=1.5, b=1.0)
+        entry = energy(params, QuantumState(n=0, l=0, D=3))
+        with pytest.raises(ConvergenceError, match="norm integral is 0.0"):
+            normalization_quadrature(params, entry)
+
     def test_convergence_failure_reports_last_two_estimates(self):
         # the (1+x)^(-1/2) endpoint singularity defeats order doubling
         def integrand(x):
