@@ -18,9 +18,8 @@ from .errors import ConvergenceError, DomainError, LabelError, UnboundStateError
 from .model import CentrifugalMode, PotentialParams, QuantumState
 from .oracle import RadialGrid, approximation_audit, oracle_energy
 from .reference import audit_reference_table
-from .spectrum import (critical_coupling, degenerate_partners, energy,
-                       epsilon_parameter, parse_spectroscopic, shape_parameter,
-                       state_label)
+from .spectrum import (_shape, critical_coupling, degenerate_partners, energy,
+                       parse_spectroscopic, state_label)
 from .wavefun import normalization_quadrature, radial_wavefunction
 
 __all__ = ["main"]
@@ -148,7 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, str]:
+    """Config key (a long flag of any subcommand, without dashes) -> argument dest."""
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return {flag[2:].lower(): action.dest
+            for sub in subcommands.choices.values() for action in sub._actions
+            for flag in action.option_strings if flag.startswith("--")}
+
+
+def _load_config(path: str | None, keys: dict[str, str]) -> dict[str, str]:
+    """Values of a key=value config file, keyed by argument dest."""
     if path is None:
         return {}
     values: dict[str, str] = {}
@@ -160,8 +169,11 @@ def _load_config(path: str | None) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise UsageError(f"bad config line (want key=value): {line!r}")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_").lower()] = value.strip()
+                key, _, value = (part.strip() for part in line.partition("="))
+                dest = keys.get(key.lower().replace("_", "-"))
+                if dest is None:
+                    raise UsageError(f"unknown config key {key!r}: no subcommand has --{key}")
+                values[dest] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     return values
@@ -171,12 +183,11 @@ def _pick(args, config: dict[str, str], key: str, cast, fallback=None):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    config_key = key.lower()
-    if config_key in config:
+    if key in config:
         try:
-            return cast(config[config_key])
+            return cast(config[key])
         except ValueError as exc:
-            raise UsageError(f"bad config value for {key}: {config[config_key]!r}") from exc
+            raise UsageError(f"bad config value for {key}: {config[key]!r}") from exc
     return fallback
 
 
@@ -273,6 +284,19 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"
 
 
+def _closed_form(params: PotentialParams, state: QuantumState) -> dict:
+    """Status (bound, unbound or undefined), energy, epsilon and eta of one state."""
+    try:
+        entry = energy(params, state)
+        return {"status": "bound", "energy": entry.energy, "epsilon": entry.epsilon,
+                "eta": entry.eta}
+    except UnboundStateError as exc:
+        return {"status": "unbound", "energy": None, "epsilon": exc.epsilon,
+                "eta": _shape(params.alpha, state.q)[1]}
+    except DomainError:  # q = 0 with |1 - 2 alpha| < 1: no real solution
+        return {"status": "undefined", "energy": None, "epsilon": None, "eta": None}
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes (args, config, precision) and returns a Report
 # ---------------------------------------------------------------------------
@@ -284,18 +308,11 @@ def _cmd_spectrum(args, config, precision) -> Report:
     for n, l in _resolve_states(args):
         state = QuantumState(n=n, l=l, D=dim)
         label = state_label(n, l)
-        record = {"label": label, "n": n, "l": l, "D": dim}
-        try:
-            entry = energy(params, state)
-            record.update(status="bound", energy=entry.energy,
-                          epsilon=entry.epsilon, eta=entry.eta)
-        except UnboundStateError as exc:
-            eta = 0.5 * (shape_parameter(params, state) - 1.0)
-            record.update(status="unbound", energy=None, epsilon=exc.epsilon, eta=eta)
-        energy_cell = "-" if record["energy"] is None else _fmt(record["energy"], precision)
-        rows.append([label, str(n), str(l), str(dim), energy_cell,
-                     _fmt(record["epsilon"], precision), _fmt(record["eta"], precision),
-                     record["status"]])
+        record = {"label": label, "n": n, "l": l, "D": dim, **_closed_form(params, state)}
+        rows.append([label, str(n), str(l), str(dim)]
+                    + ["-" if record[key] is None else _fmt(record[key], precision)
+                       for key in ("energy", "epsilon", "eta")]
+                    + [record["status"]])
         records.append(record)
     bound = any(record["status"] == "bound" for record in records)
     header = ["label", "n", "l", "D", "energy", "epsilon", "eta", "status"]
@@ -378,9 +395,10 @@ def _cmd_oracle(args, config, precision) -> Report:
         state = QuantumState(n=n, l=l, D=dim)
         label = state_label(n, l)
         record = {"label": label, "n": n, "l": l, "D": dim}
-        if epsilon_parameter(params, state) <= 0.0:
-            rows.append([label, str(n), str(l), str(dim), "-"] + ["unbound"] * len(columns))
-            records.append({**record, "status": "unbound"})
+        status = _closed_form(params, state)["status"]
+        if status != "bound":
+            rows.append([label, str(n), str(l), str(dim), "-"] + [status] * len(columns))
+            records.append({**record, "status": status})
             continue
         if args.mode == "both":
             audit = approximation_audit(params, state, grid=grid)
@@ -408,15 +426,11 @@ def _cmd_degeneracy(args, config, precision) -> Report:
     shared_energy = None
     records = []
     for partner in degenerate_partners(state, args.dmin, args.dmax):
-        try:
-            shared_energy = energy(params, partner).energy
-            status = "bound"
-        except UnboundStateError:
-            status = "unbound"
-        except DomainError:
-            status = "undefined"  # q = 0 with |1 - 2 alpha| < 1: no real solution
+        closed = _closed_form(params, partner)
+        if closed["energy"] is not None:
+            shared_energy = closed["energy"]
         records.append({"label": state_label(partner.n, partner.l), "n": partner.n,
-                        "l": partner.l, "D": partner.D, "status": status})
+                        "l": partner.l, "D": partner.D, "status": closed["status"]})
     header = ["label", "n", "l", "D", "status"]
     shared = ("unbound for these parameters" if shared_energy is None
               else _fmt(shared_energy, precision))
@@ -452,13 +466,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage problems; keep that contract
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        config = _load_config(args.config)
+        config = _load_config(args.config, _config_keys(parser))
         precision = _pick(args, config, "precision", int, 9)
         if not 1 <= precision <= 17:
             raise UsageError("--precision must lie in 1..17")
         output_format = _pick(args, config, "output_format", str, "text")
         if output_format not in _FORMATS:
-            raise UsageError(f"bad config value for output_format: {output_format!r}")
+            raise UsageError(f"bad config value for format: {output_format!r}")
         report = _COMMANDS[args.command](args, config, precision)
         text = _render(report, output_format)
         if args.out is None:

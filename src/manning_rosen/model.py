@@ -136,6 +136,15 @@ def potential_value_rational(params: PotentialParams, r):
     return _maybe_scalar(value, r)
 
 
+def _minimum_coefficient(params: PotentialParams, failure: str) -> float:
+    """alpha(alpha-1), after checking that V has an interior minimum."""
+    coef = params.alpha_product
+    if params.A <= 0.0 or coef <= 0.0:
+        raise NoMinimumError(f"{failure}: requires A > 0 and alpha(alpha-1) > 0, "
+                             f"got A={params.A}, alpha={params.alpha}")
+    return coef
+
+
 def potential_minimum(params: PotentialParams) -> tuple[float, float]:
     """Location and value of the interior minimum.
 
@@ -146,12 +155,7 @@ def potential_minimum(params: PotentialParams) -> tuple[float, float]:
     alpha < 0 by the alpha -> 1-alpha symmetry).  For alpha in [0, 1] the
     potential is monotone and has no interior minimum.
     """
-    coef = params.alpha_product
-    if params.A <= 0.0 or coef <= 0.0:
-        raise NoMinimumError(
-            "no interior minimum in validated regime: "
-            f"requires A > 0 and alpha(alpha-1) > 0, got A={params.A}, alpha={params.alpha}"
-        )
+    coef = _minimum_coefficient(params, "no interior minimum in validated regime")
     r0 = params.b * math.log1p(2.0 * coef / params.A)
     v_min = -params.A * params.A / (4.0 * params.kappa * params.b * params.b * coef)
     return r0, v_min
@@ -163,12 +167,7 @@ def potential_curvature(params: PotentialParams) -> float:
     V''(r0) = (1/kappa) A^2 [A + 2 alpha(alpha-1)]^2 / (8 b^4 alpha^3 (alpha-1)^3).
     Same validity domain as ``potential_minimum``.
     """
-    coef = params.alpha_product
-    if params.A <= 0.0 or coef <= 0.0:
-        raise NoMinimumError(
-            "curvature at the minimum is undefined: "
-            f"requires A > 0 and alpha(alpha-1) > 0, got A={params.A}, alpha={params.alpha}"
-        )
+    coef = _minimum_coefficient(params, "curvature at the minimum is undefined")
     num = params.A * params.A * (params.A + 2.0 * coef) ** 2
     den = 8.0 * params.b**4 * coef**3
     return num / (params.kappa * den)
@@ -183,17 +182,13 @@ def effective_potential(params: PotentialParams, state: QuantumState, r,
     (APPROXIMATED), which makes the l != 0 equation solvable in closed form.
     """
     radius = _as_positive_radius(r)
-    x = radius / params.b
-    u = np.exp(-x)
-    one_minus = -np.expm1(-x)
-    w = u / one_minus
-    inv_b2 = 1.0 / (params.b * params.b)
-    pot = inv_b2 * (params.alpha_product * w * w - params.A * w)
     prefactor = (state.q * state.q - 1.0) / 4.0
     if mode is CentrifugalMode.EXACT:
         barrier = prefactor / (radius * radius)
     elif mode is CentrifugalMode.APPROXIMATED:
-        barrier = prefactor * inv_b2 * u / (one_minus * one_minus)
+        x = radius / params.b
+        inv_b2 = 1.0 / (params.b * params.b)
+        barrier = prefactor * inv_b2 * np.exp(-x) / np.expm1(-x) ** 2
     else:
         raise DomainError(f"unknown centrifugal mode: {mode!r}")
-    return _maybe_scalar((pot + barrier) / params.kappa, r)
+    return _maybe_scalar(potential_value(params, radius) + barrier / params.kappa, r)

@@ -2,9 +2,10 @@
 
 Discretizes  g'' + kappa [E - V_eff(r)] g = 0  with the standard 3-point
 second difference on a uniform grid with Dirichlet ends, giving a symmetric
-tridiagonal eigenproblem whose eigenvalue count below any shift is certified
-by a Sturm sequence.  This path shares no algebra with the closed-form
-spectrum and serves as its ground truth, in either centrifugal mode.
+tridiagonal eigenproblem whose bound levels are the negative eigenvalues
+from LAPACK's bisection (``sturm_count`` certifies that count independently).
+This path shares no algebra with the closed-form spectrum and serves as its
+ground truth, in either centrifugal mode.
 
 Richardson extrapolation over grids (h, h/2) cancels the leading O(h^2)
 discretization error: E_rich = (4 E_{h/2} - E_h) / 3.
@@ -153,30 +154,30 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  richardson: bool = True) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    Eigenvalues come from bisection with Sturm-sequence counting and the
-    eigenvectors from inverse iteration (LAPACK's tridiagonal path), so the
-    i-th returned state has exactly i interior nodes.  When fewer than k
-    negative eigenvalues exist, the bound subset is returned with
-    ``truncated`` set.  ``richardson`` adds eigenvalues recomputed on the
-    half-spacing grid, combined as (4 E_{h/2} - E_h)/3.
+    The lowest min(k, interior points) eigenvalues come from bisection and
+    the eigenvectors from inverse iteration (LAPACK's tridiagonal path), so
+    the i-th returned state has exactly i interior nodes.  The bound levels
+    are the negative ones; when fewer than k exist, the bound subset is
+    returned with ``truncated`` set.  ``richardson`` adds eigenvalues
+    recomputed on the half-spacing grid, combined as (4 E_{h/2} - E_h)/3.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if grid is None:
         grid = default_grid(params, D, l, k)
     diag, off, v_scaled = _tridiagonal(params, D, l, mode, grid)
-    n_negative = sturm_count(diag, off, 0.0)
-    k_found = min(k, n_negative)
+    try:
+        values, vectors = eigh_tridiagonal(diag, off, select="i",
+                                           select_range=(0, min(k, len(diag)) - 1))
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+    k_found = int(np.count_nonzero(values < 0.0))
     truncated = k_found < k
     if k_found == 0:
         return OracleResult(eigenvalues=(), node_counts=(), grid=grid, mode=mode,
                             richardson_estimate=() if richardson else None,
                             truncated=True)
-    try:
-        values, vectors = eigh_tridiagonal(diag, off, select="i",
-                                           select_range=(0, k_found - 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+    values = values[:k_found]
     kappa = params.kappa
     energies = tuple(float(v) / kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))

@@ -28,7 +28,7 @@ __all__ = [
     "AGREEMENT_THRESHOLD",
 ]
 
-# Default |computed - reference| threshold separating rounding from misprints.
+# |computed - reference| threshold separating rounding from misprints.
 AGREEMENT_THRESHOLD = 5e-9
 
 # Column labels and the alpha actually used to recompute each column.
@@ -131,20 +131,19 @@ def iter_reference_cells():
                                     reference_energy=ref)
 
 
-def audit_reference_table(threshold: float = AGREEMENT_THRESHOLD,
-                          mu: float = 1.0, hbar: float = 1.0) -> list[AuditCell]:
+def audit_reference_table() -> list[AuditCell]:
     """Recompute every published cell and flag suspected misprints.
 
-    A cell is suspect when |computed - reference| > threshold; the closed
-    form reproduces all remaining cells to their printed precision.
+    A cell is suspect when |computed - reference| > AGREEMENT_THRESHOLD; the
+    closed form reproduces all remaining cells to their printed precision.
     """
     out: list[AuditCell] = []
     for cell in iter_reference_cells():
         b = 1.0 / cell.inv_b
-        params = PotentialParams(A=2.0 * b, alpha=cell.alpha, b=b, mu=mu, hbar=hbar)
+        params = PotentialParams(A=2.0 * b, alpha=cell.alpha, b=b)
         n, l = parse_spectroscopic(cell.label)
         computed = energy(params, QuantumState(n=n, l=l, D=cell.D)).energy
         deviation = abs(computed - cell.reference_energy)
         out.append(AuditCell(cell=cell, computed_energy=computed,
-                             deviation=deviation, suspect=deviation > threshold))
+                             deviation=deviation, suspect=deviation > AGREEMENT_THRESHOLD))
     return out

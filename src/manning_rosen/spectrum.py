@@ -51,7 +51,8 @@ class SpectrumEntry:
     epsilon: float
 
 
-def _shape_a(alpha: float, q: int) -> float:
+def _shape(alpha: float, q: int) -> tuple[float, float]:
+    """Shape parameter a and eta = (a - 1)/2."""
     t = 1.0 - 2.0 * alpha
     radicand = t * t + q * q - 1.0
     if radicand < 0.0:
@@ -59,13 +60,13 @@ def _shape_a(alpha: float, q: int) -> float:
             f"shape parameter undefined: (1-2*alpha)^2 + q^2 - 1 < 0 "
             f"for alpha={alpha}, q={q} (D + 2l - 2)"
         )
-    return math.sqrt(radicand)
+    a = math.sqrt(radicand)
+    return a, 0.5 * (a - 1.0)
 
 
 def _epsilon(A: float, alpha: float, n: int, q: int) -> tuple[float, float, float]:
     """Signed energy parameter eps (positive means bound), with eta and a."""
-    a = _shape_a(alpha, q)
-    eta = 0.5 * (a - 1.0)
+    a, eta = _shape(alpha, q)
     eps = (4.0 * A + 1.0 - 4.0 * (n + 1) ** 2 - q * q - 4.0 * (2 * n + 1) * eta) / (
         8.0 * (n + 1 + eta)
     )
@@ -74,7 +75,7 @@ def _epsilon(A: float, alpha: float, n: int, q: int) -> tuple[float, float, floa
 
 def shape_parameter(params: PotentialParams, state: QuantumState) -> float:
     """a = sqrt((1-2 alpha)^2 + (D+2l-2)^2 - 1), the non-negative root."""
-    return _shape_a(params.alpha, state.q)
+    return _shape(params.alpha, state.q)[0]
 
 
 def epsilon_parameter(params: PotentialParams, state: QuantumState) -> float:
@@ -124,8 +125,7 @@ def critical_coupling(state: QuantumState, alpha: float) -> float:
     A_c = (n+1+eta)^2 - eta(eta+1) + q^2/4 - 1/4; for A = A_c the energy
     parameter eps vanishes identically.
     """
-    a = _shape_a(alpha, state.q)
-    eta = 0.5 * (a - 1.0)
+    eta = _shape(alpha, state.q)[1]
     return (state.n + 1 + eta) ** 2 - eta * (eta + 1.0) + 0.25 * state.q * state.q - 0.25
 
 

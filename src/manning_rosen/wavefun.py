@@ -16,12 +16,11 @@ overflows) and adaptive Gauss-Legendre quadrature of the norm integral.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .model import PotentialParams, QuantumState
+from .model import PotentialParams, QuantumState, _as_positive_radius, _maybe_scalar
 from .specfun import gauss_legendre, jacobi, ln_gamma
 from .spectrum import SpectrumEntry, energy
 
@@ -52,9 +51,7 @@ def _g_bare(z, eps: float, eta: float, n: int):
     zi = zs[inner]
     envelope = np.exp(eps * np.log(zi) + (1.0 + eta) * np.log1p(-zi))
     out[inner] = envelope * jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, 1.0 - 2.0 * zi)
-    if np.isscalar(z) or zs.ndim == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(out, z)
 
 
 @dataclass(frozen=True)
@@ -73,17 +70,14 @@ class RadialSolution:
 
     def g_of_r(self, r):
         """g evaluated at radius r > 0; scalar or array."""
-        rs = np.asarray(r, dtype=float)
-        if np.any(rs <= 0.0):
-            raise DomainError("r must be positive")
-        value = self.g_of_z(np.exp(-rs / self.b))
-        if np.isscalar(r) or rs.ndim == 0:
-            return float(value)
-        return value
+        value = self.g_of_z(np.exp(-_as_positive_radius(r) / self.b))
+        return _maybe_scalar(value, r)
 
     def decay_cutoff(self) -> float:
         """Radius past which |g| has dropped below ~1e-12 of its peak."""
-        return _decay_cutoff(self.entry.epsilon, self.entry.eta, self.b)
+        eps = self.entry.epsilon
+        z_peak = eps / (eps + 1.0 + self.entry.eta)
+        return -self.b * math.log(z_peak) + self.b * (12.0 * math.log(10.0) + 5.0) / eps
 
     def sample(self, n_samples: int, r_min: float | None = None,
                r_max: float | None = None) -> np.ndarray:
@@ -100,19 +94,16 @@ class RadialSolution:
         return np.column_stack([r, z, g, g * g])
 
 
-def _decay_cutoff(eps: float, eta: float, b: float) -> float:
-    """Radius past which |g| has dropped below ~1e-12 of its peak."""
-    z_peak = eps / (eps + 1.0 + eta)
-    return -b * math.log(z_peak) + b * (12.0 * math.log(10.0) + 5.0) / eps
+def _count_nodes(eps: float, eta: float, n: int) -> int:
+    """Interior sign changes of g, counted on its Jacobi factor.
 
-
-def _count_nodes(eps: float, eta: float, n: int, b: float) -> int:
-    """Interior sign changes of g on a dense geometric grid."""
-    r = np.geomspace(1e-4 * b, _decay_cutoff(eps, eta, b), 4001)
-    g = _g_bare(np.exp(-r / b), eps, eta, n)
-    # ignore magnitudes at rounding-noise level so endpoints cannot flip sign
-    significant = np.abs(g) > 1e-13 * np.max(np.abs(g))
-    signs = np.sign(g[significant])
+    The envelope z^eps (1-z)^(1+eta) is positive on (0, 1), so g changes sign
+    where P_n^(2 eps, 2 eta + 1)(x) does.  x = cos(theta) with theta uniform
+    in (0, pi) packs points towards x = +-1, where the zeros cluster.
+    """
+    theta = np.linspace(0.0, math.pi, 4003)[1:-1]
+    signs = np.sign(jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, np.cos(theta)))
+    signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
@@ -121,11 +112,11 @@ def radial_wavefunction(params: PotentialParams, state: QuantumState) -> RadialS
 
     Raises :class:`UnboundStateError` when the state is not bound; the
     normalization constant comes from the closed form and the node count
-    from a dense sign-change scan (it must equal n).
+    from a dense sign-change scan of the Jacobi factor (it must equal n).
     """
     entry = energy(params, state)
     norm = normalization_closed_form(entry, params.b)
-    nodes = _count_nodes(entry.epsilon, entry.eta, state.n, params.b)
+    nodes = _count_nodes(entry.epsilon, entry.eta, state.n)
     return RadialSolution(entry=entry, b=params.b, norm_constant=norm, node_count=nodes)
 
 
@@ -167,7 +158,7 @@ def normalization_closed_form(entry: SpectrumEntry, b: float) -> float:
 
 
 def _adaptive_unit_integral(fn, rel_tol: float, min_order: int = 64,
-                            max_order: int = 4096, what: str = "integral") -> float:
+                            max_order: int = 4096) -> float:
     """Gauss-Legendre with order doubling until successive estimates agree."""
     estimates: list[float] = []
     order = min_order
@@ -178,7 +169,7 @@ def _adaptive_unit_integral(fn, rel_tol: float, min_order: int = 64,
         estimates.append(value)
         order *= 2
     raise ConvergenceError(
-        f"{what} did not converge to {rel_tol:g} by order {max_order}",
+        f"norm integral did not converge to {rel_tol:g} by order {max_order}",
         estimates=tuple(estimates[-2:]) if len(estimates) >= 2 else None,
     )
 
@@ -201,7 +192,7 @@ def _norm_integral_quadrature(n: int, eps: float, eta: float) -> float:
         poly = jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, 1.0 - 2.0 * z)
         return 0.5 * m * np.exp(log_w) * poly * poly
 
-    return _adaptive_unit_integral(integrand, 1e-10, what="norm integral")
+    return _adaptive_unit_integral(integrand, 1e-10)
 
 
 def normalization_quadrature(params: PotentialParams, entry: SpectrumEntry) -> float:
@@ -263,22 +254,20 @@ class AngularMultiIndex:
         return abs(self.l_values[0]) if k == 1 else self.l_values[k - 1]
 
 
-@lru_cache(maxsize=None)
 def _polar_norm_constant(n_j: int, lam: float) -> float:
     """N with int_0^pi [N sin^m(th) P_{n_j}^(lam,lam)(cos th)]^2 sin^(j-1)(th) dth = 1.
 
-    Reduces to N^2 int_{-1}^{1} (1 - x^2)^lam P^2 dx = 1; the substitution
-    x = sin(pi t / 2) removes the algebraic endpoint behaviour for
-    half-integer lam.
-    """
-    def integrand(t):
-        x = np.sin(0.5 * math.pi * t)
-        c = np.cos(0.5 * math.pi * t)
-        poly = jacobi(n_j, lam, lam, x)
-        return 0.5 * math.pi * c ** (2.0 * lam + 1.0) * poly * poly
+    Reduces to N^2 h = 1 with the Jacobi norm (DLMF 18.3.1)
 
-    norm_sq = _adaptive_unit_integral(integrand, 1e-12, what="angular norm integral")
-    return 1.0 / math.sqrt(norm_sq)
+        h = int_{-1}^{1} (1 - x^2)^lam P^2 dx
+          = 2^(2 lam + 1) Gamma(n + lam + 1)^2 / ((2n + 2 lam + 1) n! Gamma(n + 2 lam + 1)),
+
+    taken in log space.
+    """
+    log_h = ((2.0 * lam + 1.0) * math.log(2.0) + 2.0 * ln_gamma(n_j + lam + 1.0)
+             - math.log(2.0 * n_j + 2.0 * lam + 1.0) - ln_gamma(n_j + 1.0)
+             - ln_gamma(n_j + 2.0 * lam + 1.0))
+    return math.exp(-0.5 * log_h)
 
 
 def angular_factor(j: int, multi_index: AngularMultiIndex, theta: float):

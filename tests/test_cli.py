@@ -81,6 +81,35 @@ class TestSpectrumCommand:
         assert rc == 0
         assert "-0.241087728" in capsys.readouterr().out
 
+    def test_undefined_state_listed(self, capsys):
+        # 1s in D=2 has q = 0 and |1 - 2 alpha| < 1: no real shape parameter
+        rc = main(["spectrum", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75",
+                   "--dim", "2", "--states", "1s,2p"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["1s", "0", "0", "2", "-", "-", "-", "undefined"]
+        assert lines[2].split()[4] == "-0.241087728"
+        assert main(["spectrum", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75",
+                     "--dim", "2", "--states", "1s", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)[0]
+        assert record["status"] == "undefined"
+        assert record["energy"] is record["epsilon"] is record["eta"] is None
+
+    def test_config_format_key(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("format=json\n")
+        assert main(TABLE_2P + ["--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["label"] == "2p"
+        config.write_text("format=xml\n")
+        assert main(TABLE_2P + ["--config", str(config)]) == 2
+        assert "format" in capsys.readouterr().err
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha=0.75\nscreening=40\n")
+        assert main(TABLE_2P + ["--config", str(config)]) == 2
+        assert "'screening'" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("inv-b=0.025\nA-over-b=2\nalpha=0.0\ndim=2\n")
@@ -190,6 +219,13 @@ class TestOracleCommand:
                    "--states", "5s", "--mode", "approx"])
         assert rc == 0
         assert "unbound" in capsys.readouterr().out
+
+    def test_undefined_state_row(self, capsys):
+        rc = main(["oracle", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75",
+                   "--dim", "2", "--states", "1s", "--mode", "approx"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1].split() == [
+            "1s", "0", "0", "2", "-", "undefined", "undefined"]
 
     def test_incomplete_grid_override_exits_2(self):
         rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
@@ -301,12 +337,15 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("mode", ["approx", "exact", "both"])
     def test_too_coarse_oracle_grid_exits_4(self, mode, capsys):
-        rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
-                   "--states", "1s", "--r-max", "2000", "--n-points", "3", "--mode", mode])
-        assert rc == 4
-        captured = capsys.readouterr()
-        assert captured.err.startswith("solver failure: oracle found only 0 bound levels")
-        assert captured.out == ""
+        # 2s asks for two levels from a grid with one interior point
+        for states in ("1s", "2s"):
+            rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
+                       "--states", states, "--r-max", "2000", "--n-points", "3",
+                       "--mode", mode])
+            assert rc == 4
+            captured = capsys.readouterr()
+            assert captured.err.startswith("solver failure: oracle found only 0 bound levels")
+            assert captured.out == ""
 
     def test_underflowing_norm_quadrature_exits_4(self, capsys):
         rc = main(["wavefunction", "--A", "1e7", "--b", "1", "--alpha", "1.5", "--dim", "3",

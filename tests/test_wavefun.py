@@ -91,6 +91,11 @@ class TestRadialSolution:
         solution = radial_wavefunction(table_params(), QuantumState(n=2, l=1, D=2))
         assert solution.node_count == 2
 
+    def test_node_count_at_high_n(self):
+        params = PotentialParams(A=4000.0, alpha=0.75, b=40.0)
+        solution = radial_wavefunction(params, QuantumState(n=30, l=0, D=3))
+        assert solution.node_count == 30
+
     def test_exponential_tail(self):
         # g ~ z^eps = exp(-eps r / b) for r >> b up to the (1-z) factor
         params = table_params()
