@@ -14,7 +14,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError, LabelError, UnboundStateError
+from .errors import (ConvergenceError, DomainError, LabelError, NormalizationError,
+                     UnboundStateError)
 from .model import CentrifugalMode, PotentialParams, QuantumState
 from .oracle import RadialGrid, approximation_audit, oracle_energy
 from .reference import audit_reference_table
@@ -40,7 +41,7 @@ class UsageError(Exception):
 _EXIT_CODES = {
     (UsageError, DomainError, LabelError): (EXIT_USAGE, "error"),
     UnboundStateError: (EXIT_UNBOUND, "unbound state"),
-    ConvergenceError: (EXIT_SOLVER, "solver failure"),
+    (ConvergenceError, NormalizationError): (EXIT_SOLVER, "solver failure"),
 }
 
 
@@ -74,15 +75,15 @@ def _add_physics_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--inv-b", dest="inv_b", type=float, default=None,
                      help="screening 1/b (alternative to --b)")
     sub.add_argument("--alpha", type=float, default=None, help="shape parameter alpha")
-    sub.add_argument("--mu", type=float, default=None, help="reduced mass (default 1, atomic units)")
-    sub.add_argument("--hbar", type=float, default=None, help="hbar (default 1, atomic units)")
+    sub.add_argument("--mu", type=float, default=1.0, help="reduced mass (default 1, atomic units)")
+    sub.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1, atomic units)")
     sub.add_argument("--dim", type=int, default=None, help="spatial dimension D >= 2")
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", dest="output_format", default=None,
+    sub.add_argument("--format", dest="output_format", default="text",
                      choices=_FORMATS, help="output format (default text)")
-    sub.add_argument("--precision", type=int, default=None,
+    sub.add_argument("--precision", type=int, default=9,
                      help="decimal digits in text/csv output (1..17, default 9)")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     sub.add_argument("--config", default=None,
@@ -147,19 +148,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, str]:
-    """Config key (a long flag of any subcommand, without dashes) -> argument dest."""
-    subcommands = next(action for action in parser._actions
-                       if isinstance(action, argparse._SubParsersAction))
-    return {flag[2:].lower(): action.dest
-            for sub in subcommands.choices.values() for action in sub._actions
-            for flag in action.option_strings if flag.startswith("--")}
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make a key=value config file's values the defaults of ``command``.
 
-
-def _load_config(path: str | None, keys: dict[str, str]) -> dict[str, str]:
-    """Values of a key=value config file, keyed by argument dest."""
-    if path is None:
-        return {}
+    Keys are long flags without dashes.  Keys of other subcommands are skipped,
+    so one file can serve several; a key that no subcommand has is an error.
+    """
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)).choices
+    actions = {name: {flag[2:].lower(): action for action in sub._actions
+                      for flag in action.option_strings if flag.startswith("--")}
+               for name, sub in subparsers.items()}
     values: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -170,31 +169,25 @@ def _load_config(path: str | None, keys: dict[str, str]) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"bad config line (want key=value): {line!r}")
                 key, _, value = (part.strip() for part in line.partition("="))
-                dest = keys.get(key.lower().replace("_", "-"))
-                if dest is None:
+                flag = key.lower().replace("_", "-")
+                if not any(flag in known for known in actions.values()):
                     raise UsageError(f"unknown config key {key!r}: no subcommand has --{key}")
-                values[dest] = value
+                action = actions[command].get(flag)
+                if action is None:
+                    continue
+                if action.choices is not None and value not in action.choices:
+                    # argparse checks choices on the command line only
+                    raise UsageError(f"bad config value for {key}: {value!r}")
+                values[action.dest] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    return values
+    subparsers[command].set_defaults(**values)
 
 
-def _pick(args, config: dict[str, str], key: str, cast, fallback=None):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise UsageError(f"bad config value for {key}: {config[key]!r}") from exc
-    return fallback
-
-
-def _pick_either(args, config: dict[str, str], key: str, alt_key: str,
-                 flags: str, what: str) -> tuple[float | None, float | None]:
+def _pick_either(args, key: str, alt_key: str, flags: str,
+                 what: str) -> tuple[float | None, float | None]:
     """Values of two alternative float flags, exactly one of which is given."""
-    value, alt_value = _pick(args, config, key, float), _pick(args, config, alt_key, float)
+    value, alt_value = getattr(args, key), getattr(args, alt_key)
     if value is not None and alt_value is not None:
         raise UsageError(f"give either {flags}, not both")
     if value is None and alt_value is None:
@@ -202,28 +195,23 @@ def _pick_either(args, config: dict[str, str], key: str, alt_key: str,
     return value, alt_value
 
 
-def _resolve_params(args, config: dict[str, str]) -> tuple[PotentialParams, int]:
-    """Potential parameters and dimension D from flags, then the config file."""
-    mu = _pick(args, config, "mu", float, 1.0)
-    hbar = _pick(args, config, "hbar", float, 1.0)
-    b, inv_b = _pick_either(args, config, "b", "inv_b", "--b or --inv-b", "screening length")
+def _resolve_params(args) -> tuple[PotentialParams, int]:
+    """Potential parameters and dimension D from the flags."""
+    b, inv_b = _pick_either(args, "b", "inv_b", "--b or --inv-b", "screening length")
     if b is None:
         if inv_b <= 0.0:
             raise UsageError("--inv-b must be positive")
         b = 1.0 / inv_b
-    a_value, a_over_b = _pick_either(args, config, "A", "a_over_b", "--A or --A-over-b",
-                                     "coupling")
+    a_value, a_over_b = _pick_either(args, "A", "a_over_b", "--A or --A-over-b", "coupling")
     if a_value is None:
         a_value = a_over_b * b
-    alpha = _pick(args, config, "alpha", float)
-    if alpha is None:
+    if args.alpha is None:
         raise UsageError("--alpha is required")
-    dim = _pick(args, config, "dim", int)
-    if dim is None:
+    if args.dim is None:
         raise UsageError("--dim is required")
-    if dim < 2:
+    if args.dim < 2:
         raise UsageError("--dim must be >= 2")
-    return PotentialParams(A=a_value, alpha=alpha, b=b, mu=mu, hbar=hbar), dim
+    return PotentialParams(A=a_value, alpha=args.alpha, b=b, mu=args.mu, hbar=args.hbar), args.dim
 
 
 def _parse_range(text: str, name: str) -> list[int]:
@@ -298,11 +286,11 @@ def _closed_form(params: PotentialParams, state: QuantumState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes (args, config, precision) and returns a Report
+# subcommands: each takes (args, precision) and returns a Report
 # ---------------------------------------------------------------------------
 
-def _cmd_spectrum(args, config, precision) -> Report:
-    params, dim = _resolve_params(args, config)
+def _cmd_spectrum(args, precision) -> Report:
+    params, dim = _resolve_params(args)
     rows: list[list[str]] = []
     records = []
     for n, l in _resolve_states(args):
@@ -320,7 +308,7 @@ def _cmd_spectrum(args, config, precision) -> Report:
                   footer="" if bound else "note: no bound states for these parameters\n")
 
 
-def _cmd_table(args, config, precision) -> Report:
+def _cmd_table(args, precision) -> Report:
     audit = audit_reference_table()
     rows = []
     payload = {}
@@ -346,8 +334,8 @@ def _cmd_table(args, config, precision) -> Report:
     return Report(payload=payload, header=header, rows=rows, footer=footer)
 
 
-def _cmd_wavefunction(args, config, precision) -> Report:
-    params, dim = _resolve_params(args, config)
+def _cmd_wavefunction(args, precision) -> Report:
+    params, dim = _resolve_params(args)
     states = _resolve_states(args)
     if len(states) != 1:
         raise UsageError("wavefunction wants exactly one state")
@@ -377,8 +365,8 @@ def _cmd_wavefunction(args, config, precision) -> Report:
     return Report(payload=payload, text=text, notice=notice)
 
 
-def _cmd_oracle(args, config, precision) -> Report:
-    params, dim = _resolve_params(args, config)
+def _cmd_oracle(args, precision) -> Report:
+    params, dim = _resolve_params(args)
     states = _resolve_states(args)
     grid = None
     if args.r_min is not None or args.r_max is not None or args.n_points is not None:
@@ -418,8 +406,8 @@ def _cmd_oracle(args, config, precision) -> Report:
                   rows=rows)
 
 
-def _cmd_degeneracy(args, config, precision) -> Report:
-    params, dim = _resolve_params(args, config)
+def _cmd_degeneracy(args, precision) -> Report:
+    params, dim = _resolve_params(args)
     if args.dmin < 2 or args.dmax < args.dmin:
         raise UsageError("need 2 <= dmin <= dmax")
     state = QuantumState(n=args.n, l=args.l, D=dim)
@@ -439,7 +427,7 @@ def _cmd_degeneracy(args, config, precision) -> Report:
                   footer=f"shared energy: {shared}\n")
 
 
-def _cmd_critical_coupling(args, config, precision) -> Report:
+def _cmd_critical_coupling(args, precision) -> Report:
     if args.dim < 2:
         raise UsageError("--dim must be >= 2")
     a_critical = critical_coupling(QuantumState(n=args.n, l=args.l, D=args.dim), args.alpha)
@@ -462,19 +450,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage problems; keep that contract
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
-    try:
-        config = _load_config(args.config, _config_keys(parser))
-        precision = _pick(args, config, "precision", int, 9)
-        if not 1 <= precision <= 17:
+        if args.config is not None:
+            # parsed again, argparse converts the new defaults with each flag's
+            # type, and flags on the command line still win
+            _apply_config(parser, args.command, args.config)
+            args = parser.parse_args(argv)
+        if not 1 <= args.precision <= 17:
             raise UsageError("--precision must lie in 1..17")
-        output_format = _pick(args, config, "output_format", str, "text")
-        if output_format not in _FORMATS:
-            raise UsageError(f"bad config value for format: {output_format!r}")
-        report = _COMMANDS[args.command](args, config, precision)
-        text = _render(report, output_format)
+        report = _COMMANDS[args.command](args, args.precision)
+        text = _render(report, args.output_format)
         if args.out is None:
             sys.stdout.write(text)
         else:
@@ -484,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as exc:
                 raise UsageError(f"cannot write output file: {exc}") from exc
             sys.stdout.write(report.notice)
+    except SystemExit as exc:
+        # argparse exits 2 on usage problems; keep that contract
+        return int(exc.code) if exc.code is not None else EXIT_USAGE
     except Exception as exc:
         for kinds, (code, prefix) in _EXIT_CODES.items():
             if isinstance(exc, kinds):

@@ -1,16 +1,17 @@
 """Normalized radial wavefunctions and D-dimensional angular factors.
 
-The bound radial solution lives on z = exp(-r/b) in (0, 1):
+The bound radial solution, in s = r/b with z = exp(-s) in (0, 1), is
 
-    g(z) = N z^eps (1 - z)^(1 + eta) P_n^(2 eps, 2 eta + 1)(1 - 2z),
+    g = N z^eps (1 - z)^(1 + eta) P_n^(2 eps, 2 eta + 1)(1 - 2z),
 
-vanishing at both z = 0 (r -> infinity) and z = 1 (r = 0), with
-int_0^inf |g(r)|^2 dr = b int_0^1 z^{-1} |g(z)|^2 dz = 1.
+vanishing at r = 0 (z = 1) and r -> infinity (z = 0), with
+int_0^inf |g(r)|^2 dr = 1.
 
 The normalization constant N = 1/sqrt(s(n)) is evaluated two independent
 ways: a closed-form one-term Jacobi moment identity (gamma-function ratios
 in log space; eps can run well past 25, where naive Gamma arithmetic
-overflows) and adaptive Gauss-Legendre quadrature of the norm integral.
+overflows) and exp-sinh quadrature of the norm integral (Takahasi & Mori,
+Publ. RIMS 9 (1974) 721).
 """
 
 import cmath
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .model import PotentialParams, QuantumState, _as_positive_radius, _maybe_scalar
-from .specfun import gauss_legendre, jacobi, ln_gamma
+from .specfun import jacobi, ln_gamma
 from .spectrum import SpectrumEntry, energy
 
 __all__ = [
@@ -41,17 +42,18 @@ _TWO_PI = 2.0 * math.pi
 # radial part
 # ---------------------------------------------------------------------------
 
-def _g_bare(z, eps: float, eta: float, n: int):
-    """Unnormalized g(z); log-space envelope, zero at both endpoints."""
-    zs = np.asarray(z, dtype=float)
-    if np.any((zs < 0.0) | (zs > 1.0)):
-        raise DomainError("z = exp(-r/b) must lie in [0, 1]")
-    out = np.zeros_like(zs)
-    inner = (zs > 0.0) & (zs < 1.0)
-    zi = zs[inner]
-    envelope = np.exp(eps * np.log(zi) + (1.0 + eta) * np.log1p(-zi))
-    out[inner] = envelope * jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, 1.0 - 2.0 * zi)
-    return _maybe_scalar(out, z)
+def _g_bare(s, eps: float, eta: float, n: int):
+    """Unnormalized g at s = r/b >= 0, zero at s = 0 and s = inf.
+
+    Taken in s, with 1 - z = -expm1(-s) and the envelope in log space, so the
+    tail survives where z = exp(-s) underflows.
+    """
+    ss = np.asarray(s, dtype=float)
+    one_minus_z = -np.expm1(-ss)
+    with np.errstate(divide="ignore"):  # ln(1 - z) = -inf at s = 0
+        envelope = np.exp(-eps * ss + (1.0 + eta) * np.log(one_minus_z))
+    return _maybe_scalar(envelope * jacobi(n, 2.0 * eps, 2.0 * eta + 1.0,
+                                           2.0 * one_minus_z - 1.0), s)
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,21 @@ class RadialSolution:
     norm_constant: float
     node_count: int
 
+    def _g_of_s(self, s):
+        entry = self.entry
+        return self.norm_constant * _g_bare(s, entry.epsilon, entry.eta, entry.state.n)
+
     def g_of_z(self, z):
         """g evaluated at z = exp(-r/b); scalar or array."""
-        return self.norm_constant * _g_bare(z, self.entry.epsilon, self.entry.eta,
-                                            self.entry.state.n)
+        zs = np.asarray(z, dtype=float)
+        if np.any((zs < 0.0) | (zs > 1.0)):
+            raise DomainError("z = exp(-r/b) must lie in [0, 1]")
+        with np.errstate(divide="ignore"):  # s = inf at z = 0
+            return self._g_of_s(-np.log(zs))
 
     def g_of_r(self, r):
         """g evaluated at radius r > 0; scalar or array."""
-        value = self.g_of_z(np.exp(-_as_positive_radius(r) / self.b))
-        return _maybe_scalar(value, r)
+        return self._g_of_s(_as_positive_radius(r) / self.b)
 
     def decay_cutoff(self) -> float:
         """Radius past which |g| has dropped below ~1e-12 of its peak."""
@@ -84,14 +92,15 @@ class RadialSolution:
         """Columns (r, z, g, |g|^2) on a geometric radial grid."""
         if n_samples < 1:
             raise DomainError(f"need at least one sample, got {n_samples}")
-        lo = 1e-4 * self.b if r_min is None else r_min
-        hi = self.decay_cutoff() if r_max is None else r_max
+        cutoff = self.decay_cutoff()
+        # from 1e-4 b, or from 1e-2 of the cutoff for states tighter than that
+        lo = min(1e-4 * self.b, 1e-2 * cutoff) if r_min is None else r_min
+        hi = cutoff if r_max is None else r_max
         if not (0.0 < lo < hi):
             raise DomainError(f"bad sampling range [{lo}, {hi}]")
         r = np.geomspace(lo, hi, n_samples)
-        z = np.exp(-r / self.b)
-        g = self.g_of_z(z)
-        return np.column_stack([r, z, g, g * g])
+        g = self.g_of_r(r)
+        return np.column_stack([r, np.exp(-r / self.b), g, g * g])
 
 
 def _count_nodes(eps: float, eta: float, n: int) -> int:
@@ -157,50 +166,52 @@ def normalization_closed_form(entry: SpectrumEntry, b: float) -> float:
     return 1.0 / math.sqrt(s_n)
 
 
-def _adaptive_unit_integral(fn, rel_tol: float, min_order: int = 64,
-                            max_order: int = 4096) -> float:
-    """Gauss-Legendre with order doubling until successive estimates agree."""
-    estimates: list[float] = []
-    order = min_order
-    while order <= max_order:
-        value = gauss_legendre(order).integrate(fn)
-        if estimates and abs(value - estimates[-1]) <= rel_tol * abs(value):
-            return value
-        estimates.append(value)
-        order *= 2
-    raise ConvergenceError(
-        f"norm integral did not converge to {rel_tol:g} by order {max_order}",
-        estimates=tuple(estimates[-2:]) if len(estimates) >= 2 else None,
-    )
+# exp-sinh rule on u in [_U_MIN, _U_MAX] (t from 2e-19 to 7e6), first step
+# _H_FIRST, halved at most _HALVINGS times
+_U_MIN, _U_MAX, _H_FIRST, _HALVINGS = -4.0, 3.0, 0.125, 8
+
+
+def _exp_sinh_integral(fn, rel_tol: float) -> float:
+    """int_0^inf fn(t) dt by the exp-sinh trapezoid rule t = exp(pi/2 sinh u).
+
+    The substitution gives the integrand double-exponential decay in u at
+    both ends, where the trapezoid rule converges exponentially fast as h
+    falls (Takahasi & Mori 1974; DLMF 3.5).  Each halving of h adds only the
+    midpoints; stops when two levels agree to ``rel_tol``.
+    """
+    def node_sum(u):
+        t = np.exp(0.5 * math.pi * np.sinh(u))
+        return 0.5 * math.pi * float(np.dot(fn(t), t * np.cosh(u)))
+
+    h = _H_FIRST
+    n_steps = round((_U_MAX - _U_MIN) / h)
+    total = node_sum(_U_MIN + h * np.arange(n_steps + 1))
+    estimates = [h * total]
+    for _ in range(_HALVINGS):
+        h, n_steps = 0.5 * h, 2 * n_steps
+        total += node_sum(_U_MIN + h * np.arange(1, n_steps, 2))
+        estimates.append(h * total)
+        if abs(estimates[-1] - estimates[-2]) <= rel_tol * abs(estimates[-1]):
+            return estimates[-1]
+    raise ConvergenceError(f"norm integral did not converge to {rel_tol:g} by step {h:g}",
+                           estimates=tuple(estimates[-2:]))
 
 
 def _norm_integral_quadrature(n: int, eps: float, eta: float) -> float:
-    """Norm integral by adaptive Gauss-Legendre on [0, 1].
+    """Norm integral int_0^inf g_bare(s)^2 ds by exp-sinh quadrature in t = eps s.
 
-    Substitutes z = t^m with m = max(3, 1/eps).  The weight z^(2 eps - 1) dz
-    becomes m t^(2 m eps - 1) dt, and 2 m eps - 1 >= 1, so the small-eps
-    endpoint singularity at z = 0 is lifted to at least a linear factor
-    (exactly t^1 once eps <= 1/3).  For large eps, m = 3 keeps the sharp
-    peak near z = 1 resolvable.  Shares no algebra with the closed form.
+    Shares the radial kernel, but no algebra, with the closed form.
     """
-    m = max(3.0, 1.0 / eps)
-
-    def integrand(x):
-        log_t = np.log(0.5 * (x + 1.0))
-        z = np.exp(m * log_t)
-        log_w = (2.0 * m * eps - 1.0) * log_t + (2.0 * eta + 2.0) * np.log1p(-z)
-        poly = jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, 1.0 - 2.0 * z)
-        return 0.5 * m * np.exp(log_w) * poly * poly
-
-    return _adaptive_unit_integral(integrand, 1e-10)
+    return _exp_sinh_integral(lambda t: _g_bare(t / eps, eps, eta, n) ** 2, 1e-10) / eps
 
 
 def normalization_quadrature(params: PotentialParams, entry: SpectrumEntry) -> float:
     """Normalization constant from numerical quadrature, N = 1/sqrt(b * I).
 
-    Independent of the closed form; adaptive order doubling to 1e-10
-    relative agreement (cap 4096), raising :class:`ConvergenceError` with
-    the last two estimates on failure or when the integral is zero or non-finite.
+    Independent of the closed form: an exp-sinh trapezoid rule whose step
+    is halved from 1/8 until two levels agree to 1e-10 relative.  Raises
+    :class:`ConvergenceError`, with the last two estimates when the levels
+    never agree, and when the integral is zero or non-finite.
     """
     if entry.epsilon <= 0.0:
         raise DomainError("normalization requires a bound state (epsilon > 0)")

@@ -110,6 +110,24 @@ class TestSpectrumCommand:
         assert main(TABLE_2P + ["--config", str(config)]) == 2
         assert "'screening'" in capsys.readouterr().err
 
+    def test_config_sets_any_flag(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("samples=5\nstates=2p\n")
+        argv = ["wavefunction", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75",
+                "--dim", "2", "--config", str(config)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "r,z,g,g_squared"
+        assert len(lines) == 1 + 5 + 2
+        config.write_text("samples=x\nstates=2p\n")
+        assert main(argv) == 2
+        assert "--samples: invalid int value: 'x'" in capsys.readouterr().err
+        # argparse checks choices on the command line only
+        config.write_text("mode=bogus\n")
+        assert main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
+                     "--states", "1s", "--config", str(config)]) == 2
+        assert "bad config value for mode: 'bogus'" in capsys.readouterr().err
+
     def test_flags_override_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("inv-b=0.025\nA-over-b=2\nalpha=0.0\ndim=2\n")
@@ -347,8 +365,22 @@ class TestOutputContract:
             assert captured.err.startswith("solver failure: oracle found only 0 bound levels")
             assert captured.out == ""
 
-    def test_underflowing_norm_quadrature_exits_4(self, capsys):
+    def test_norm_at_eps_3e6_exits_0(self, capsys):
+        # the norm integral, ~3e-27, is representable; the closed form carries
+        # an lgamma error of ~1e-8 at arguments near 7e6
         rc = main(["wavefunction", "--A", "1e7", "--b", "1", "--alpha", "1.5", "--dim", "3",
+                   "--n", "0", "--l", "0", "--samples", "3"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        norm = float(captured.out.splitlines()[-2].removeprefix("# norm="))
+        assert abs(norm - 1.0) < 1e-7
+
+    def test_underflowing_closed_form_norm_exits_4(self, capsys):
+        # eps ~ 4925, eta = 99.5: s(n) ~ 1e-700 underflows to 0
+        rc = main(["wavefunction", "--A", "1e6", "--b", "1", "--alpha", "0", "--dim", "202",
                    "--n", "0", "--l", "0"])
         assert rc == 4
-        assert capsys.readouterr().err.startswith("solver failure: norm integral is 0.0")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: normalization formula inconsistent")
+        assert captured.out == ""

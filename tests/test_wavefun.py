@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +13,8 @@ from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
                            gauss_legendre, jacobi, ln_gamma,
                            normalization_closed_form, normalization_quadrature,
                            radial_wavefunction, total_wavefunction)
-from manning_rosen.wavefun import _adaptive_unit_integral, _norm_integral_quadrature
+from manning_rosen.wavefun import (_H_FIRST, _HALVINGS, _U_MAX, _U_MIN, _exp_sinh_integral,
+                                   _norm_integral_quadrature)
 
 
 def table_params(inv_b=0.025, alpha=0.75):
@@ -45,10 +47,18 @@ class TestNormalization:
         assert normalization_quadrature(params, entry) == pytest.approx(
             math.sqrt(12.0), rel=1e-10)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_closed_form_vs_quadrature_table_states(self, n):
-        params = table_params()
-        entry = energy(params, QuantumState(n=n, l=1, D=2))
+    @pytest.mark.parametrize("params, state", [
+        *(pytest.param(table_params(), QuantumState(n=n, l=1, D=2), id=str(n))
+          for n in range(4)),
+        # eta = -0.4, eps = 124.5: the weight (1 - z)^(2 eta + 2) has a kink at z = 1
+        pytest.param(PotentialParams(A=150.0, alpha=0.4, b=50.0), QuantumState(0, 0, 3),
+                     id="1s-D3-eta-0.4"),
+        # eps = 7135: the peak sits 2e-4 from z = 1
+        pytest.param(PotentialParams(A=2e4, alpha=0.75, b=1e4), QuantumState(0, 1, 2),
+                     id="2p-D2-eps7135"),
+    ])
+    def test_closed_form_vs_quadrature_table_states(self, params, state):
+        entry = energy(params, state)
         closed = normalization_closed_form(entry, params.b)
         quad = normalization_quadrature(params, entry)
         assert abs(closed - quad) / quad < 1e-8
@@ -64,22 +74,38 @@ class TestNormalization:
             normalization_closed_form(synthetic_entry(-1.0, 0.0), 1.0)
 
     def test_underflowing_integrand_raises_convergence_error(self):
-        # eps ~ 3.3e6: the integrand underflows to 0 at every quadrature node
-        params = PotentialParams(A=1e7, alpha=1.5, b=1.0)
-        entry = energy(params, QuantumState(n=0, l=0, D=3))
+        # eps ~ 4925, eta = 99.5: the true integral, ~1e-700, is below the
+        # double range, so the integrand underflows to 0 at every node
+        params = PotentialParams(A=1e6, alpha=0.0, b=1.0)
+        entry = energy(params, QuantumState(n=0, l=0, D=202))
         with pytest.raises(ConvergenceError, match="norm integral is 0.0"):
             normalization_quadrature(params, entry)
 
+    def test_quadrature_at_eps_3e6_matches_mpmath(self):
+        # eps ~ 3.3e6: the integral ~3e-27 is small but representable.  For
+        # n = 0 it is B(2 eps, 2 eta + 3), taken here to 40 digits
+        entry = energy(PotentialParams(A=1e7, alpha=1.5, b=1.0), QuantumState(n=0, l=0, D=3))
+        with mpmath.workdps(40):
+            reference = mpmath.beta(2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 3)
+        integral = _norm_integral_quadrature(0, entry.epsilon, entry.eta)
+        assert abs(integral / reference - 1) < 1e-12
+
     def test_convergence_failure_reports_last_two_estimates(self):
-        # the (1+x)^(-1/2) endpoint singularity defeats order doubling
-        def integrand(x):
-            return 1.0 / np.sqrt(1.0 + x)
+        # a step: the trapezoid error stays O(h) at every level
+        def integrand(t):
+            return np.where(t < 2.0, 1.0, 0.0)
+
+        def trapezoid(h):
+            u = np.linspace(_U_MIN, _U_MAX, round((_U_MAX - _U_MIN) / h) + 1)
+            t = np.exp(0.5 * math.pi * np.sinh(u))
+            return h * np.sum(integrand(t) * t * 0.5 * math.pi * np.cosh(u))
 
         with pytest.raises(ConvergenceError) as excinfo:
-            _adaptive_unit_integral(integrand, 1e-10, min_order=64, max_order=256)
-        expected = tuple(gauss_legendre(order).integrate(integrand) for order in (128, 256))
-        assert excinfo.value.estimates == expected
-        assert expected[0] != expected[1]
+            _exp_sinh_integral(integrand, 1e-10)
+        h_last = _H_FIRST / 2 ** _HALVINGS
+        expected = (trapezoid(2.0 * h_last), trapezoid(h_last))
+        assert excinfo.value.estimates == pytest.approx(expected, rel=1e-12)
+        assert abs(expected[1] - expected[0]) > 1e-10 * abs(expected[1])
 
 
 class TestRadialSolution:
@@ -123,15 +149,18 @@ class TestRadialSolution:
     def test_norm_integral_of_samples(self):
         from scipy.integrate import simpson
 
-        params = table_params()
-        solution = radial_wavefunction(params, QuantumState(n=1, l=2, D=4))
-        table = solution.sample(20001, r_min=1e-6 * params.b)
-        assert table.shape == (20001, 4)
-        r, z, g, g2 = table.T
-        assert np.all(np.diff(r) > 0.0)
-        assert z == pytest.approx(np.exp(-r / params.b))
-        assert g2 == pytest.approx(g * g)
-        assert simpson(g2, x=r) == pytest.approx(1.0, abs=1e-8)
+        for params, state in (
+                (table_params(), QuantumState(n=1, l=2, D=4)),
+                # eps = 0.005: the tail runs past r = 745 b, where exp(-r/b) underflows
+                (PotentialParams(A=3.9555, alpha=0.75, b=40.0), QuantumState(n=0, l=1, D=3))):
+            solution = radial_wavefunction(params, state)
+            table = solution.sample(20001, r_min=1e-6 * params.b)
+            assert table.shape == (20001, 4)
+            r, z, g, g2 = table.T
+            assert np.all(np.diff(r) > 0.0)
+            assert z == pytest.approx(np.exp(-r / params.b))
+            assert g2 == pytest.approx(g * g)
+            assert simpson(g2, x=r) == pytest.approx(1.0, abs=1e-8)
 
     def test_unbound_state_raises(self):
         params = PotentialParams(A=1.0, alpha=0.0, b=1.0)
