@@ -9,8 +9,9 @@ from .errors import (ConvergenceError, DomainError, LabelError, NoMinimumError,
 from .model import (CentrifugalMode, PotentialParams, QuantumState,
                     effective_potential, potential_curvature, potential_minimum,
                     potential_value)
-from .oracle import (AuditResult, OracleResult, RadialGrid, approximation_audit,
-                     default_grid, oracle_energy, solve_radial, sturm_count)
+from .oracle import (AuditResult, LogRadialGrid, OracleResult, RadialGrid,
+                     approximation_audit, default_grid, oracle_energy, solve_radial,
+                     sturm_count)
 from .specfun import QuadratureRule, gauss_legendre, jacobi, ln_gamma
 from .spectrum import (SpectrumEntry, bound_states, coulomb_limit_energy,
                        critical_coupling, degenerate_partners, energy,
@@ -29,6 +30,7 @@ __all__ = [
     "ConvergenceError",
     "DomainError",
     "LabelError",
+    "LogRadialGrid",
     "NoMinimumError",
     "NormalizationError",
     "OracleResult",

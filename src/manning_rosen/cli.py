@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import (ConvergenceError, DomainError, LabelError, NormalizationError,
                      UnboundStateError)
 from .model import CentrifugalMode, PotentialParams, QuantumState
-from .oracle import RadialGrid, approximation_audit, oracle_energy
+from .oracle import RadialGrid, _level, solve_radial
 from .reference import audit_reference_table
 from .spectrum import (_shape, critical_coupling, degenerate_partners, energy,
                        parse_spectroscopic, state_label)
@@ -148,14 +148,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> None:
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> dict[str, str]:
     """Make a key=value config file's values the defaults of ``command``.
 
     Keys are long flags without dashes.  Keys of other subcommands are skipped,
     so one file can serve several; a key that no subcommand has is an error.
+    Returns the values set, by destination.
     """
-    subparsers = next(action for action in parser._actions
-                      if isinstance(action, argparse._SubParsersAction)).choices
+    subparsers = _subparsers(parser)
     actions = {name: {flag[2:].lower(): action for action in sub._actions
                       for flag in action.option_strings if flag.startswith("--")}
                for name, sub in subparsers.items()}
@@ -182,6 +187,26 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> N
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
     subparsers[command].set_defaults(**values)
+    return values
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
+    """Parse argv, with a --config file's values as the subcommand's defaults.
+
+    A flag that argparse requires may come from the file, so the first parse
+    skips that check.  The second parse, with the file's values as defaults,
+    converts them with each flag's type, lets flags on the command line win,
+    and names every required flag that neither gave.
+    """
+    required = [action for sub in _subparsers(parser).values()
+                for action in sub._actions if action.required]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
+    supplied = {} if args.config is None else _apply_config(parser, args.command, args.config)
+    for action in required:
+        action.required = action.dest not in supplied
+    return parser.parse_args(argv)
 
 
 def _pick_either(args, key: str, alt_key: str, flags: str,
@@ -367,7 +392,7 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 def _cmd_oracle(args, precision) -> Report:
     params, dim = _resolve_params(args)
-    states = _resolve_states(args)
+    states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
     grid = None
     if args.r_min is not None or args.r_max is not None or args.n_points is not None:
         if args.r_max is None or args.n_points is None:
@@ -375,30 +400,38 @@ def _cmd_oracle(args, precision) -> Report:
         grid = RadialGrid(r_min=args.r_min if args.r_min is not None else 1e-12 * params.b,
                           r_max=args.r_max, n_points=args.n_points)
 
-    columns = (["exact", "approx", "rel_err_approx", "rel_err_exact"] if args.mode == "both"
-               else [args.mode, "rel_err"])
+    if args.mode == "both":
+        modes = (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED)
+        columns = ["exact", "approx", "rel_err_approx", "rel_err_exact"]
+    else:
+        modes = (CentrifugalMode(args.mode),)
+        columns = [args.mode, "rel_err"]
+    closed = {state: _closed_form(params, state) for state in states}
+    # one solve per (l, mode), deep enough for the highest bound n asked of it;
+    # states come sorted by (l, n), so the last one of each l is the highest
+    top_n = {state.l: state.n for state in states if closed[state]["status"] == "bound"}
+    solves = {}
     rows = []
     records = []
-    for n, l in states:
-        state = QuantumState(n=n, l=l, D=dim)
-        label = state_label(n, l)
-        record = {"label": label, "n": n, "l": l, "D": dim}
-        status = _closed_form(params, state)["status"]
+    for state in states:
+        label = state_label(state.n, state.l)
+        record = {"label": label, "n": state.n, "l": state.l, "D": dim}
+        status = closed[state]["status"]
         if status != "bound":
-            rows.append([label, str(n), str(l), str(dim), "-"] + [status] * len(columns))
+            rows.append([label, str(state.n), str(state.l), str(dim), "-"]
+                        + [status] * len(columns))
             records.append({**record, "status": status})
             continue
-        if args.mode == "both":
-            audit = approximation_audit(params, state, grid=grid)
-            values = {"closed": audit.e_closed, "exact": audit.e_exact,
-                      "approx": audit.e_approx, "rel_err_approx": audit.rel_errors[0],
-                      "rel_err_exact": audit.rel_errors[1]}
-        else:
-            e_oracle = oracle_energy(params, state, CentrifugalMode(args.mode), grid)
-            e_closed = energy(params, state).energy
-            values = {"closed": e_closed, args.mode: e_oracle,
-                      "rel_err": abs(e_closed - e_oracle) / abs(e_oracle)}
-        rows.append([label, str(n), str(l), str(dim)]
+        values = {"closed": closed[state]["energy"]}
+        for mode in modes:
+            if (state.l, mode) not in solves:
+                solves[state.l, mode] = solve_radial(params, dim, state.l, mode=mode,
+                                                     grid=grid, k=top_n[state.l] + 1)
+            e_oracle = _level(solves[state.l, mode], state)
+            values[mode.value] = e_oracle
+            values["rel_err" if len(modes) == 1 else f"rel_err_{mode.value}"] = (
+                abs(values["closed"] - e_oracle) / abs(e_oracle))
+        rows.append([label, str(state.n), str(state.l), str(dim)]
                     + [f"{values[key]:.3e}" if key.startswith("rel_err")
                        else _fmt(values[key], precision) for key in ["closed", *columns]])
         records.append({**record, "status": "ok", **values})
@@ -449,12 +482,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            # parsed again, argparse converts the new defaults with each flag's
-            # type, and flags on the command line still win
-            _apply_config(parser, args.command, args.config)
-            args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if not 1 <= args.precision <= 17:
             raise UsageError("--precision must lie in 1..17")
         report = _COMMANDS[args.command](args, args.precision)

@@ -1,18 +1,36 @@
 """Independent finite-difference eigensolver for the radial equation.
 
-Discretizes  g'' + kappa [E - V_eff(r)] g = 0  with the standard 3-point
-second difference on a uniform grid with Dirichlet ends, giving a symmetric
-tridiagonal eigenproblem whose bound levels are the negative eigenvalues
-from LAPACK's bisection (``sturm_count`` certifies that count independently).
-This path shares no algebra with the closed-form spectrum and serves as its
-ground truth, in either centrifugal mode.
+Solves  g'' + kappa [E - V_eff(r)] g = 0  as a symmetric tridiagonal
+eigenproblem whose eigenvalues are kappa E; the bound levels are the
+negative ones, found by LAPACK bisection (``sturm_count`` certifies that
+count independently).  Only the differential equation enters, so this path
+shares no algebra with the closed-form spectrum and serves as its ground
+truth, in either centrifugal mode.
 
-Richardson extrapolation over grids (h, h/2) cancels the leading O(h^2)
-discretization error: E_rich = (4 E_{h/2} - E_h) / 3.
+The default grid is uniform in x = ln r (Langer's substitution r = e^x,
+g = r^(1/2) u).  There the equation reads
+
+    -u'' + [1/4 + kappa r^2 V_eff] u = kappa E r^2 u,
+
+and the r^((q+1)/2) behaviour of g at the origin becomes the smooth
+exponential u ~ e^(nu x), nu^2 = 1/4 + lim r^2 kappa V_eff.  The 3-point
+second difference in x, symmetrised by w = r u, gives diagonal
+(T_ii + 1/4)/r_i^2 + kappa V_eff(r_i) and off-diagonal -1/(h^2 r_i r_(i+1)).
+The left end is a Robin condition: the ghost node below the first unknown
+holds e^(-nu h) times it, with nu read off the assembled potential at that
+node; the right end is Dirichlet.  The matrix is strongly graded (entries
+near 1e26 at the origin), so bisection runs to a tolerance of a few times
+the smallest normal number: at LAPACK's default, scaled by the largest
+entry, the eigenvalues come out wrong by 1e9 or more.
+
+An explicit uniform grid (``RadialGrid``) keeps the plain 3-point second
+difference in r with Dirichlet ends.  On either grid, Richardson
+extrapolation over (h, h/2) cancels the leading O(h^2) discretization
+error: E_rich = (4 E_{h/2} - E_h) / 3.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -24,6 +42,7 @@ from .spectrum import epsilon_parameter
 
 __all__ = [
     "RadialGrid",
+    "LogRadialGrid",
     "OracleResult",
     "AuditResult",
     "default_grid",
@@ -35,11 +54,19 @@ __all__ = [
 
 # Points per local de Broglie wavelength below which a resolution warning fires.
 _MIN_POINTS_PER_WAVELENGTH = 20.0
+# Points of the default log-mapped grid (its Richardson partner has 2N - 1).
+_LOG_GRID_POINTS = 4001
+# Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid with Dirichlet boundaries at both ends."""
+    """Uniform radial grid with Dirichlet boundaries at both ends.
+
+    The unknowns sit on the interior points; ``spacing`` is the step h in
+    the coordinate the grid is uniform in.
+    """
 
     r_min: float
     r_max: float
@@ -60,7 +87,19 @@ class RadialGrid:
 
     def refined(self) -> "RadialGrid":
         """Same interval at half the spacing (2N - 1 points)."""
-        return RadialGrid(self.r_min, self.r_max, 2 * self.n_points - 1)
+        return replace(self, n_points=2 * self.n_points - 1)
+
+
+@dataclass(frozen=True)
+class LogRadialGrid(RadialGrid):
+    """Grid uniform in x = ln r: a Robin ghost node at r_min, Dirichlet at r_max."""
+
+    @property
+    def spacing(self) -> float:
+        return math.log(self.r_max / self.r_min) / (self.n_points - 1)
+
+    def points(self) -> np.ndarray:
+        return np.geomspace(self.r_min, self.r_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -82,17 +121,16 @@ class OracleResult:
         return self.eigenvalues[index]
 
 
-def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> RadialGrid:
-    """Grid sized from the closed-form decay estimate of the slowest state.
+def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadialGrid:
+    """Log-mapped grid sized from the closed-form decay estimate of the slowest state.
 
     The wavefunction of a state with energy parameter eps decays like
     exp(-eps r / b), so r_max = b (35 + 5 n_top) / eps_min keeps the
-    truncated tail below ~1e-15 while concentrating points where the
-    states live.  r_min = 1e-12 b keeps the Dirichlet wall from shifting
-    s-wave-like eigenvalues, and the point count is raised for q <= 2,
-    where the r^((q+1)/2) origin behaviour slows 3-point convergence.
+    truncated tail below ~1e-15.  The grid is uniform in x = ln r from
+    r_min = 1e-12 b, with the Robin ghost node there carrying the
+    u ~ e^(nu x) origin behaviour of every channel, q = 0 and eta < 0
+    included, so one fixed point count serves all of them.
     """
-    q = D + 2 * l - 2
     eps_min = None
     n_top = 0
     for n in range(max(k, 1)):
@@ -105,22 +143,32 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> RadialG
     if eps_min is None:
         eps_min = 1.0  # nothing bound: fall back to a few potential ranges
     r_max = params.b * (35.0 + 5.0 * n_top) / eps_min
-    n_points = 128001 if q <= 2 else 32001
-    return RadialGrid(r_min=1e-12 * params.b, r_max=r_max, n_points=n_points)
+    return LogRadialGrid(r_min=1e-12 * params.b, r_max=r_max, n_points=_LOG_GRID_POINTS)
 
 
 def _tridiagonal(params: PotentialParams, D: int, l: int,
                  mode: CentrifugalMode, grid: RadialGrid):
-    """Diagonal and off-diagonal of the scaled operator -d^2/dr^2 + kappa V_eff.
+    """Diagonal and off-diagonal of the scaled radial operator on ``grid``.
 
-    Built on the interior nodes; eigenvalues are kappa * E.
+    Built on the interior nodes; eigenvalues are kappa * E on either grid
+    kind.  Also returns kappa V_eff on those nodes.
     """
-    r = grid.points()
+    r = grid.points()[1:-1]
     h = grid.spacing
     state = QuantumState(n=0, l=l, D=D)
-    v_scaled = params.kappa * effective_potential(params, state, r[1:-1], mode)
-    diag = 2.0 / (h * h) + v_scaled
-    off = np.full(len(diag) - 1, -1.0 / (h * h))
+    v_scaled = params.kappa * effective_potential(params, state, r, mode)
+    if not isinstance(grid, LogRadialGrid):
+        diag = 2.0 / (h * h) + v_scaled
+        off = np.full(len(diag) - 1, -1.0 / (h * h))
+        return diag, off, v_scaled
+    # Robin end: u ~ e^(nu x) below the first node, nu^2 = 1/4 + r^2 kappa V_eff
+    # there.  Clamped at 0: for q = 0, alpha = 0 the limit is exactly 0 and the
+    # first node reads it about A r / b too low.
+    nu = math.sqrt(max(0.25 + float(r[0] * r[0] * v_scaled[0]), 0.0))
+    t_diag = np.full(len(r), 2.0 / (h * h))
+    t_diag[0] -= math.exp(-nu * h) / (h * h)
+    diag = (t_diag + 0.25) / (r * r) + v_scaled
+    off = -1.0 / (h * h * r[:-1] * r[1:])
     return diag, off, v_scaled
 
 
@@ -154,11 +202,12 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  richardson: bool = True) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    The lowest min(k, interior points) eigenvalues come from bisection and
-    the eigenvectors from inverse iteration (LAPACK's tridiagonal path), so
-    the i-th returned state has exactly i interior nodes.  The bound levels
-    are the negative ones; when fewer than k exist, the bound subset is
-    returned with ``truncated`` set.  ``richardson`` adds eigenvalues
+    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The lowest
+    min(k, interior points) eigenvalues come from bisection to full relative
+    accuracy and the eigenvectors from inverse iteration (LAPACK's stebz and
+    stein), so the i-th returned state has exactly i interior nodes.  The
+    bound levels are the negative ones; when fewer than k exist, the bound
+    subset is returned with ``truncated`` set.  ``richardson`` adds eigenvalues
     recomputed on the half-spacing grid, combined as (4 E_{h/2} - E_h)/3.
     """
     if k < 1:
@@ -168,7 +217,8 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     diag, off, v_scaled = _tridiagonal(params, D, l, mode, grid)
     try:
         values, vectors = eigh_tridiagonal(diag, off, select="i",
-                                           select_range=(0, min(k, len(diag)) - 1))
+                                           select_range=(0, min(k, len(diag)) - 1),
+                                           lapack_driver="stebz", tol=_BISECTION_TOL)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
     k_found = int(np.count_nonzero(values < 0.0))
@@ -183,10 +233,12 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
 
     warnings: list[str] = []
-    local_k_sq = values[-1] - v_scaled
-    k_max = math.sqrt(float(np.max(local_k_sq, initial=0.0)))
-    if k_max > 0.0 and grid.spacing * k_max > 2.0 * math.pi / _MIN_POINTS_PER_WAVELENGTH:
-        points_per_wave = 2.0 * math.pi / (grid.spacing * k_max)
+    # local wavenumber times local spacing (h on the uniform grid, ~h r on the log one)
+    r = grid.points()
+    local_k = np.sqrt(np.maximum(values[-1] - v_scaled, 0.0))
+    phase_step = float(np.max(0.5 * (r[2:] - r[:-2]) * local_k, initial=0.0))
+    if phase_step > 2.0 * math.pi / _MIN_POINTS_PER_WAVELENGTH:
+        points_per_wave = 2.0 * math.pi / phase_step
         warnings.append(
             f"grid resolves only {points_per_wave:.1f} points per local de Broglie "
             f"wavelength at the highest state (want >= {_MIN_POINTS_PER_WAVELENGTH:g})"
@@ -197,7 +249,8 @@ def solve_radial(params: PotentialParams, D: int, l: int,
         fine = grid.refined()
         diag_f, off_f, _ = _tridiagonal(params, D, l, mode, fine)
         values_f = eigh_tridiagonal(diag_f, off_f, select="i",
-                                    select_range=(0, k_found - 1), eigvals_only=True)
+                                    select_range=(0, k_found - 1), eigvals_only=True,
+                                    lapack_driver="stebz", tol=_BISECTION_TOL)
         rich = tuple((4.0 * float(vf) / kappa - e) / 3.0
                      for vf, e in zip(values_f, energies))
 
@@ -213,13 +266,21 @@ def oracle_energy(params: PotentialParams, state: QuantumState, mode: Centrifuga
     Raises :class:`ConvergenceError` when the grid holds fewer than n + 1
     bound levels.
     """
-    res = solve_radial(params, state.D, state.l, mode=mode, grid=grid,
-                       k=state.n + 1, richardson=True)
-    if len(res.eigenvalues) <= state.n:
+    return _level(solve_radial(params, state.D, state.l, mode=mode, grid=grid,
+                               k=state.n + 1, richardson=True), state)
+
+
+def _level(result: OracleResult, state: QuantumState) -> float:
+    """Richardson-refined energy of ``state`` from a solve of its channel.
+
+    The one place that raises :class:`ConvergenceError` when the solve holds
+    fewer than n + 1 bound levels.
+    """
+    if len(result.eigenvalues) <= state.n:
         raise ConvergenceError(
-            f"oracle found only {len(res.eigenvalues)} bound levels in {mode.value} "
-            f"mode for {state}; grid {res.grid}")
-    return res.best(state.n)
+            f"oracle found only {len(result.eigenvalues)} bound levels in "
+            f"{result.mode.value} mode for {state}; grid {result.grid}")
+    return result.best(state.n)
 
 
 @dataclass(frozen=True)

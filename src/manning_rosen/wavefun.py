@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .model import PotentialParams, QuantumState, _as_positive_radius, _maybe_scalar
-from .specfun import jacobi, ln_gamma
+from .specfun import jacobi, ln_gamma, ln_gamma_ratio
 from .spectrum import SpectrumEntry, energy
 
 __all__ = [
@@ -143,12 +143,12 @@ def _norm_sum(n: int, eps: float, eta: float) -> float:
 
         Gamma(n+a+1) Gamma(n+b+1) (2n+b+1) / (n! a Gamma(n+a+b+1) (2n+a+b+1)).
 
-    Every factor is positive, so nothing cancels; the gamma ratio is taken
-    in log space.
+    Every factor is positive, so nothing cancels; the two gamma ratios are
+    taken in log space by ``ln_gamma_ratio``, which keeps the large-a pair
+    ln Gamma(n+a+b+1) - ln Gamma(n+a+1) from cancelling.
     """
     a, b = 2.0 * eps, 2.0 * eta + 1.0
-    log_ratio = (ln_gamma(n + a + 1.0) + ln_gamma(n + b + 1.0)
-                 - ln_gamma(n + 1.0) - ln_gamma(n + a + b + 1.0))
+    log_ratio = ln_gamma_ratio(n + 1.0, b) - ln_gamma_ratio(n + a + 1.0, b)
     return math.exp(log_ratio) * (2.0 * n + b + 1.0) / (a * (2.0 * n + a + b + 1.0))
 
 

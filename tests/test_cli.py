@@ -276,6 +276,18 @@ class TestDegeneracyCommand:
                                "--dmin", "1", "--dmax", "8"])
         assert rc == 2
 
+    def test_required_flags_from_config(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=4\ndmin=2\ndmax=8\n")
+        assert main(self.BASE + ["--dim", "2", "--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(self.BASE + ["--dim", "2", "--n", "0", "--l", "4",
+                                 "--dmin", "2", "--dmax", "8"]) == 0
+        assert capsys.readouterr().out == from_config
+        config.write_text("n=0\nl=4\n")
+        assert main(self.BASE + ["--dim", "2", "--config", str(config)]) == 2
+        assert "the following arguments are required: --dmin, --dmax" in capsys.readouterr().err
+
 
 class TestCriticalCouplingCommand:
     def test_hulthen_ground_state(self, capsys):
@@ -290,6 +302,18 @@ class TestCriticalCouplingCommand:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["A_c"] == pytest.approx(9.0)
+
+    def test_required_flags_from_config(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=0\ndim=3\nalpha=0\n")
+        assert main(["critical-coupling", "--config", str(config)]) == 0
+        assert "A_c = 1.000000000" in capsys.readouterr().out
+        # the command line still wins over the file
+        assert main(["critical-coupling", "--n", "2", "--config", str(config)]) == 0
+        assert "A_c = 9.000000000" in capsys.readouterr().out
+        config.write_text("n=0\nl=0\n")
+        assert main(["critical-coupling", "--alpha", "0", "--config", str(config)]) == 2
+        assert "the following arguments are required: --dim" in capsys.readouterr().err
 
 
 CONTRACT_CASES = {
@@ -366,15 +390,14 @@ class TestOutputContract:
             assert captured.out == ""
 
     def test_norm_at_eps_3e6_exits_0(self, capsys):
-        # the norm integral, ~3e-27, is representable; the closed form carries
-        # an lgamma error of ~1e-8 at arguments near 7e6
+        # the norm integral, ~3e-27, is representable, and the closed form's
+        # gamma ratios at arguments near 7e6 do not cancel
         rc = main(["wavefunction", "--A", "1e7", "--b", "1", "--alpha", "1.5", "--dim", "3",
                    "--n", "0", "--l", "0", "--samples", "3"])
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        norm = float(captured.out.splitlines()[-2].removeprefix("# norm="))
-        assert abs(norm - 1.0) < 1e-7
+        assert captured.out.splitlines()[-2] == "# norm=1.000000000000"
 
     def test_underflowing_closed_form_norm_exits_4(self, capsys):
         # eps ~ 4925, eta = 99.5: s(n) ~ 1e-700 underflows to 0

@@ -9,8 +9,9 @@ import pytest
 from manning_rosen import (CentrifugalMode, DomainError, PotentialParams,
                            QuantumState, approximation_audit, default_grid,
                            effective_potential, energy, hulthen_energy,
-                           solve_radial, sturm_count)
+                           parse_spectroscopic, solve_radial, sturm_count)
 from manning_rosen.oracle import RadialGrid, _tridiagonal
+from manning_rosen.reference import iter_reference_cells
 
 
 def table_params(inv_b=0.025, alpha=0.75):
@@ -39,8 +40,12 @@ class TestRadialGrid:
         deep = default_grid(params, D=2, l=1, k=1)
         shallow = default_grid(params, D=2, l=1, k=5)
         assert shallow.r_max > deep.r_max  # higher states reach farther out
-        # sharper origin exponent demands the denser default
-        assert default_grid(params, 2, 1).n_points > default_grid(params, 2, 2).n_points
+        # the q = 2 origin behaviour r^(3/2) converges on the default grid
+        for k, grid in ((1, deep), (5, shallow)):
+            result = solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=k)
+            for n in range(k):
+                e = energy(params, QuantumState(n=n, l=1, D=2)).energy
+                assert abs(result.best(n) - e) / abs(e) < 1e-7
 
 
 class TestSolveRadial:
@@ -137,6 +142,20 @@ class TestSolveRadial:
         assert result.eigenvalues  # still finds a bound level
         assert result.warnings
 
+    def test_no_resolution_warning_on_table_channels(self):
+        # local spacing h r on the log grid: smooth channels stay quiet
+        top_n = {}
+        for cell in iter_reference_cells():
+            n, l = parse_spectroscopic(cell.label)
+            key = (cell.inv_b, cell.alpha, cell.D, l)
+            top_n[key] = max(top_n.get(key, 0), n)
+        assert len(top_n) == 66
+        for (inv_b, alpha, D, l), n_top in top_n.items():
+            result = solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1,
+                                  richardson=False)
+            assert len(result.eigenvalues) == n_top + 1
+            assert result.warnings == ()
+
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             solve_radial(table_params(), 2, 1, k=0)
@@ -154,6 +173,22 @@ class TestApproximationAudit:
         loose = approximation_audit(table_params(0.100, 0.75), state)
         tight = approximation_audit(table_params(0.025, 0.75), state)
         assert tight.rel_errors[1] < loose.rel_errors[1]
+
+    @pytest.mark.parametrize("A, alpha, b, D", [
+        (80.0, 0.0, 40.0, 2),   # q = 0: u tends to a constant at the origin
+        (80.0, 0.75, 40.0, 3),  # eta < 0: u ~ r^(1/4)
+        (150.0, 0.4, 50.0, 3),  # eta < 0
+    ], ids=["q0-D2-alpha0", "eta-neg-D3-alpha0.75", "eta-neg-D3-alpha0.4"])
+    def test_origin_channels_of_low_q(self, A, alpha, b, D):
+        params = PotentialParams(A=A, alpha=alpha, b=b)
+        state = QuantumState(n=0, l=0, D=D)
+        e = energy(params, state).energy
+        audit = approximation_audit(params, state)
+        assert abs(audit.e_approx - e) <= 1e-8 * abs(e)
+        # exact barrier: inside [E + min(0, B), E + max(0, B)], B = (q^2-1)/(48 kappa b^2)
+        bound = (state.q ** 2 - 1.0) / (48.0 * params.kappa * b * b)
+        widen = 1e-6 * abs(e)
+        assert e + min(0.0, bound) - widen <= audit.e_exact <= e + max(0.0, bound) + widen
 
     def test_s_wave_exact_equals_approx(self):
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)

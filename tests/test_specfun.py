@@ -9,6 +9,7 @@ import sympy
 
 from manning_rosen import (DomainError, PotentialParams, QuantumState, energy,
                            gauss_legendre, jacobi, ln_gamma)
+from manning_rosen.specfun import ln_gamma_ratio
 
 mp.mp.dps = 40
 
@@ -41,6 +42,23 @@ class TestLnGamma:
             reference = float(mp.loggamma(mp.mpf(float(x))))
             scale = max(abs(reference), 1.0)
             assert abs(ln_gamma(float(x)) - reference) <= 1e-13 * scale
+
+
+class TestLnGammaRatio:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 4.0, 61.0])
+    def test_matches_mpmath_across_range(self, s):
+        # below and above the switch to the Stirling difference at x = 16;
+        # absolute in the log, so relative in the gamma ratio
+        for x in np.geomspace(0.5, 1e8, 25):
+            x = float(x)
+            reference = float(mp.loggamma(mp.mpf(x) + mp.mpf(s)) - mp.loggamma(mp.mpf(x)))
+            assert abs(ln_gamma_ratio(x, s) - reference) <= 1e-14 * max(abs(reference), 1.0)
+
+    def test_no_cancellation_at_large_x(self):
+        # ln Gamma near 1e8 at x = 7e6: the plain difference keeps ~1e-8 of rounding
+        x, s = 6666666.666666667, 2.0
+        reference = float(mp.loggamma(mp.mpf(x) + s) - mp.loggamma(mp.mpf(x)))
+        assert abs(ln_gamma_ratio(x, s) - reference) < 1e-14
 
 
 class TestJacobi:

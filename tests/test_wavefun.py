@@ -90,6 +90,16 @@ class TestNormalization:
         integral = _norm_integral_quadrature(0, entry.epsilon, entry.eta)
         assert abs(integral / reference - 1) < 1e-12
 
+    def test_closed_form_at_eps_3e6_matches_mpmath(self):
+        # ln Gamma(n+a+1) - ln Gamma(n+a+b+1) at arguments near 7e6: two values
+        # near 1e8 that cancel to about -b ln a
+        params = PotentialParams(A=1e7, alpha=1.5, b=1.0)
+        entry = energy(params, QuantumState(n=0, l=0, D=3))
+        with mpmath.workdps(50):
+            s_n = mpmath.beta(2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 3)
+            reference = 1 / mpmath.sqrt(params.b * s_n)
+        assert abs(normalization_closed_form(entry, params.b) / reference - 1) < 1e-12
+
     def test_convergence_failure_reports_last_two_estimates(self):
         # a step: the trapezoid error stays O(h) at every level
         def integrand(t):
