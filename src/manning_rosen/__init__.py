@@ -1,7 +1,9 @@
 """Bound states of the D-dimensional Manning-Rosen potential.
 
 Closed-form spectra and normalized wavefunctions, cross-validated by an
-independent finite-difference eigensolver of the radial equation.
+independent finite-difference eigensolver of the radial equation.  The
+eigensolver (``oracle``, the one module that needs SciPy) is imported on
+first use of one of its names.
 """
 
 from .errors import (ConvergenceError, DomainError, LabelError, NoMinimumError,
@@ -9,9 +11,6 @@ from .errors import (ConvergenceError, DomainError, LabelError, NoMinimumError,
 from .model import (CentrifugalMode, PotentialParams, QuantumState,
                     effective_potential, potential_curvature, potential_minimum,
                     potential_value)
-from .oracle import (AuditResult, LogRadialGrid, OracleResult, RadialGrid,
-                     approximation_audit, default_grid, oracle_energy, solve_radial,
-                     sturm_count)
 from .specfun import QuadratureRule, gauss_legendre, jacobi, ln_gamma
 from .spectrum import (SpectrumEntry, bound_states, coulomb_limit_energy,
                        critical_coupling, degenerate_partners, energy,
@@ -70,3 +69,18 @@ __all__ = [
     "sturm_count",
     "total_wavefunction",
 ]
+
+
+_ORACLE_NAMES = frozenset({"AuditResult", "LogRadialGrid", "OracleResult", "RadialGrid",
+                           "approximation_audit", "default_grid", "oracle_energy",
+                           "solve_radial", "sturm_count"})
+
+
+def __getattr__(name: str):
+    """Serve the oracle's names, importing it (and SciPy) on first use (PEP 562)."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value

@@ -4,10 +4,13 @@ oracle comparisons, and degeneracy listings.
 Exit codes are stable: 0 success, 2 usage error, 3 unbound state,
 4 solver failure.  Identical flags produce byte-identical output.
 Each subcommand returns a :class:`Report`; ``main`` renders and writes it.
+A process builds the argument parser once and reuses it for every request,
+and only the ``oracle`` subcommand imports SciPy.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from .errors import (ConvergenceError, DomainError, LabelError, NormalizationError,
                      UnboundStateError)
 from .model import CentrifugalMode, PotentialParams, QuantumState
-from .oracle import RadialGrid, _level, solve_radial
 from .reference import audit_reference_table
 from .spectrum import (_shape, critical_coupling, degenerate_partners, energy,
                        parse_spectroscopic, state_label)
@@ -99,7 +101,9 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
                      help='orbital quantum number or range, e.g. "1" or "0:2"')
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="manning-rosen",
         description="Bound states of the D-dimensional Manning-Rosen potential.",
@@ -196,17 +200,27 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
     A flag that argparse requires may come from the file, so the first parse
     skips that check.  The second parse, with the file's values as defaults,
     converts them with each flag's type, lets flags on the command line win,
-    and names every required flag that neither gave.
+    and names every required flag that neither gave.  The parser is left as
+    it was built, so it can serve the next request.
     """
-    required = [action for sub in _subparsers(parser).values()
-                for action in sub._actions if action.required]
-    for action in required:
-        action.required = False
-    args = parser.parse_args(argv)
-    supplied = {} if args.config is None else _apply_config(parser, args.command, args.config)
-    for action in required:
-        action.required = action.dest not in supplied
-    return parser.parse_args(argv)
+    subparsers = _subparsers(parser).values()
+    built_defaults = [(sub, dict(sub._defaults)) for sub in subparsers]
+    built_actions = [(action, action.default, action.required)
+                     for sub in subparsers for action in sub._actions]
+    required = [action for action, _, needed in built_actions if needed]
+    try:
+        for action in required:
+            action.required = False
+        args = parser.parse_args(argv)
+        supplied = {} if args.config is None else _apply_config(parser, args.command, args.config)
+        for action in required:
+            action.required = action.dest not in supplied
+        return parser.parse_args(argv)
+    finally:
+        for sub, defaults in built_defaults:
+            sub._defaults = defaults
+        for action, default, needed in built_actions:
+            action.default, action.required = default, needed
 
 
 def _pick_either(args, key: str, alt_key: str, flags: str,
@@ -298,16 +312,20 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _closed_form(params: PotentialParams, state: QuantumState) -> dict:
-    """Status (bound, unbound or undefined), energy, epsilon and eta of one state."""
+    """Status (bound, unbound or undefined), energy, epsilon and eta of one state.
+
+    Any other :class:`DomainError` of ``energy`` (a non-finite E) propagates.
+    """
     try:
-        entry = energy(params, state)
-        return {"status": "bound", "energy": entry.energy, "epsilon": entry.epsilon,
-                "eta": entry.eta}
-    except UnboundStateError as exc:
-        return {"status": "unbound", "energy": None, "epsilon": exc.epsilon,
-                "eta": _shape(params.alpha, state.q)[1]}
+        eta = _shape(params.alpha, state.q)[1]
     except DomainError:  # q = 0 with |1 - 2 alpha| < 1: no real solution
         return {"status": "undefined", "energy": None, "epsilon": None, "eta": None}
+    try:
+        entry = energy(params, state)
+    except UnboundStateError as exc:
+        return {"status": "unbound", "energy": None, "epsilon": exc.epsilon, "eta": eta}
+    return {"status": "bound", "energy": entry.energy, "epsilon": entry.epsilon,
+            "eta": entry.eta}
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +409,8 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 
 def _cmd_oracle(args, precision) -> Report:
+    from .oracle import RadialGrid, _level, solve_radial  # SciPy loads here, not at startup
+
     params, dim = _resolve_params(args)
     states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
     grid = None

@@ -55,6 +55,8 @@ class PotentialParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.A, self.alpha, self.b, self.mu, self.hbar))):
+            raise DomainError(f"A, alpha, b, mu and hbar must all be finite; got {self}")
         if not (self.b > 0.0 and self.mu > 0.0 and self.hbar > 0.0):
             raise DomainError("b, mu and hbar must all be positive")
 

@@ -87,7 +87,9 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
     """Discrete energy of a bound state.
 
     Raises :class:`UnboundStateError` (carrying the computed eps) when the
-    state is not bound, which happens for large n or weak coupling.
+    state is not bound, which happens for large n or weak coupling, and
+    :class:`DomainError` when E is not a finite float (for example b so small
+    that b^2 underflows).
     """
     eps, eta, a = _epsilon(params.A, params.alpha, state.n, state.q)
     if eps <= 0.0:
@@ -96,7 +98,11 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
             f"(epsilon={eps:.6g} <= 0)",
             epsilon=eps,
         )
-    e_value = -(params.hbar * params.hbar * eps * eps) / (2.0 * params.mu * params.b * params.b)
+    denominator = 2.0 * params.mu * params.b * params.b
+    # a denominator that underflowed to 0 stands for an infinite |E|
+    e_value = -(params.hbar * params.hbar * eps * eps) / denominator if denominator else -math.inf
+    if not math.isfinite(e_value):
+        raise DomainError(f"energy of {state} is not a finite float for {params}")
     return SpectrumEntry(state=state, energy=e_value, a_param=a, eta=eta, epsilon=eps)
 
 
@@ -123,10 +129,15 @@ def critical_coupling(state: QuantumState, alpha: float) -> float:
     """Coupling A_c at which the state's binding energy reaches zero.
 
     A_c = (n+1+eta)^2 - eta(eta+1) + q^2/4 - 1/4; for A = A_c the energy
-    parameter eps vanishes identically.
+    parameter eps vanishes identically.  Raises :class:`DomainError` when
+    A_c is not a finite float, as for a non-finite or huge alpha.
     """
     eta = _shape(alpha, state.q)[1]
-    return (state.n + 1 + eta) ** 2 - eta * (eta + 1.0) + 0.25 * state.q * state.q - 0.25
+    a_critical = (state.n + 1 + eta) ** 2 - eta * (eta + 1.0) + 0.25 * state.q * state.q - 0.25
+    if not math.isfinite(a_critical):
+        raise DomainError(f"critical coupling of {state} is not a finite float "
+                          f"for alpha={alpha}")
+    return a_critical
 
 
 def degenerate_partners(state: QuantumState, d_min: int, d_max: int) -> list[QuantumState]:

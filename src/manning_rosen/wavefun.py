@@ -16,6 +16,7 @@ Publ. RIMS 9 (1974) 721).
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,8 +134,8 @@ def radial_wavefunction(params: PotentialParams, state: QuantumState) -> RadialS
 # normalization
 # ---------------------------------------------------------------------------
 
-def _norm_sum(n: int, eps: float, eta: float) -> float:
-    """Exact norm integral int_0^1 z^(2 eps - 1)(1-z)^(2 eta + 2) P_n^2 dz.
+def _ln_norm_sum(n: int, eps: float, eta: float) -> float:
+    """ln of the exact norm integral int_0^1 z^(2 eps - 1)(1-z)^(2 eta + 2) P_n^2 dz.
 
     With a = 2 eps, b = 2 eta + 1 and x = 1 - 2z this is 2^-(a+b+1) times
     int_{-1}^{1} (1-x)^(a-1) (1+x)^(b+1) [P_n^(a,b)(x)]^2 dx.  Writing
@@ -145,25 +146,37 @@ def _norm_sum(n: int, eps: float, eta: float) -> float:
 
     Every factor is positive, so nothing cancels; the two gamma ratios are
     taken in log space by ``ln_gamma_ratio``, which keeps the large-a pair
-    ln Gamma(n+a+b+1) - ln Gamma(n+a+1) from cancelling.
+    ln Gamma(n+a+b+1) - ln Gamma(n+a+1) from cancelling.  The integral may be
+    subnormal, so it stays a logarithm.
     """
     a, b = 2.0 * eps, 2.0 * eta + 1.0
     log_ratio = ln_gamma_ratio(n + 1.0, b) - ln_gamma_ratio(n + a + 1.0, b)
-    return math.exp(log_ratio) * (2.0 * n + b + 1.0) / (a * (2.0 * n + a + b + 1.0))
+    return log_ratio + math.log((2.0 * n + b + 1.0) / (a * (2.0 * n + a + b + 1.0)))
+
+
+# ln s(n) from the smallest subnormal to the largest double
+_LN_S_MIN, _LN_S_MAX = math.log(math.ulp(0.0)), math.log(sys.float_info.max)
 
 
 def normalization_closed_form(entry: SpectrumEntry, b: float) -> float:
-    """Closed-form normalization constant N = 1/sqrt(s(n)), s(n) = b * norm integral."""
+    """Closed-form normalization constant N = 1/sqrt(s(n)), s(n) = b * norm integral.
+
+    N is taken from ln s(n), so it keeps full precision where s(n) is subnormal.
+    Raises :class:`NormalizationError` when s(n) is outside the double range.
+    """
     if entry.epsilon <= 0.0:
         raise DomainError("normalization requires a bound state (epsilon > 0)")
     if entry.eta < -0.5:
         raise DomainError(f"eta must be >= -1/2, got {entry.eta}")
-    s_n = b * _norm_sum(entry.state.n, entry.epsilon, entry.eta)
-    if not math.isfinite(s_n) or s_n <= 0.0:
+    if not b > 0.0:
+        raise DomainError(f"screening length b must be positive, got {b}")
+    ln_s = math.log(b) + _ln_norm_sum(entry.state.n, entry.epsilon, entry.eta)
+    if not _LN_S_MIN <= ln_s <= _LN_S_MAX:
         raise NormalizationError(
-            f"normalization formula inconsistent: s(n) = {s_n!r} for {entry.state}"
+            f"normalization formula inconsistent: s(n) = exp({ln_s!r}) is outside "
+            f"the double range for {entry.state}"
         )
-    return 1.0 / math.sqrt(s_n)
+    return math.exp(-0.5 * ln_s)
 
 
 # exp-sinh rule on u in [_U_MIN, _U_MAX] (t from 2e-19 to 7e6), first step

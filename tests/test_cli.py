@@ -1,9 +1,14 @@
 """CLI contract: published values, exit codes, determinism, file formats."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import manning_rosen
 from manning_rosen.cli import main
 from manning_rosen.reference import audit_reference_table
 
@@ -407,3 +412,102 @@ class TestOutputContract:
         captured = capsys.readouterr()
         assert captured.err.startswith("solver failure: normalization formula inconsistent")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--A", "nan", "--b", "40", "--alpha", "0.75", "--dim", "2", "--states", "2p"],
+        ["spectrum", "--A", "inf", "--b", "40", "--alpha", "0.75", "--dim", "2", "--states", "2p"],
+        ["spectrum", "--A", "80", "--b", "40", "--alpha", "nan", "--dim", "2", "--states", "2p"],
+        ["spectrum", "--A", "80", "--b", "40", "--alpha", "inf", "--dim", "2", "--states", "2p"],
+        ["critical-coupling", "--n", "0", "--l", "0", "--dim", "3", "--alpha", "nan"],
+        ["critical-coupling", "--n", "0", "--l", "0", "--dim", "3", "--alpha", "inf"],
+        ["critical-coupling", "--n", "0", "--l", "0", "--dim", "3", "--alpha", "1e300"],
+        # b^2 underflows to 0, so E = -hbar^2 eps^2 / (2 mu b^2) is not a float
+        ["spectrum", "--A", "80", "--b", "1e-300", "--alpha", "0.75", "--dim", "2",
+         "--states", "2p"],
+        ["wavefunction", "--A", "80", "--b", "1e-300", "--alpha", "0.75", "--dim", "2",
+         "--states", "2p", "--samples", "3"],
+        ["oracle", "--A", "80", "--b", "1e-300", "--alpha", "0.75", "--dim", "2",
+         "--states", "2p"],
+    ], ids=["spectrum-A-nan", "spectrum-A-inf", "spectrum-alpha-nan", "spectrum-alpha-inf",
+            "critical-coupling-alpha-nan", "critical-coupling-alpha-inf",
+            "critical-coupling-alpha-1e300", "spectrum-b-1e-300", "wavefunction-b-1e-300",
+            "oracle-b-1e-300"])
+    def test_non_finite_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "nan" not in captured.out and "inf" not in captured.out
+
+
+class TestParserReuse:
+    """One parser serves every request of a process; no request leaks into the next."""
+
+    DEGENERACY = TestDegeneracyCommand.BASE + ["--dim", "2"]
+
+    def test_config_required_flags_do_not_leak(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=4\ndmin=2\ndmax=8\n")
+        assert main(self.DEGENERACY + ["--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(self.DEGENERACY) == 2
+        assert ("the following arguments are required: --n, --l, --dmin, --dmax"
+                in capsys.readouterr().err)
+
+    def test_config_format_does_not_leak(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("format=json\n")
+        assert main(["table", "--config", str(config)]) == 0
+        json.loads(capsys.readouterr().out)
+        assert main(["table"]) == 0
+        assert capsys.readouterr().out.startswith("state  ")
+
+    def test_usage_error_leaves_the_parser_intact(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=0\ndim=3\nalpha=0\n")
+        assert main(["critical-coupling", "--config", str(config)]) == 0
+        # argparse exits in the first parse, while no flag is marked required
+        assert main(["critical-coupling", "--config", str(config), "--format", "xml"]) == 2
+        capsys.readouterr()
+        assert main(["critical-coupling", "--n", "0"]) == 2
+        assert ("the following arguments are required: --l, --dim, --alpha"
+                in capsys.readouterr().err)
+
+
+# every closed-form command, then the oracle, in a fresh interpreter
+LAZY_ORACLE_SCRIPT = """
+import contextlib, io, sys
+import manning_rosen
+import manning_rosen.cli
+from manning_rosen.cli import main
+
+PARAMS = ["--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["spectrum", *PARAMS, "--states", "2p"]), main(["table"]),
+             main(["wavefunction", *PARAMS, "--states", "2p", "--samples", "3"]),
+             main(["degeneracy", *PARAMS[:6], "--dim", "2", "--n", "0", "--l", "1",
+                   "--dmin", "2", "--dmax", "6"]),
+             main(["critical-coupling", "--n", "0", "--l", "0", "--dim", "3",
+                   "--alpha", "0"])]
+assert codes == [0] * 5, codes
+assert "scipy" not in sys.modules, sorted(name for name in sys.modules if "scipy" in name)
+from manning_rosen import solve_radial
+assert callable(solve_radial) and callable(manning_rosen.approximation_audit)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["oracle", *PARAMS, "--states", "2p", "--mode", "approx"]) == 0
+print("ok")
+"""
+
+
+class TestLazyOracle:
+    def test_scipy_stays_out_until_the_oracle_runs(self):
+        source = str(Path(manning_rosen.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", LAZY_ORACLE_SCRIPT], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
+
+    def test_unknown_package_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            manning_rosen.no_such_name  # noqa: B018

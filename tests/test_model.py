@@ -226,6 +226,13 @@ class TestParams:
         with pytest.raises(DomainError):
             PotentialParams(A=1.0, alpha=0.5, b=1.0, mu=-1.0)
 
+    @pytest.mark.parametrize("field", ["A", "alpha", "b", "mu", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, value):
+        values = {"A": 1.0, "alpha": 0.5, "b": 1.0, field: value}
+        with pytest.raises(DomainError, match="finite"):
+            PotentialParams(**values)
+
     def test_kappa_derived(self):
         params = PotentialParams(A=1.0, alpha=0.5, b=1.0, mu=2.0, hbar=0.5)
         assert params.kappa == pytest.approx(2.0 * 2.0 / 0.25)

@@ -46,6 +46,11 @@ class TestShapeParameter:
 
 
 class TestEnergy:
+    def test_underflowing_b_squared_raises(self):
+        # b^2 = 1e-600 underflows to 0: E is not a finite float
+        with pytest.raises(DomainError, match="not a finite float"):
+            energy(PotentialParams(A=80.0, alpha=0.75, b=1e-300), QuantumState(n=0, l=1, D=2))
+
     def test_published_2p_value(self):
         entry = energy(table_params(0.025, 0.75), QuantumState(n=0, l=1, D=2))
         assert abs(entry.energy - (-0.241087728)) <= 5e-9
@@ -108,6 +113,11 @@ class TestCriticalCoupling:
         eps = epsilon_parameter(params, state)
         implied_energy = -(eps * eps) / (2.0 * params.b**2)
         assert abs(implied_energy) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e300])
+    def test_non_finite_result_raises(self, alpha):
+        with pytest.raises(DomainError):
+            critical_coupling(QuantumState(n=0, l=0, D=3), alpha)
 
 
 class TestDegeneracy:

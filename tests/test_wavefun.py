@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -73,6 +74,11 @@ class TestNormalization:
         with pytest.raises(DomainError):
             normalization_closed_form(synthetic_entry(-1.0, 0.0), 1.0)
 
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_screening_length(self, b):
+        with pytest.raises(DomainError):
+            normalization_closed_form(synthetic_entry(2.3, 0.7), b)
+
     def test_underflowing_integrand_raises_convergence_error(self):
         # eps ~ 4925, eta = 99.5: the true integral, ~1e-700, is below the
         # double range, so the integrand underflows to 0 at every node
@@ -98,6 +104,17 @@ class TestNormalization:
         with mpmath.workdps(50):
             s_n = mpmath.beta(2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 3)
             reference = 1 / mpmath.sqrt(params.b * s_n)
+        assert abs(normalization_closed_form(entry, params.b) / reference - 1) < 1e-12
+
+    def test_closed_form_at_subnormal_s_matches_mpmath(self):
+        # eps ~ 1.25e5, eta = 39: s(n) ~ 4.1e-319 is subnormal, so N is taken
+        # from ln s(n) rather than from s(n)
+        params = PotentialParams(A=1e7, alpha=40.0, b=1.0)
+        entry = energy(params, QuantumState(n=0, l=0, D=3))
+        with mpmath.workdps(50):
+            s_n = mpmath.beta(2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 3)
+            reference = 1 / mpmath.sqrt(params.b * s_n)
+        assert s_n < sys.float_info.min
         assert abs(normalization_closed_form(entry, params.b) / reference - 1) < 1e-12
 
     def test_convergence_failure_reports_last_two_estimates(self):
