@@ -23,10 +23,20 @@ near 1e26 at the origin), so bisection runs to a tolerance of a few times
 the smallest normal number: at LAPACK's default, scaled by the largest
 entry, the eigenvalues come out wrong by 1e9 or more.
 
+The leading discretization error is O(h^2): the stencil reads
+-u'' - (h^2/12) u^(4) + O(h^4), so to first order
+lambda_h = lambda - (h^2/12) int (u'')^2 dx / int r^2 u^2 dx.  On the log
+grid that error is removed by a deferred correction from the eigenvector
+already in hand: u'' comes from the equation itself, and the integration by
+parts leaves no boundary term, because u ~ e^(nu x) as x -> -inf and u = 0
+at r_max.  It costs O(N) per level and converges at order 4, so each
+channel takes one eigensolve.
+
 An explicit uniform grid (``RadialGrid``) keeps the plain 3-point second
-difference in r with Dirichlet ends.  On either grid, Richardson
-extrapolation over (h, h/2) cancels the leading O(h^2) discretization
-error: E_rich = (4 E_{h/2} - E_h) / 3.
+difference in r with Dirichlet ends, and Richardson extrapolation over
+(h, h/2): E_rich = (4 E_{h/2} - E_h) / 3.  There u'' carries the r^(-2)
+barrier and is steep near the origin, so the same correction falls short
+of the half-spacing re-solve by three orders of magnitude or more.
 """
 
 import math
@@ -54,7 +64,7 @@ __all__ = [
 
 # Points per local de Broglie wavelength below which a resolution warning fires.
 _MIN_POINTS_PER_WAVELENGTH = 20.0
-# Points of the default log-mapped grid (its Richardson partner has 2N - 1).
+# Points of the default log-mapped grid.
 _LOG_GRID_POINTS = 4001
 # Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
@@ -110,12 +120,14 @@ class OracleResult:
     node_counts: tuple[int, ...]
     grid: RadialGrid
     mode: CentrifugalMode
+    # refined energies: the deferred correction on a LogRadialGrid, the
+    # Richardson (h, h/2) combination on a uniform RadialGrid
     richardson_estimate: tuple[float, ...] | None = None
     truncated: bool = False
     warnings: tuple[str, ...] = ()
 
     def best(self, index: int) -> float:
-        """Richardson value when available, else the base-grid eigenvalue."""
+        """Refined value when available, else the base-grid eigenvalue."""
         if self.richardson_estimate is not None and index < len(self.richardson_estimate):
             return self.richardson_estimate[index]
         return self.eigenvalues[index]
@@ -207,8 +219,16 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     accuracy and the eigenvectors from inverse iteration (LAPACK's stebz and
     stein), so the i-th returned state has exactly i interior nodes.  The
     bound levels are the negative ones; when fewer than k exist, the bound
-    subset is returned with ``truncated`` set.  ``richardson`` adds eigenvalues
-    recomputed on the half-spacing grid, combined as (4 E_{h/2} - E_h)/3.
+    subset is returned with ``truncated`` set.
+
+    ``richardson`` adds refined energies that cancel the O(h^2) stencil
+    error.  On a ``LogRadialGrid`` level i gets the deferred correction
+    lambda_i + (h^2/12) sum_j c_ij^2 / sum_j w_ij^2 from its eigenvector w_i,
+    with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j the u''
+    the equation gives: no second eigensolve.  On a uniform ``RadialGrid``
+    the levels are recomputed on the half-spacing grid and combined as
+    (4 E_{h/2} - E_h)/3, because there u'' is steep near the origin and the
+    correction is far less accurate than the re-solve.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -227,7 +247,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
         return OracleResult(eigenvalues=(), node_counts=(), grid=grid, mode=mode,
                             richardson_estimate=() if richardson else None,
                             truncated=True)
-    values = values[:k_found]
+    values, vectors = values[:k_found], vectors[:, :k_found]
     kappa = params.kappa
     energies = tuple(float(v) / kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
@@ -245,7 +265,15 @@ def solve_radial(params: PotentialParams, D: int, l: int,
         )
 
     rich: tuple[float, ...] | None = None
-    if richardson:
+    if richardson and isinstance(grid, LogRadialGrid):
+        # u'' = (1/4 + r^2 (kappa V_eff - lambda)) u with u = w / r, from the
+        # equation itself; lambda = lambda_h + (h^2/12) int (u'')^2 / int r^2 u^2
+        r_in = r[1:-1, None]
+        u_xx = (0.25 / r_in + r_in * (v_scaled[:, None] - values)) * vectors
+        delta = (grid.spacing ** 2 / 12.0) * (np.sum(u_xx * u_xx, axis=0)
+                                              / np.sum(vectors * vectors, axis=0))
+        rich = tuple(float(v) / kappa for v in values + delta)
+    elif richardson:
         fine = grid.refined()
         diag_f, off_f, _ = _tridiagonal(params, D, l, mode, fine)
         values_f = eigh_tridiagonal(diag_f, off_f, select="i",
@@ -261,7 +289,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
 
 def oracle_energy(params: PotentialParams, state: QuantumState, mode: CentrifugalMode,
                   grid: RadialGrid | None = None) -> float:
-    """Richardson-refined oracle energy of one state in one centrifugal mode.
+    """Refined oracle energy of one state in one centrifugal mode.
 
     Raises :class:`ConvergenceError` when the grid holds fewer than n + 1
     bound levels.
@@ -271,7 +299,7 @@ def oracle_energy(params: PotentialParams, state: QuantumState, mode: Centrifuga
 
 
 def _level(result: OracleResult, state: QuantumState) -> float:
-    """Richardson-refined energy of ``state`` from a solve of its channel.
+    """Refined energy of ``state`` from a solve of its channel.
 
     The one place that raises :class:`ConvergenceError` when the solve holds
     fewer than n + 1 bound levels.

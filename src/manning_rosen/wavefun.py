@@ -43,8 +43,8 @@ _TWO_PI = 2.0 * math.pi
 # radial part
 # ---------------------------------------------------------------------------
 
-def _g_bare(s, eps: float, eta: float, n: int):
-    """Unnormalized g at s = r/b >= 0, zero at s = 0 and s = inf.
+def _g_bare(s, eps: float, eta: float, n: int, ln_scale: float = 0.0):
+    """Unnormalized g at s = r/b >= 0, zero at s = 0 and s = inf, over e^ln_scale.
 
     Taken in s, with 1 - z = -expm1(-s) and the envelope in log space, so the
     tail survives where z = exp(-s) underflows.
@@ -52,7 +52,7 @@ def _g_bare(s, eps: float, eta: float, n: int):
     ss = np.asarray(s, dtype=float)
     one_minus_z = -np.expm1(-ss)
     with np.errstate(divide="ignore"):  # ln(1 - z) = -inf at s = 0
-        envelope = np.exp(-eps * ss + (1.0 + eta) * np.log(one_minus_z))
+        envelope = np.exp(-eps * ss + (1.0 + eta) * np.log(one_minus_z) - ln_scale)
     return _maybe_scalar(envelope * jacobi(n, 2.0 * eps, 2.0 * eta + 1.0,
                                            2.0 * one_minus_z - 1.0), s)
 
@@ -210,29 +210,43 @@ def _exp_sinh_integral(fn, rel_tol: float) -> float:
                            estimates=tuple(estimates[-2:]))
 
 
-def _norm_integral_quadrature(n: int, eps: float, eta: float) -> float:
-    """Norm integral int_0^inf g_bare(s)^2 ds by exp-sinh quadrature in t = eps s.
+# ln of the envelope peak below which the norm quadrature divides the peak out.
+# Above it g^2 near the peak stays above e^-600, well inside the normal range,
+# and the nodes are summed unscaled, so no rounding is added there.
+_LN_PEAK_MIN = -300.0
 
-    Shares the radial kernel, but no algebra, with the closed form.
+
+def _norm_integral_quadrature(n: int, eps: float, eta: float) -> tuple[float, float]:
+    """Norm integral int_0^inf g_bare(s)^2 ds = j e^(2c) by exp-sinh quadrature in t = eps s.
+
+    Returns (j, c).  c is 0, or, where the envelope z^eps (1 - z)^(1 + eta)
+    peaks below e^-300, ln of that peak (at z = eps / (eps + 1 + eta)): the
+    nodes are summed over e^(2c), so j stays normal where the integral itself
+    is subnormal or below the double range.  Shares the radial kernel, but no
+    algebra, with the closed form.
     """
-    return _exp_sinh_integral(lambda t: _g_bare(t / eps, eps, eta, n) ** 2, 1e-10) / eps
+    ln_peak = -eps * math.log1p((1.0 + eta) / eps) - (1.0 + eta) * math.log1p(eps / (1.0 + eta))
+    c = ln_peak if ln_peak < _LN_PEAK_MIN else 0.0
+    return _exp_sinh_integral(lambda t: _g_bare(t / eps, eps, eta, n, c) ** 2, 1e-10) / eps, c
 
 
 def normalization_quadrature(params: PotentialParams, entry: SpectrumEntry) -> float:
     """Normalization constant from numerical quadrature, N = 1/sqrt(b * I).
 
     Independent of the closed form: an exp-sinh trapezoid rule whose step
-    is halved from 1/8 until two levels agree to 1e-10 relative.  Raises
-    :class:`ConvergenceError`, with the last two estimates when the levels
-    never agree, and when the integral is zero or non-finite.
+    is halved from 1/8 until two levels agree to 1e-10 relative.  The integral
+    is carried as j e^(2c), so N keeps full precision where b * I is
+    subnormal.  Raises :class:`ConvergenceError`, with the last two estimates
+    when the levels never agree, and when b * I lies outside the double range.
     """
     if entry.epsilon <= 0.0:
         raise DomainError("normalization requires a bound state (epsilon > 0)")
-    integral = _norm_integral_quadrature(entry.state.n, entry.epsilon, entry.eta)
-    if not 0.0 < integral < math.inf:
-        raise ConvergenceError(f"norm integral is {integral!r}: the integrand "
-                               f"under- or overflows at every quadrature node")
-    return 1.0 / math.sqrt(params.b * integral)
+    j, c = _norm_integral_quadrature(entry.state.n, entry.epsilon, entry.eta)
+    ln_s = math.log(params.b) + math.log(j) + 2.0 * c if 0.0 < j < math.inf else math.nan
+    if not _LN_S_MIN <= ln_s <= _LN_S_MAX:
+        raise ConvergenceError(f"norm integral is {j * math.exp(2.0 * c)!r}: b times it "
+                               f"lies outside the double range")
+    return math.exp(-c) / math.sqrt(params.b * j)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,15 @@ class TestOutputContract:
         assert captured.err == ""
         assert captured.out.splitlines()[-2] == "# norm=1.000000000000"
 
+    def test_norm_at_subnormal_integral_exits_0(self, capsys):
+        # eps ~ 1.25e5, eta = 39: both norms are taken past a subnormal s(n) ~ 4.1e-319
+        rc = main(["wavefunction", "--A", "1e7", "--b", "1", "--alpha", "40", "--dim", "3",
+                   "--n", "0", "--l", "0", "--samples", "3"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2] == "# norm=1.000000000000"
+
     def test_underflowing_closed_form_norm_exits_4(self, capsys):
         # eps ~ 4925, eta = 99.5: s(n) ~ 1e-700 underflows to 0
         rc = main(["wavefunction", "--A", "1e6", "--b", "1", "--alpha", "0", "--dim", "202",

@@ -10,13 +10,24 @@ from manning_rosen import (CentrifugalMode, DomainError, PotentialParams,
                            QuantumState, approximation_audit, default_grid,
                            effective_potential, energy, hulthen_energy,
                            parse_spectroscopic, solve_radial, sturm_count)
-from manning_rosen.oracle import RadialGrid, _tridiagonal
+from manning_rosen.oracle import LogRadialGrid, RadialGrid, _tridiagonal
 from manning_rosen.reference import iter_reference_cells
 
 
 def table_params(inv_b=0.025, alpha=0.75):
     b = 1.0 / inv_b
     return PotentialParams(A=2.0 * b, alpha=alpha, b=b)
+
+
+def table_channels():
+    """Top published n of each of the table's 66 (1/b, alpha, D, l) channels."""
+    top_n = {}
+    for cell in iter_reference_cells():
+        n, l = parse_spectroscopic(cell.label)
+        key = (cell.inv_b, cell.alpha, cell.D, l)
+        top_n[key] = max(top_n.get(key, 0), n)
+    assert len(top_n) == 66
+    return top_n
 
 
 class TestRadialGrid:
@@ -90,6 +101,37 @@ class TestSolveRadial:
         order = math.log(errors[0] / errors[1]) / math.log(4.0)
         assert order == pytest.approx(2.0, rel=0.2)
 
+    def test_log_grid_correction_is_fourth_order(self):
+        # the deferred correction cancels the h^2 term: error ratio 2^4 per halving
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        entry = energy(params, QuantumState(n=0, l=1, D=3))
+        base = default_grid(params, 3, 1)
+        errors = []
+        for n_points in (1001, 2001):
+            grid = LogRadialGrid(r_min=base.r_min, r_max=base.r_max, n_points=n_points)
+            result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=1)
+            errors.append(abs(result.best(0) - entry.energy))
+        order = math.log2(errors[0] / errors[1])
+        assert order == pytest.approx(4.0, abs=0.4)
+
+    def test_table_channels_within_1e8_on_default_grid(self):
+        for (inv_b, alpha, D, l), n_top in table_channels().items():
+            params = table_params(inv_b, alpha)
+            result = solve_radial(params, D, l, k=n_top + 1)
+            for n in range(n_top + 1):
+                e = energy(params, QuantumState(n=n, l=l, D=D)).energy
+                assert abs(result.best(n) - e) <= 1e-8 * abs(e), (inv_b, alpha, D, l, n)
+
+    def test_uniform_grid_keeps_richardson(self):
+        # the r^-2 barrier makes u'' steep on a uniform grid: there the deferred
+        # correction leaves ~2e-7 relative, the half-spacing re-solve ~1e-10
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        entry = energy(params, QuantumState(n=0, l=1, D=3))
+        grid = RadialGrid(r_min=1e-12 * params.b, r_max=default_grid(params, 3, 1).r_max,
+                          n_points=4001)
+        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=1)
+        assert abs(result.best(0) - entry.energy) <= 1e-9 * abs(entry.energy)
+
     def test_node_counts_match_eigenvalue_index(self):
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, k=6,
@@ -144,13 +186,7 @@ class TestSolveRadial:
 
     def test_no_resolution_warning_on_table_channels(self):
         # local spacing h r on the log grid: smooth channels stay quiet
-        top_n = {}
-        for cell in iter_reference_cells():
-            n, l = parse_spectroscopic(cell.label)
-            key = (cell.inv_b, cell.alpha, cell.D, l)
-            top_n[key] = max(top_n.get(key, 0), n)
-        assert len(top_n) == 66
-        for (inv_b, alpha, D, l), n_top in top_n.items():
+        for (inv_b, alpha, D, l), n_top in table_channels().items():
             result = solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1,
                                   richardson=False)
             assert len(result.eigenvalues) == n_top + 1

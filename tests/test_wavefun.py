@@ -39,7 +39,8 @@ class TestNormalization:
             assert norm == pytest.approx(1.0 / math.sqrt(s_expected), rel=1e-12)
 
     def test_unit_case_integral_is_one_twelfth(self):
-        integral = _norm_integral_quadrature(0, 1.0, 0.0)
+        integral, ln_scale = _norm_integral_quadrature(0, 1.0, 0.0)
+        assert ln_scale == 0.0
         assert integral == pytest.approx(1.0 / 12.0, rel=1e-12)
 
     def test_quadrature_matches_closed_form_unit_case(self):
@@ -93,8 +94,20 @@ class TestNormalization:
         entry = energy(PotentialParams(A=1e7, alpha=1.5, b=1.0), QuantumState(n=0, l=0, D=3))
         with mpmath.workdps(40):
             reference = mpmath.beta(2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 3)
-        integral = _norm_integral_quadrature(0, entry.epsilon, entry.eta)
+        integral, ln_scale = _norm_integral_quadrature(0, entry.epsilon, entry.eta)
+        assert ln_scale == 0.0
         assert abs(integral / reference - 1) < 1e-12
+
+    def test_quadrature_at_subnormal_integral_matches_mpmath(self):
+        # eps ~ 1.25e5, eta = 39: the integral ~4.1e-319 is subnormal, so the
+        # nodes are summed over the envelope peak squared and N taken from that
+        params = PotentialParams(A=1e7, alpha=40.0, b=1.0)
+        entry = energy(params, QuantumState(n=0, l=0, D=3))
+        with mpmath.workdps(50):
+            s_n = mpmath.beta(2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 3)
+            reference = 1 / mpmath.sqrt(params.b * s_n)
+        assert s_n < sys.float_info.min
+        assert abs(normalization_quadrature(params, entry) / reference - 1) < 1e-12
 
     def test_closed_form_at_eps_3e6_matches_mpmath(self):
         # ln Gamma(n+a+1) - ln Gamma(n+a+b+1) at arguments near 7e6: two values
