@@ -3,9 +3,10 @@
 Solves  g'' + kappa [E - V_eff(r)] g = 0  as a symmetric tridiagonal
 eigenproblem whose eigenvalues are kappa E; the bound levels are the
 negative ones, found by LAPACK bisection (``sturm_count`` certifies that
-count independently).  Only the differential equation enters, so this path
-shares no algebra with the closed-form spectrum and serves as its ground
-truth, in either centrifugal mode.
+count independently).  Every returned value is an eigenvalue of the
+assembled matrix, so this path shares no algebra with the closed-form
+spectrum and serves as its ground truth, in either centrifugal mode.  The
+closed form only sizes the default grid and says where bisection looks.
 
 The default grid is uniform in x = ln r (Langer's substitution r = e^x,
 g = r^(1/2) u).  There the equation reads
@@ -23,6 +24,17 @@ near 1e26 at the origin), so bisection runs to a tolerance of a few times
 the smallest normal number: at LAPACK's default, scaled by the largest
 entry, the eigenvalues come out wrong by 1e9 or more.
 
+Bisection works on a value window, not an index range.  Asked for levels
+0..k-1 by index, LAPACK first brackets them by Sturm counts over the whole
+Gershgorin interval, about [-5e20, 1e26] on the graded matrix, and that
+search costs more than bisecting the levels themselves.  The kinetic part
+is positive on both grid kinds (a second difference with Dirichlet ends or
+a Robin ratio <= 1, plus 1/(4 r^2)), so no eigenvalue lies below
+kappa min V_eff: that is the proven lower end of the window.  Its top is
+the midpoint of closed-form levels k-1 and k, or 0 when either is unbound
+or undefined.  A top that misses a level costs one re-solve on
+[lower, 0]; it cannot skip a level or return a wrong one.
+
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
 lambda_h = lambda - (h^2/12) int (u'')^2 dx / int r^2 u^2 dx.  On the log
@@ -39,7 +51,9 @@ barrier and is steep near the origin, so the same correction falls short
 of the half-spacing re-solve by three orders of magnitude or more.
 """
 
+import logging
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +82,18 @@ _MIN_POINTS_PER_WAVELENGTH = 20.0
 _LOG_GRID_POINTS = 4001
 # Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
+# Relative margin that keeps rounding in V_eff from lifting the window's lower end.
+_WINDOW_MARGIN = 1e-9
+# Eigenvector components at or below this fraction of the largest are inverse
+# iteration's noise floor, which the 1/(4r) in u'' would lift by ~1e11.
+_NOISE_FLOOR = 1e-12
+# Relative move of a level under refinement above which the base grid is too coarse.
+_MAX_REFINEMENT_GAP = 1e-3
+
+_LOG = logging.getLogger(__name__)
+# The library convention, set here because only the oracle logs: the
+# closed-form commands then never import logging.
+logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 
 @dataclass(frozen=True)
@@ -208,72 +234,130 @@ def _eigenvector_nodes(vec: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
+def _window_top(params: PotentialParams, D: int, l: int, k: int) -> float:
+    """kappa times the midpoint of closed-form levels k-1 and k; 0 when either is unbound."""
+    try:
+        eps = [epsilon_parameter(params, QuantumState(n=n, l=l, D=D)) for n in (k - 1, k)]
+    except DomainError:  # no real shape parameter (q = 0, |1 - 2 alpha| < 1)
+        return 0.0
+    if min(eps) <= 0.0:
+        return 0.0
+    s0, s1 = eps[0] / params.b, eps[1] / params.b
+    return -0.5 * (s0 * s0 + s1 * s1)  # kappa E_n = -eps_n^2 / b^2
+
+
+def _eigenpairs(diag: np.ndarray, off: np.ndarray, lower: float, top: float):
+    """Eigenpairs with values in (lower, top], by bisection and inverse iteration."""
+    try:
+        return eigh_tridiagonal(diag, off, select="v", select_range=(lower, top),
+                                lapack_driver="stebz", tol=_BISECTION_TOL)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+
+
+def _bound_levels(params: PotentialParams, D: int, l: int, k: int,
+                  diag: np.ndarray, off: np.ndarray, v_scaled: np.ndarray):
+    """Lowest k negative eigenpairs, bisected only inside a value window.
+
+    Returns the values, their eigenvectors as columns, the window (lower,
+    top] last searched and whether it had to be widened to (lower, 0].
+    """
+    v_min = float(np.min(v_scaled))
+    lower = v_min - _WINDOW_MARGIN * abs(v_min)
+    if lower >= 0.0:  # the kinetic part is positive: nothing lies below 0
+        return np.empty(0), np.empty((len(diag), 0)), (lower, 0.0), False
+    top = _window_top(params, D, l, k)
+    if not lower < top:
+        top = 0.0
+    values, vectors = _eigenpairs(diag, off, lower, top)
+    widened = len(values) < k and top < 0.0
+    if widened:
+        top = 0.0
+        values, vectors = _eigenpairs(diag, off, lower, top)
+    bound = values < 0.0
+    return values[bound][:k], vectors[:, bound][:, :k], (lower, top), widened
+
+
+def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
+                         values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(h^2/12) sum_j c_ij^2 / sum_j w_ij^2 per level i, added to lambda_i on a log grid.
+
+    ``r`` holds the interior nodes.  u'' = (1/4 + r^2 (kappa V_eff - lambda)) u
+    with u = w / r, from the equation itself; components at inverse
+    iteration's noise floor are left out.
+    """
+    w = vectors.T  # one contiguous row per level: LAPACK returns columns
+    u_xx = (0.25 / r + r * (v_scaled - values[:, None])) * w
+    magnitude = np.abs(w)
+    u_xx[magnitude <= _NOISE_FLOOR * np.max(magnitude, axis=1, keepdims=True)] = 0.0
+    return (h * h / 12.0) * (np.sum(u_xx * u_xx, axis=1) / np.sum(w * w, axis=1))
+
+
 def solve_radial(params: PotentialParams, D: int, l: int,
                  mode: CentrifugalMode = CentrifugalMode.APPROXIMATED,
                  grid: RadialGrid | None = None, k: int = 1,
                  richardson: bool = True) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The lowest
-    min(k, interior points) eigenvalues come from bisection to full relative
-    accuracy and the eigenvectors from inverse iteration (LAPACK's stebz and
-    stein), so the i-th returned state has exactly i interior nodes.  The
-    bound levels are the negative ones; when fewer than k exist, the bound
-    subset is returned with ``truncated`` set.
+    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The eigenvalues
+    come from bisection to full relative accuracy inside the value window
+    (lower, top] and the eigenvectors from inverse iteration (LAPACK's stebz
+    and stein), so the i-th returned state has exactly i interior nodes.
+    lower = kappa min V_eff less a 1e-9 relative margin bounds the spectrum
+    from below; top is kappa times the midpoint of closed-form levels k-1
+    and k, or 0 when either is unbound or the closed form is undefined.
+    When the window holds fewer than k levels it is widened once to
+    (lower, 0].  Bisecting by index instead would first bracket the levels
+    over the Gershgorin interval of the graded matrix, which is the slower
+    part.  The bound levels are the negative ones; when fewer than k exist,
+    the bound subset is returned with ``truncated`` set.
 
     ``richardson`` adds refined energies that cancel the O(h^2) stencil
     error.  On a ``LogRadialGrid`` level i gets the deferred correction
     lambda_i + (h^2/12) sum_j c_ij^2 / sum_j w_ij^2 from its eigenvector w_i,
     with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j the u''
-    the equation gives: no second eigensolve.  On a uniform ``RadialGrid``
-    the levels are recomputed on the half-spacing grid and combined as
+    the equation gives, and components with |w_ij| <= 1e-12 max|w_i| left
+    out of the sum: no second eigensolve.  On a uniform ``RadialGrid`` the
+    levels are recomputed on the half-spacing grid and combined as
     (4 E_{h/2} - E_h)/3, because there u'' is steep near the origin and the
-    correction is far less accurate than the re-solve.
+    correction is far less accurate than the re-solve.  A level that the
+    refinement moves by more than 1e-3 relative adds a resolution warning.
+
+    Each call logs its grid points, window, level count and stage timings at
+    DEBUG level on the ``manning_rosen.oracle`` logger.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if grid is None:
         grid = default_grid(params, D, l, k)
+    started = time.perf_counter()
     diag, off, v_scaled = _tridiagonal(params, D, l, mode, grid)
-    try:
-        values, vectors = eigh_tridiagonal(diag, off, select="i",
-                                           select_range=(0, min(k, len(diag)) - 1),
-                                           lapack_driver="stebz", tol=_BISECTION_TOL)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    k_found = int(np.count_nonzero(values < 0.0))
-    truncated = k_found < k
-    if k_found == 0:
-        return OracleResult(eigenvalues=(), node_counts=(), grid=grid, mode=mode,
-                            richardson_estimate=() if richardson else None,
-                            truncated=True)
-    values, vectors = values[:k_found], vectors[:, :k_found]
+    assembled = time.perf_counter()
+    values, vectors, window, widened = _bound_levels(params, D, l, k, diag, off, v_scaled)
+    solved = time.perf_counter()
+    k_found = len(values)
     kappa = params.kappa
     energies = tuple(float(v) / kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
 
-    warnings: list[str] = []
-    # local wavenumber times local spacing (h on the uniform grid, ~h r on the log one)
     r = grid.points()
-    local_k = np.sqrt(np.maximum(values[-1] - v_scaled, 0.0))
-    phase_step = float(np.max(0.5 * (r[2:] - r[:-2]) * local_k, initial=0.0))
-    if phase_step > 2.0 * math.pi / _MIN_POINTS_PER_WAVELENGTH:
-        points_per_wave = 2.0 * math.pi / phase_step
-        warnings.append(
-            f"grid resolves only {points_per_wave:.1f} points per local de Broglie "
-            f"wavelength at the highest state (want >= {_MIN_POINTS_PER_WAVELENGTH:g})"
-        )
+    warnings: list[str] = []
+    if k_found:
+        # local wavenumber times local spacing (h on the uniform grid, ~h r on the log one)
+        local_k = np.sqrt(np.maximum(values[-1] - v_scaled, 0.0))
+        phase_step = float(np.max(0.5 * (r[2:] - r[:-2]) * local_k, initial=0.0))
+        if phase_step > 2.0 * math.pi / _MIN_POINTS_PER_WAVELENGTH:
+            points_per_wave = 2.0 * math.pi / phase_step
+            warnings.append(
+                f"grid resolves only {points_per_wave:.1f} points per local de Broglie "
+                f"wavelength at the highest state (want >= {_MIN_POINTS_PER_WAVELENGTH:g})"
+            )
 
     rich: tuple[float, ...] | None = None
     if richardson and isinstance(grid, LogRadialGrid):
-        # u'' = (1/4 + r^2 (kappa V_eff - lambda)) u with u = w / r, from the
-        # equation itself; lambda = lambda_h + (h^2/12) int (u'')^2 / int r^2 u^2
-        r_in = r[1:-1, None]
-        u_xx = (0.25 / r_in + r_in * (v_scaled[:, None] - values)) * vectors
-        delta = (grid.spacing ** 2 / 12.0) * (np.sum(u_xx * u_xx, axis=0)
-                                              / np.sum(vectors * vectors, axis=0))
+        delta = _deferred_correction(r[1:-1], grid.spacing, v_scaled, values, vectors)
         rich = tuple(float(v) / kappa for v in values + delta)
-    elif richardson:
+    elif richardson and k_found:
         fine = grid.refined()
         diag_f, off_f, _ = _tridiagonal(params, D, l, mode, fine)
         values_f = eigh_tridiagonal(diag_f, off_f, select="i",
@@ -281,9 +365,23 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                                     lapack_driver="stebz", tol=_BISECTION_TOL)
         rich = tuple((4.0 * float(vf) / kappa - e) / 3.0
                      for vf, e in zip(values_f, energies))
+    elif richardson:
+        rich = ()
+    if rich:
+        gap = max(abs(x - e) / abs(x) for x, e in zip(rich, energies))
+        if gap > _MAX_REFINEMENT_GAP:
+            warnings.append(
+                f"refinement moves a level by {gap:.1e} relative "
+                f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse"
+            )
+    _LOG.debug("solve_radial D=%d l=%d %s: %d points, window (%.6g, %.6g]%s, "
+               "%d of %d levels; assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
+               D, l, mode.value, grid.n_points, window[0], window[1],
+               " widened" if widened else "", k_found, k, assembled - started,
+               solved - assembled, time.perf_counter() - solved)
 
     return OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
-                        richardson_estimate=rich, truncated=truncated,
+                        richardson_estimate=rich, truncated=k_found < k,
                         warnings=tuple(warnings))
 
 

@@ -1,22 +1,39 @@
 """Finite-difference eigensolver: identities, counting, and convergence."""
 
+import logging
 import math
 import random
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from manning_rosen import (CentrifugalMode, DomainError, PotentialParams,
                            QuantumState, approximation_audit, default_grid,
                            effective_potential, energy, hulthen_energy,
                            parse_spectroscopic, solve_radial, sturm_count)
-from manning_rosen.oracle import LogRadialGrid, RadialGrid, _tridiagonal
+from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, RadialGrid,
+                                  _deferred_correction, _eigenvector_nodes, _tridiagonal,
+                                  _window_top)
 from manning_rosen.reference import iter_reference_cells
 
 
 def table_params(inv_b=0.025, alpha=0.75):
     b = 1.0 / inv_b
     return PotentialParams(A=2.0 * b, alpha=alpha, b=b)
+
+
+def index_range_solve(params, D, l, mode, grid, k):
+    """Lowest k eigenpairs bisected by index over the whole spectrum, with kappa V_eff."""
+    diag, off, v_scaled = _tridiagonal(params, D, l, mode, grid)
+    values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                                       lapack_driver="stebz", tol=_BISECTION_TOL)
+    return values, vectors, v_scaled
+
+
+# (params, D, l, mode) of a 4f channel whose exact barrier lifts the ground state
+# above the closed-form window: the window holds no level and is widened
+WIDENED = (PotentialParams(A=25.77, alpha=1.643, b=12.907), 3, 3, CentrifugalMode.EXACT)
 
 
 def table_channels():
@@ -191,6 +208,72 @@ class TestSolveRadial:
                                   richardson=False)
             assert len(result.eigenvalues) == n_top + 1
             assert result.warnings == ()
+
+    def test_window_matches_index_range_on_table_channels(self):
+        # the value window returns the index range's eigenpairs; the refined
+        # levels agree too, because stein's noise floor is kept out of u''
+        for (inv_b, alpha, D, l), n_top in table_channels().items():
+            params = table_params(inv_b, alpha)
+            k = n_top + 1
+            result = solve_radial(params, D, l, k=k)
+            values, vectors, v_scaled = index_range_solve(
+                params, D, l, CentrifugalMode.APPROXIMATED, result.grid, k)
+            base = values / params.kappa
+            np.testing.assert_allclose(result.eigenvalues, base, rtol=1e-15, atol=0.0)
+            assert result.node_counts == tuple(_eigenvector_nodes(vectors[:, i])
+                                               for i in range(k))
+            delta = _deferred_correction(result.grid.points()[1:-1], result.grid.spacing,
+                                         v_scaled, values, vectors)
+            refined = (values + delta) / params.kappa
+            np.testing.assert_allclose(result.richardson_estimate, refined,
+                                       rtol=1e-13, atol=0.0)
+
+    def test_widened_window_matches_index_range(self):
+        params, D, l, mode = WIDENED
+        result = solve_radial(params, D, l, mode, k=1)
+        diag, off, _ = _tridiagonal(params, D, l, mode, result.grid)
+        assert sturm_count(diag, off, _window_top(params, D, l, 1)) == 0
+        values, _, _ = index_range_solve(params, D, l, mode, result.grid, 1)
+        assert result.eigenvalues == pytest.approx([values[0] / params.kappa], rel=1e-15)
+        assert result.node_counts == (0,)
+        assert not result.truncated
+
+    def test_explicit_log_grid_without_shape_parameter(self):
+        # q = 0 with |1 - 2 alpha| < 1: the closed form raises DomainError, so the
+        # window runs up to 0 and the levels are the index range's
+        params = PotentialParams(A=80.0, alpha=0.3, b=40.0)
+        grid = LogRadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=4001)
+        result = solve_radial(params, 2, 0, CentrifugalMode.EXACT, grid=grid, k=2)
+        values, _, _ = index_range_solve(params, 2, 0, CentrifugalMode.EXACT, grid, 2)
+        np.testing.assert_allclose(result.eigenvalues, values / params.kappa,
+                                   rtol=1e-15, atol=0.0)
+        assert result.node_counts == (0, 1)
+
+    @pytest.mark.parametrize("mode", list(CentrifugalMode))
+    def test_refinement_gap_warning_on_coarse_uniform_grid(self, mode):
+        # h = 0.5: the r^(l+1) rise at the origin leaves the base levels 0.6-0.7%
+        # off, which the points-per-wavelength check does not see
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        grid = RadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=4001)
+        result = solve_radial(params, 3, 1, mode, grid=grid, k=2)
+        assert len(result.eigenvalues) == 2
+        assert any("refinement moves a level" in w for w in result.warnings)
+        assert solve_radial(params, 3, 1, mode, grid=grid, k=2, richardson=False).warnings == ()
+
+    def test_debug_log_reports_widened_window(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            solve_radial(*WIDENED, k=1)
+            solve_radial(table_params(), 2, 1, k=1)
+        records = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
+        assert len(records) == 2
+        assert all(r.levelno == logging.DEBUG for r in records)
+        assert " widened, 1 of 1 levels" in records[0].getMessage()
+        assert "widened" not in records[1].getMessage()
+        assert "eigensolve" in records[1].getMessage()
+
+    def test_package_logger_has_null_handler(self):
+        handlers = logging.getLogger("manning_rosen").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
