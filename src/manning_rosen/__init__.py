@@ -36,7 +36,6 @@ __all__ = [
     "PotentialParams",
     "QuadratureRule",
     "QuantumState",
-    "RadialGrid",
     "RadialSolution",
     "SpectrumEntry",
     "UnboundStateError",
@@ -71,7 +70,7 @@ __all__ = [
 ]
 
 
-_ORACLE_NAMES = frozenset({"AuditResult", "LogRadialGrid", "OracleResult", "RadialGrid",
+_ORACLE_NAMES = frozenset({"AuditResult", "LogRadialGrid", "OracleResult",
                            "approximation_audit", "default_grid", "oracle_energy",
                            "solve_radial", "sturm_count"})
 

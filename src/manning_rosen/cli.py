@@ -129,9 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(orc)
     orc.add_argument("--mode", choices=("exact", "approx", "both"), default="both",
                      help="centrifugal mode(s) of the solver")
-    orc.add_argument("--r-min", dest="r_min", type=float, default=None)
-    orc.add_argument("--r-max", dest="r_max", type=float, default=None)
-    orc.add_argument("--n-points", dest="n_points", type=int, default=None)
+    orc.add_argument("--r-min", dest="r_min", type=float, default=None,
+                     help="inner end of an explicit grid uniform in ln r (default 1e-12 b)")
+    orc.add_argument("--r-max", dest="r_max", type=float, default=None,
+                     help="outer end of an explicit grid uniform in ln r")
+    orc.add_argument("--n-points", dest="n_points", type=int, default=None,
+                     help="points of an explicit grid uniform in ln r")
     _add_output_flags(orc)
 
     dg = sub.add_parser("degeneracy", help="interdimensional degenerate partners")
@@ -409,7 +412,7 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 
 def _cmd_oracle(args, precision) -> Report:
-    from .oracle import RadialGrid, _level, solve_radial  # SciPy loads here, not at startup
+    from .oracle import LogRadialGrid, _level, solve_radial  # SciPy loads here, not at startup
 
     params, dim = _resolve_params(args)
     states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
@@ -417,8 +420,8 @@ def _cmd_oracle(args, precision) -> Report:
     if args.r_min is not None or args.r_max is not None or args.n_points is not None:
         if args.r_max is None or args.n_points is None:
             raise UsageError("grid override needs --r-max and --n-points (and optional --r-min)")
-        grid = RadialGrid(r_min=args.r_min if args.r_min is not None else 1e-12 * params.b,
-                          r_max=args.r_max, n_points=args.n_points)
+        grid = LogRadialGrid(r_min=args.r_min if args.r_min is not None else 1e-12 * params.b,
+                             r_max=args.r_max, n_points=args.n_points)
 
     if args.mode == "both":
         modes = (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED)

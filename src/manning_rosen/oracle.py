@@ -2,13 +2,14 @@
 
 Solves  g'' + kappa [E - V_eff(r)] g = 0  as a symmetric tridiagonal
 eigenproblem whose eigenvalues are kappa E; the bound levels are the
-negative ones, found by LAPACK bisection (``sturm_count`` certifies that
-count independently).  Every returned value is an eigenvalue of the
-assembled matrix, so this path shares no algebra with the closed-form
-spectrum and serves as its ground truth, in either centrifugal mode.  The
-closed form only sizes the default grid and says where bisection looks.
+negative ones, found by LAPACK bisection (``sturm_count`` is the
+independent count the tests check them against).  Every returned value is
+an eigenvalue of the assembled matrix, so this path shares no algebra with
+the closed-form spectrum and serves as its ground truth, in either
+centrifugal mode.  The closed form only sizes the default grid and says
+where bisection looks.
 
-The default grid is uniform in x = ln r (Langer's substitution r = e^x,
+The grid is uniform in x = ln r (Langer's substitution r = e^x,
 g = r^(1/2) u).  There the equation reads
 
     -u'' + [1/4 + kappa r^2 V_eff] u = kappa E r^2 u,
@@ -28,8 +29,8 @@ Bisection works on a value window, not an index range.  Asked for levels
 0..k-1 by index, LAPACK first brackets them by Sturm counts over the whole
 Gershgorin interval, about [-5e20, 1e26] on the graded matrix, and that
 search costs more than bisecting the levels themselves.  The kinetic part
-is positive on both grid kinds (a second difference with Dirichlet ends or
-a Robin ratio <= 1, plus 1/(4 r^2)), so no eigenvalue lies below
+is positive (a second difference with a Robin ratio <= 1 at one end and
+Dirichlet at the other, plus 1/(4 r^2)), so no eigenvalue lies below
 kappa min V_eff: that is the proven lower end of the window.  Its top is
 the midpoint of closed-form levels k-1 and k, or 0 when either is unbound
 or undefined.  A top that misses a level costs one re-solve on
@@ -37,24 +38,19 @@ or undefined.  A top that misses a level costs one re-solve on
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
-lambda_h = lambda - (h^2/12) int (u'')^2 dx / int r^2 u^2 dx.  On the log
-grid that error is removed by a deferred correction from the eigenvector
-already in hand: u'' comes from the equation itself, and the integration by
-parts leaves no boundary term, because u ~ e^(nu x) as x -> -inf and u = 0
-at r_max.  It costs O(N) per level and converges at order 4, so each
-channel takes one eigensolve.
-
-An explicit uniform grid (``RadialGrid``) keeps the plain 3-point second
-difference in r with Dirichlet ends, and Richardson extrapolation over
-(h, h/2): E_rich = (4 E_{h/2} - E_h) / 3.  There u'' carries the r^(-2)
-barrier and is steep near the origin, so the same correction falls short
-of the half-spacing re-solve by three orders of magnitude or more.
+lambda_h = lambda - (h^2/12) int (u'')^2 dx / int r^2 u^2 dx.  That error
+is removed by a deferred correction from the eigenvector already in hand:
+u'' comes from the equation itself, and the integration by parts leaves no
+boundary term, because u ~ e^(nu x) as x -> -inf and u = 0 at r_max.  It
+costs O(N) per level and converges at order 4, so each channel takes one
+eigensolve.
 """
 
 import logging
 import math
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -65,7 +61,6 @@ from .spectrum import energy as _closed_energy
 from .spectrum import epsilon_parameter
 
 __all__ = [
-    "RadialGrid",
     "LogRadialGrid",
     "OracleResult",
     "AuditResult",
@@ -89,6 +84,11 @@ _WINDOW_MARGIN = 1e-9
 _NOISE_FLOOR = 1e-12
 # Relative move of a level under refinement above which the base grid is too coarse.
 _MAX_REFINEMENT_GAP = 1e-3
+# Largest pivot floor of stebz, relative to the shallowest level, that still resolves it.
+_MAX_PIVOT_FLOOR = 1e-8
+# Natural logs of the largest and the smallest normal float.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 _LOG = logging.getLogger(__name__)
 # The library convention, set here because only the oracle logs: the
@@ -97,11 +97,12 @@ logging.getLogger(__package__).addHandler(logging.NullHandler())
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid with Dirichlet boundaries at both ends.
+class LogRadialGrid:
+    """Grid uniform in x = ln r: a Robin ghost node at r_min, Dirichlet at r_max.
 
-    The unknowns sit on the interior points; ``spacing`` is the step h in
-    the coordinate the grid is uniform in.
+    The unknowns sit on the interior points; ``spacing`` is the step h in x.
+    The matrix divides by r^2 at every node and holds (2/h^2 + 1/4)/r_min^2
+    at the first, so r_max^2 and that entry must be finite normal floats.
     """
 
     r_min: float
@@ -113,22 +114,13 @@ class RadialGrid:
             raise DomainError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.n_points < 3:
             raise DomainError(f"need at least 3 grid points, got {self.n_points}")
-
-    @property
-    def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_points - 1)
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_points)
-
-    def refined(self) -> "RadialGrid":
-        """Same interval at half the spacing (2N - 1 points)."""
-        return replace(self, n_points=2 * self.n_points - 1)
-
-
-@dataclass(frozen=True)
-class LogRadialGrid(RadialGrid):
-    """Grid uniform in x = ln r: a Robin ghost node at r_min, Dirichlet at r_max."""
+        h = self.spacing
+        log_kinetic = math.log(2.0 / (h * h) + 0.25) - 2.0 * math.log(self.r_min)
+        if not (2.0 * math.log(self.r_max) < _LOG_FLOAT_MAX
+                and _LOG_FLOAT_MIN < log_kinetic < _LOG_FLOAT_MAX):
+            raise DomainError(
+                f"grid [{self.r_min}, {self.r_max}] with {self.n_points} points is out of "
+                f"float range: r_max^2 and (2/h^2 + 1/4)/r_min^2 must be finite normal floats")
 
     @property
     def spacing(self) -> float:
@@ -144,19 +136,15 @@ class OracleResult:
 
     eigenvalues: tuple[float, ...]
     node_counts: tuple[int, ...]
-    grid: RadialGrid
+    grid: LogRadialGrid
     mode: CentrifugalMode
-    # refined energies: the deferred correction on a LogRadialGrid, the
-    # Richardson (h, h/2) combination on a uniform RadialGrid
-    richardson_estimate: tuple[float, ...] | None = None
+    refined: tuple[float, ...]  # eigenvalues with the deferred correction added
     truncated: bool = False
     warnings: tuple[str, ...] = ()
 
     def best(self, index: int) -> float:
-        """Refined value when available, else the base-grid eigenvalue."""
-        if self.richardson_estimate is not None and index < len(self.richardson_estimate):
-            return self.richardson_estimate[index]
-        return self.eigenvalues[index]
+        """Refined energy of level ``index``."""
+        return self.refined[index]
 
 
 def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadialGrid:
@@ -185,20 +173,16 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
 
 
 def _tridiagonal(params: PotentialParams, D: int, l: int,
-                 mode: CentrifugalMode, grid: RadialGrid):
+                 mode: CentrifugalMode, grid: LogRadialGrid):
     """Diagonal and off-diagonal of the scaled radial operator on ``grid``.
 
-    Built on the interior nodes; eigenvalues are kappa * E on either grid
-    kind.  Also returns kappa V_eff on those nodes.
+    Built on the interior nodes; eigenvalues are kappa * E.  Also returns
+    kappa V_eff on those nodes.
     """
     r = grid.points()[1:-1]
     h = grid.spacing
     state = QuantumState(n=0, l=l, D=D)
     v_scaled = params.kappa * effective_potential(params, state, r, mode)
-    if not isinstance(grid, LogRadialGrid):
-        diag = 2.0 / (h * h) + v_scaled
-        off = np.full(len(diag) - 1, -1.0 / (h * h))
-        return diag, off, v_scaled
     # Robin end: u ~ e^(nu x) below the first node, nu^2 = 1/4 + r^2 kappa V_eff
     # there.  Clamped at 0: for q = 0, alpha = 0 the limit is exactly 0 and the
     # first node reads it about A r / b too low.
@@ -280,7 +264,7 @@ def _bound_levels(params: PotentialParams, D: int, l: int, k: int,
 
 def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
                          values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """(h^2/12) sum_j c_ij^2 / sum_j w_ij^2 per level i, added to lambda_i on a log grid.
+    """(h^2/12) sum_j c_ij^2 / sum_j w_ij^2 per level i, added to lambda_i.
 
     ``r`` holds the interior nodes.  u'' = (1/4 + r^2 (kappa V_eff - lambda)) u
     with u = w / r, from the equation itself; components at inverse
@@ -295,8 +279,7 @@ def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
 
 def solve_radial(params: PotentialParams, D: int, l: int,
                  mode: CentrifugalMode = CentrifugalMode.APPROXIMATED,
-                 grid: RadialGrid | None = None, k: int = 1,
-                 richardson: bool = True) -> OracleResult:
+                 grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
     ``grid`` defaults to ``default_grid(params, D, l, k)``.  The eigenvalues
@@ -312,16 +295,15 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     part.  The bound levels are the negative ones; when fewer than k exist,
     the bound subset is returned with ``truncated`` set.
 
-    ``richardson`` adds refined energies that cancel the O(h^2) stencil
-    error.  On a ``LogRadialGrid`` level i gets the deferred correction
-    lambda_i + (h^2/12) sum_j c_ij^2 / sum_j w_ij^2 from its eigenvector w_i,
-    with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j the u''
-    the equation gives, and components with |w_ij| <= 1e-12 max|w_i| left
-    out of the sum: no second eigensolve.  On a uniform ``RadialGrid`` the
-    levels are recomputed on the half-spacing grid and combined as
-    (4 E_{h/2} - E_h)/3, because there u'' is steep near the origin and the
-    correction is far less accurate than the re-solve.  A level that the
-    refinement moves by more than 1e-3 relative adds a resolution warning.
+    ``refined`` cancels the O(h^2) stencil error: level i gets the deferred
+    correction lambda_i + (h^2/12) sum_j c_ij^2 / sum_j w_ij^2 from its
+    eigenvector w_i, with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j
+    the u'' the equation gives, and components with |w_ij| <= 1e-12 max|w_i|
+    left out of the sum.  A level that the correction moves by more than
+    1e-3 relative adds a resolution warning.  Raises :class:`ConvergenceError`
+    when stebz's pivot floor tiny * max off^2, which bounds its accuracy,
+    exceeds 1e-8 of the shallowest level found (r_min below about 1e-73 at
+    4001 points).
 
     Each call logs its grid points, window, level count and stage timings at
     DEBUG level on the ``manning_rosen.oracle`` logger.
@@ -336,6 +318,14 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     values, vectors, window, widened = _bound_levels(params, D, l, k, diag, off, v_scaled)
     solved = time.perf_counter()
     k_found = len(values)
+    # stebz floors each Sturm pivot at tiny * max off^2, and that floor is also its
+    # absolute accuracy; 1/(h r_min)^4 lifts it to the levels when r_min is tiny
+    off_max = float(np.max(np.abs(off), initial=1.0))
+    pivot_floor = np.finfo(float).tiny * off_max * off_max
+    if k_found and pivot_floor > _MAX_PIVOT_FLOOR * abs(float(values[-1])):
+        raise ConvergenceError(
+            f"bisection resolves kappa E only to {pivot_floor:.1e}, over {_MAX_PIVOT_FLOOR:g} "
+            f"of level {float(values[-1]):.6g}, on grid {grid}: raise r_min")
     kappa = params.kappa
     energies = tuple(float(v) / kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
@@ -343,7 +333,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     r = grid.points()
     warnings: list[str] = []
     if k_found:
-        # local wavenumber times local spacing (h on the uniform grid, ~h r on the log one)
+        # local wavenumber times local spacing ~h r
         local_k = np.sqrt(np.maximum(values[-1] - v_scaled, 0.0))
         phase_step = float(np.max(0.5 * (r[2:] - r[:-2]) * local_k, initial=0.0))
         if phase_step > 2.0 * math.pi / _MIN_POINTS_PER_WAVELENGTH:
@@ -353,22 +343,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                 f"wavelength at the highest state (want >= {_MIN_POINTS_PER_WAVELENGTH:g})"
             )
 
-    rich: tuple[float, ...] | None = None
-    if richardson and isinstance(grid, LogRadialGrid):
-        delta = _deferred_correction(r[1:-1], grid.spacing, v_scaled, values, vectors)
-        rich = tuple(float(v) / kappa for v in values + delta)
-    elif richardson and k_found:
-        fine = grid.refined()
-        diag_f, off_f, _ = _tridiagonal(params, D, l, mode, fine)
-        values_f = eigh_tridiagonal(diag_f, off_f, select="i",
-                                    select_range=(0, k_found - 1), eigvals_only=True,
-                                    lapack_driver="stebz", tol=_BISECTION_TOL)
-        rich = tuple((4.0 * float(vf) / kappa - e) / 3.0
-                     for vf, e in zip(values_f, energies))
-    elif richardson:
-        rich = ()
-    if rich:
-        gap = max(abs(x - e) / abs(x) for x, e in zip(rich, energies))
+    delta = _deferred_correction(r[1:-1], grid.spacing, v_scaled, values, vectors)
+    refined = tuple(float(v) / kappa for v in values + delta)
+    if refined:
+        gap = max(abs(x - e) / abs(x) for x, e in zip(refined, energies))
         if gap > _MAX_REFINEMENT_GAP:
             warnings.append(
                 f"refinement moves a level by {gap:.1e} relative "
@@ -381,19 +359,19 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                solved - assembled, time.perf_counter() - solved)
 
     return OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
-                        richardson_estimate=rich, truncated=k_found < k,
+                        refined=refined, truncated=k_found < k,
                         warnings=tuple(warnings))
 
 
 def oracle_energy(params: PotentialParams, state: QuantumState, mode: CentrifugalMode,
-                  grid: RadialGrid | None = None) -> float:
+                  grid: LogRadialGrid | None = None) -> float:
     """Refined oracle energy of one state in one centrifugal mode.
 
     Raises :class:`ConvergenceError` when the grid holds fewer than n + 1
     bound levels.
     """
     return _level(solve_radial(params, state.D, state.l, mode=mode, grid=grid,
-                               k=state.n + 1, richardson=True), state)
+                               k=state.n + 1), state)
 
 
 def _level(result: OracleResult, state: QuantumState) -> float:
@@ -420,7 +398,7 @@ class AuditResult:
 
 
 def approximation_audit(params: PotentialParams, state: QuantumState,
-                        grid: RadialGrid | None = None) -> AuditResult:
+                        grid: LogRadialGrid | None = None) -> AuditResult:
     """Quantify the centrifugal approximation for one bound state.
 
     Returns the closed-form energy, the oracle energy with the exact 1/r^2

@@ -127,7 +127,7 @@ class TestCriterion03OracleIdentity:
             entry = energy(params, state)
             result = solve_radial(params, state.D, state.l,
                                   mode=CentrifugalMode.APPROXIMATED,
-                                  k=state.n + 1, richardson=True)
+                                  k=state.n + 1)
             assert len(result.eigenvalues) > state.n, f"missing level for {cell}"
             rel = abs(result.best(state.n) - entry.energy) / abs(entry.energy)
             if rel > worst[0]:

@@ -255,6 +255,32 @@ class TestOracleCommand:
                    "--states", "1s", "--mode", "approx", "--r-max", "100"])
         assert rc == 2
 
+    def test_explicit_grid_matches_closed_form_to_1e9(self, capsys):
+        rc = main(["oracle", "--A", "80", "--b", "40", "--alpha", "0", "--dim", "3",
+                   "--states", "2p,3p", "--mode", "approx", "--r-max", "2000",
+                   "--n-points", "4001", "--format", "json"])
+        assert rc == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["label"] for r in records] == ["2p", "3p"]
+        assert all(r["rel_err"] <= 1e-9 for r in records)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [
+        ["--r-min", "1e-160", "--r-max", "2000"],
+        ["--r-min", "1e-300", "--r-max", "2000"],
+        ["--r-max", "1e308"],
+        ["--r-max", "inf"],
+    ])
+    def test_grid_out_of_float_range_exits_2(self, grid, capsys):
+        # the log map puts 1/(h r_min)^2 and r_max^2 into the matrix
+        rc = main(["oracle", "--A", "80", "--b", "40", "--alpha", "0", "--dim", "3",
+                   "--states", "1s", "--mode", "approx", "--n-points", "4001", *grid])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
 
 class TestDegeneracyCommand:
     BASE = ["degeneracy", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75"]

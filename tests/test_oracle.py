@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from manning_rosen import (CentrifugalMode, DomainError, PotentialParams,
+from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, PotentialParams,
                            QuantumState, approximation_audit, default_grid,
                            effective_potential, energy, hulthen_energy,
                            parse_spectroscopic, solve_radial, sturm_count)
-from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, RadialGrid,
-                                  _deferred_correction, _eigenvector_nodes, _tridiagonal,
-                                  _window_top)
+from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
+                                  _eigenvector_nodes, _tridiagonal, _window_top)
 from manning_rosen.reference import iter_reference_cells
 
 
@@ -50,18 +49,22 @@ def table_channels():
 class TestRadialGrid:
     def test_validation(self):
         with pytest.raises(DomainError):
-            RadialGrid(r_min=1.0, r_max=1.0, n_points=100)
+            LogRadialGrid(r_min=1.0, r_max=1.0, n_points=100)
         with pytest.raises(DomainError):
-            RadialGrid(r_min=0.0, r_max=1.0, n_points=100)
+            LogRadialGrid(r_min=0.0, r_max=1.0, n_points=100)
         with pytest.raises(DomainError):
-            RadialGrid(r_min=0.1, r_max=1.0, n_points=2)
+            LogRadialGrid(r_min=0.1, r_max=1.0, n_points=2)
+        # the matrix needs r_max^2 and 1/(h r_min)^2 as finite normal floats
+        for r_min, r_max in ((1e-160, 2000.0), (4e-11, 1e308), (4e-11, math.inf)):
+            with pytest.raises(DomainError):
+                LogRadialGrid(r_min=r_min, r_max=r_max, n_points=4001)
 
     def test_spacing_and_refinement(self):
-        grid = RadialGrid(r_min=1e-6, r_max=10.0, n_points=11)
-        assert grid.spacing == pytest.approx((10.0 - 1e-6) / 10.0)
-        fine = grid.refined()
-        assert fine.n_points == 21
-        assert fine.spacing == pytest.approx(grid.spacing / 2.0)
+        grid = LogRadialGrid(r_min=1e-6, r_max=10.0, n_points=11)
+        assert grid.spacing == pytest.approx(math.log(10.0 / 1e-6) / 10.0)
+        points = grid.points()
+        assert (points[0], points[-1]) == pytest.approx((1e-6, 10.0))
+        np.testing.assert_allclose(np.diff(np.log(points)), grid.spacing, rtol=1e-12)
 
     def test_default_grid_scales_with_state_extent(self):
         params = table_params()
@@ -91,7 +94,7 @@ class TestSolveRadial:
         exact = solve_radial(params, 3, 0, CentrifugalMode.EXACT, k=1)
         approx = solve_radial(params, 3, 0, CentrifugalMode.APPROXIMATED, k=1)
         assert exact.eigenvalues == approx.eigenvalues
-        assert exact.richardson_estimate == approx.richardson_estimate
+        assert exact.refined == approx.refined
         reference = hulthen_energy(QuantumState(n=0, l=0, D=3), A=80.0, b=40.0)
         assert abs(exact.best(0) - reference) / abs(reference) < 1e-7
 
@@ -100,7 +103,7 @@ class TestSolveRadial:
         entry = energy(params, QuantumState(n=0, l=1, D=2))
         result = solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, k=1)
         base_err = abs(result.eigenvalues[0] - entry.energy)
-        rich_err = abs(result.richardson_estimate[0] - entry.energy)
+        rich_err = abs(result.refined[0] - entry.energy)
         assert rich_err < base_err
 
     def test_convergence_is_second_order(self):
@@ -111,9 +114,8 @@ class TestSolveRadial:
         r_max = default_grid(params, 3, 1).r_max
         errors = []
         for n_points in (2001, 8001):
-            grid = RadialGrid(r_min=1e-12 * params.b, r_max=r_max, n_points=n_points)
-            result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED,
-                                  grid=grid, k=1, richardson=False)
+            grid = LogRadialGrid(r_min=1e-12 * params.b, r_max=r_max, n_points=n_points)
+            result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=1)
             errors.append(abs(result.eigenvalues[0] - entry.energy))
         order = math.log(errors[0] / errors[1]) / math.log(4.0)
         assert order == pytest.approx(2.0, rel=0.2)
@@ -139,28 +141,16 @@ class TestSolveRadial:
                 e = energy(params, QuantumState(n=n, l=l, D=D)).energy
                 assert abs(result.best(n) - e) <= 1e-8 * abs(e), (inv_b, alpha, D, l, n)
 
-    def test_uniform_grid_keeps_richardson(self):
-        # the r^-2 barrier makes u'' steep on a uniform grid: there the deferred
-        # correction leaves ~2e-7 relative, the half-spacing re-solve ~1e-10
-        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
-        entry = energy(params, QuantumState(n=0, l=1, D=3))
-        grid = RadialGrid(r_min=1e-12 * params.b, r_max=default_grid(params, 3, 1).r_max,
-                          n_points=4001)
-        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=1)
-        assert abs(result.best(0) - entry.energy) <= 1e-9 * abs(entry.energy)
-
     def test_node_counts_match_eigenvalue_index(self):
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
-        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, k=6,
-                              richardson=False)
+        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, k=6)
         assert result.node_counts == (0, 1, 2, 3, 4, 5)
         assert list(result.eigenvalues) == sorted(result.eigenvalues)
 
     def test_sturm_count_agrees_with_solver(self):
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         grid = default_grid(params, 3, 1, k=6)
-        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED,
-                              grid=grid, k=6, richardson=False)
+        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=6)
         diag, off, _ = _tridiagonal(params, 3, 1, CentrifugalMode.APPROXIMATED, grid)
         rng = random.Random(7)
         eigs = result.eigenvalues
@@ -187,25 +177,22 @@ class TestSolveRadial:
     def test_partial_spectrum_truncation(self):
         # A = 2 Hulthen-like well in D=3 s-channel holds exactly one level
         params = PotentialParams(A=2.0, alpha=0.0, b=1.0)
-        result = solve_radial(params, 3, 0, CentrifugalMode.APPROXIMATED, k=5,
-                              richardson=False)
+        result = solve_radial(params, 3, 0, CentrifugalMode.APPROXIMATED, k=5)
         assert result.truncated
         assert len(result.eigenvalues) == 1
 
     def test_resolution_warning_on_coarse_grid(self):
-        # h = 1.25 against a local de Broglie wavelength of ~8: under 20 points
+        # 41 points uniform in ln r out to r = 50: 7.4 points per local wavelength
         params = table_params()
-        coarse = RadialGrid(r_min=4e-11, r_max=50.0, n_points=41)
-        result = solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED,
-                              grid=coarse, k=1, richardson=False)
+        coarse = LogRadialGrid(r_min=4e-11, r_max=50.0, n_points=41)
+        result = solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, grid=coarse, k=1)
         assert result.eigenvalues  # still finds a bound level
-        assert result.warnings
+        assert any("points per local de Broglie wavelength" in w for w in result.warnings)
 
     def test_no_resolution_warning_on_table_channels(self):
         # local spacing h r on the log grid: smooth channels stay quiet
         for (inv_b, alpha, D, l), n_top in table_channels().items():
-            result = solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1,
-                                  richardson=False)
+            result = solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1)
             assert len(result.eigenvalues) == n_top + 1
             assert result.warnings == ()
 
@@ -225,7 +212,7 @@ class TestSolveRadial:
             delta = _deferred_correction(result.grid.points()[1:-1], result.grid.spacing,
                                          v_scaled, values, vectors)
             refined = (values + delta) / params.kappa
-            np.testing.assert_allclose(result.richardson_estimate, refined,
+            np.testing.assert_allclose(result.refined, refined,
                                        rtol=1e-13, atol=0.0)
 
     def test_widened_window_matches_index_range(self):
@@ -249,16 +236,29 @@ class TestSolveRadial:
                                    rtol=1e-15, atol=0.0)
         assert result.node_counts == (0, 1)
 
+    def test_tiny_r_min_raises_when_bisection_cannot_resolve_levels(self):
+        # stebz's pivot floor tiny * max off^2 grows as r_min^-4; at 1e-75 it is
+        # 2% of the 2p level, enough for levels 1e-3 off or nan refinements
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        entry = energy(params, QuantumState(n=0, l=1, D=3))
+        grid = LogRadialGrid(r_min=1e-70, r_max=2000.0, n_points=4001)
+        result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=2)
+        assert abs(result.best(0) - entry.energy) <= 1e-6 * abs(entry.energy)
+        for r_min in (1e-74, 1e-75):
+            grid = LogRadialGrid(r_min=r_min, r_max=2000.0, n_points=4001)
+            with pytest.raises(ConvergenceError, match="raise r_min"):
+                solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=2)
+
     @pytest.mark.parametrize("mode", list(CentrifugalMode))
     def test_refinement_gap_warning_on_coarse_uniform_grid(self, mode):
-        # h = 0.5: the r^(l+1) rise at the origin leaves the base levels 0.6-0.7%
-        # off, which the points-per-wavelength check does not see
+        # 401 points uniform in ln r: the correction moves the levels by 1.7e-3,
+        # which the points-per-wavelength check does not see
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
-        grid = RadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=4001)
+        grid = LogRadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=401)
         result = solve_radial(params, 3, 1, mode, grid=grid, k=2)
         assert len(result.eigenvalues) == 2
-        assert any("refinement moves a level" in w for w in result.warnings)
-        assert solve_radial(params, 3, 1, mode, grid=grid, k=2, richardson=False).warnings == ()
+        assert len(result.warnings) == 1
+        assert "refinement moves a level" in result.warnings[0]
 
     def test_debug_log_reports_widened_window(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
