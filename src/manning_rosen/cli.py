@@ -4,8 +4,10 @@ oracle comparisons, and degeneracy listings.
 Exit codes are stable: 0 success, 2 usage error, 3 unbound state,
 4 solver failure.  Identical flags produce byte-identical output.
 Each subcommand returns a :class:`Report`; ``main`` renders and writes it.
-A process builds the argument parser once and reuses it for every request,
-and only the ``oracle`` subcommand imports SciPy.
+A process builds the argument parser once and never modifies it: a
+``--config`` file's values become ``--flag=value`` tokens after the
+subcommand, so each request is parsed once.  Only the ``oracle`` subcommand
+imports SciPy.
 """
 
 import argparse
@@ -160,18 +162,26 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
                 if isinstance(action, argparse._SubParsersAction)).choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> dict[str, str]:
-    """Make a key=value config file's values the defaults of ``command``.
+@functools.cache
+def _locator() -> argparse.ArgumentParser:
+    """Finds the subcommand and --config in argv, leaving every other token alone."""
+    locator = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    locator.add_argument("command", nargs="?")
+    locator.add_argument("--config")
+    return locator
+
+
+def _config_tokens(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """A key=value config file as ``--flag=value`` tokens for ``command``.
 
     Keys are long flags without dashes.  Keys of other subcommands are skipped,
     so one file can serve several; a key that no subcommand has is an error.
-    Returns the values set, by destination.
     """
     subparsers = _subparsers(parser)
-    actions = {name: {flag[2:].lower(): action for action in sub._actions
+    actions = {name: {flag[2:].lower(): (flag, action) for action in sub._actions
                       for flag in action.option_strings if flag.startswith("--")}
                for name, sub in subparsers.items()}
-    values: dict[str, str] = {}
+    tokens: list[str] = []
     try:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
@@ -184,46 +194,34 @@ def _apply_config(parser: argparse.ArgumentParser, command: str, path: str) -> d
                 flag = key.lower().replace("_", "-")
                 if not any(flag in known for known in actions.values()):
                     raise UsageError(f"unknown config key {key!r}: no subcommand has --{key}")
-                action = actions[command].get(flag)
-                if action is None:
+                option, action = actions[command].get(flag, (None, None))
+                if action is None or action.nargs == 0:  # not this subcommand's, or --help
                     continue
                 if action.choices is not None and value not in action.choices:
-                    # argparse checks choices on the command line only
+                    # names the file's key, where argparse would name the flag
                     raise UsageError(f"bad config value for {key}: {value!r}")
-                values[action.dest] = value
+                tokens.append(f"{option}={value}")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
-    subparsers[command].set_defaults(**values)
-    return values
+    return tokens
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None):
-    """Parse argv, with a --config file's values as the subcommand's defaults.
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
+    """Parse argv once, with a --config file's values as flags after the subcommand.
 
-    A flag that argparse requires may come from the file, so the first parse
-    skips that check.  The second parse, with the file's values as defaults,
-    converts them with each flag's type, lets flags on the command line win,
-    and names every required flag that neither gave.  The parser is left as
-    it was built, so it can serve the next request.
+    argparse converts and checks the file's values like typed ones, and a flag
+    typed on the command line comes later, so it wins.  When the locator cannot
+    read argv, the parser parses it as given and words the error itself.
     """
-    subparsers = _subparsers(parser).values()
-    built_defaults = [(sub, dict(sub._defaults)) for sub in subparsers]
-    built_actions = [(action, action.default, action.required)
-                     for sub in subparsers for action in sub._actions]
-    required = [action for action, _, needed in built_actions if needed]
     try:
-        for action in required:
-            action.required = False
-        args = parser.parse_args(argv)
-        supplied = {} if args.config is None else _apply_config(parser, args.command, args.config)
-        for action in required:
-            action.required = action.dest not in supplied
+        located, _ = _locator().parse_known_args(argv)
+    except argparse.ArgumentError:  # such as --config without a value
         return parser.parse_args(argv)
-    finally:
-        for sub, defaults in built_defaults:
-            sub._defaults = defaults
-        for action, default, needed in built_actions:
-            action.default, action.required = default, needed
+    command = located.command
+    if located.config is None or command not in _subparsers(parser) or argv[0] != command:
+        return parser.parse_args(argv)
+    return parser.parse_args([command, *_config_tokens(parser, command, located.config),
+                              *argv[1:]])
 
 
 def _pick_either(args, key: str, alt_key: str, flags: str,
@@ -505,7 +503,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         if not 1 <= args.precision <= 17:
             raise UsageError("--precision must lie in 1..17")
         report = _COMMANDS[args.command](args, args.precision)

@@ -71,8 +71,6 @@ __all__ = [
     "approximation_audit",
 ]
 
-# Points per local de Broglie wavelength below which a resolution warning fires.
-_MIN_POINTS_PER_WAVELENGTH = 20.0
 # Points of the default log-mapped grid.
 _LOG_GRID_POINTS = 4001
 # Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
@@ -153,9 +151,11 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
     The wavefunction of a state with energy parameter eps decays like
     exp(-eps r / b), so r_max = b (35 + 5 n_top) / eps_min keeps the
     truncated tail below ~1e-15.  The grid is uniform in x = ln r from
-    r_min = 1e-12 b, with the Robin ghost node there carrying the
+    r_min = 1e-12 min(b, r_max), with the Robin ghost node there carrying the
     u ~ e^(nu x) origin behaviour of every channel, q = 0 and eta < 0
-    included, so one fixed point count serves all of them.
+    included, so one fixed point count serves all of them.  The min keeps
+    r_min below the state when b is large: at fixed A/b the state's extent
+    b/eps stops growing with b, and r_max falls below b.
     """
     eps_min = None
     n_top = 0
@@ -169,7 +169,8 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
     if eps_min is None:
         eps_min = 1.0  # nothing bound: fall back to a few potential ranges
     r_max = params.b * (35.0 + 5.0 * n_top) / eps_min
-    return LogRadialGrid(r_min=1e-12 * params.b, r_max=r_max, n_points=_LOG_GRID_POINTS)
+    return LogRadialGrid(r_min=1e-12 * min(params.b, r_max), r_max=r_max,
+                         n_points=_LOG_GRID_POINTS)
 
 
 def _tridiagonal(params: PotentialParams, D: int, l: int,
@@ -300,7 +301,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     eigenvector w_i, with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j
     the u'' the equation gives, and components with |w_ij| <= 1e-12 max|w_i|
     left out of the sum.  A level that the correction moves by more than
-    1e-3 relative adds a resolution warning.  Raises :class:`ConvergenceError`
+    1e-3 relative adds the one resolution warning.  Raises :class:`ConvergenceError`
     when stebz's pivot floor tiny * max off^2, which bounds its accuracy,
     exceeds 1e-8 of the shallowest level found (r_min below about 1e-73 at
     4001 points).
@@ -330,21 +331,9 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     energies = tuple(float(v) / kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
 
-    r = grid.points()
-    warnings: list[str] = []
-    if k_found:
-        # local wavenumber times local spacing ~h r
-        local_k = np.sqrt(np.maximum(values[-1] - v_scaled, 0.0))
-        phase_step = float(np.max(0.5 * (r[2:] - r[:-2]) * local_k, initial=0.0))
-        if phase_step > 2.0 * math.pi / _MIN_POINTS_PER_WAVELENGTH:
-            points_per_wave = 2.0 * math.pi / phase_step
-            warnings.append(
-                f"grid resolves only {points_per_wave:.1f} points per local de Broglie "
-                f"wavelength at the highest state (want >= {_MIN_POINTS_PER_WAVELENGTH:g})"
-            )
-
-    delta = _deferred_correction(r[1:-1], grid.spacing, v_scaled, values, vectors)
+    delta = _deferred_correction(grid.points()[1:-1], grid.spacing, v_scaled, values, vectors)
     refined = tuple(float(v) / kappa for v in values + delta)
+    warnings: list[str] = []
     if refined:
         gap = max(abs(x - e) / abs(x) for x, e in zip(refined, energies))
         if gap > _MAX_REFINEMENT_GAP:

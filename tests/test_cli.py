@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import manning_rosen
-from manning_rosen.cli import main
+from manning_rosen.cli import _subparsers, build_parser, main
 from manning_rosen.reference import audit_reference_table
 
 TABLE_2P = ["spectrum", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75",
@@ -264,6 +264,16 @@ class TestOracleCommand:
         assert [r["label"] for r in records] == ["2p", "3p"]
         assert all(r["rel_err"] <= 1e-9 for r in records)
 
+    @pytest.mark.parametrize("b", ["1e12", "1e14", "1e20"])
+    def test_default_grid_starts_below_the_state_at_large_b(self, b, capsys):
+        # at fixed A/b the state's extent b/eps stops growing with b, so r_max < b
+        rc = main(["oracle", "--A-over-b", "2", "--b", b, "--alpha", "0.75", "--dim", "3",
+                   "--states", "2p,3p", "--mode", "approx", "--format", "json"])
+        assert rc == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["label"] for r in records] == ["2p", "3p"]
+        assert all(r["rel_err"] <= 1e-9 for r in records)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid", [
         ["--r-min", "1e-160", "--r-max", "2000"],
@@ -509,12 +519,59 @@ class TestParserReuse:
                 in capsys.readouterr().err)
 
 
+    @staticmethod
+    def parser_state():
+        return [(name, dict(sub._defaults),
+                 [(action.dest, action.default, action.required) for action in sub._actions])
+                for name, sub in _subparsers(build_parser()).items()]
+
+    def test_config_without_a_value_is_worded_by_the_subcommand(self, capsys):
+        assert main(["spectrum", "--config"]) == 2
+        assert ("manning-rosen spectrum: error: argument --config: expected one argument"
+                in capsys.readouterr().err)
+
+    def test_abbreviated_config_flag_applies_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("inv-b=0.025\nA-over-b=2\nalpha=0.75\ndim=2\n")
+        assert main(["spectrum", "--conf", str(config), "--states", "2p"]) == 0
+        assert "-0.241087728" in capsys.readouterr().out
+
+    def test_negative_config_value(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=0\ndim=3\nalpha=-0.5\n")
+        assert main(["critical-coupling", "--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["critical-coupling", "--n", "0", "--l", "0", "--dim", "3",
+                     "--alpha", "-0.5"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert from_config.startswith("A_c = ")
+
+    def test_main_reads_sys_argv_by_default(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=0\ndim=3\nalpha=0\n")
+        monkeypatch.setattr(sys, "argv", ["manning-rosen", "critical-coupling",
+                                          "--config", str(config)])
+        assert main() == 0
+        assert capsys.readouterr().out == "A_c = 1.000000000\n"
+
+    def test_requests_leave_the_parser_as_built(self, tmp_path, capsys):
+        built = self.parser_state()
+        config = tmp_path / "run.cfg"
+        config.write_text("n=0\nl=4\ndmin=2\ndmax=8\nformat=json\n")
+        assert main(self.DEGENERACY + ["--config", str(config)]) == 0
+        assert self.parser_state() == built
+        assert main(self.DEGENERACY + ["--config", str(config), "--precision", "x"]) == 2
+        assert self.parser_state() == built
+        assert main(self.DEGENERACY + ["--n", "0"]) == 2
+        assert self.parser_state() == built
+
+
 # every closed-form command, then the oracle, in a fresh interpreter
 LAZY_ORACLE_SCRIPT = """
 import contextlib, io, sys
 import manning_rosen
 import manning_rosen.cli
-from manning_rosen.cli import main
+from manning_rosen.cli import _subparsers, build_parser, main
 
 PARAMS = ["--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2"]
 with contextlib.redirect_stdout(io.StringIO()):

@@ -98,7 +98,7 @@ class TestSolveRadial:
         reference = hulthen_energy(QuantumState(n=0, l=0, D=3), A=80.0, b=40.0)
         assert abs(exact.best(0) - reference) / abs(reference) < 1e-7
 
-    def test_richardson_improves_on_base_grid(self):
+    def test_refinement_improves_on_base_grid(self):
         params = table_params(0.1, 0.75)
         entry = energy(params, QuantumState(n=0, l=1, D=2))
         result = solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, k=1)
@@ -182,15 +182,16 @@ class TestSolveRadial:
         assert len(result.eigenvalues) == 1
 
     def test_resolution_warning_on_coarse_grid(self):
-        # 41 points uniform in ln r out to r = 50: 7.4 points per local wavelength
+        # 41 points uniform in ln r out to r = 50: the correction moves the level by 2.5e-2
         params = table_params()
         coarse = LogRadialGrid(r_min=4e-11, r_max=50.0, n_points=41)
         result = solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, grid=coarse, k=1)
         assert result.eigenvalues  # still finds a bound level
-        assert any("points per local de Broglie wavelength" in w for w in result.warnings)
+        assert len(result.warnings) == 1
+        assert "refinement moves a level" in result.warnings[0]
 
     def test_no_resolution_warning_on_table_channels(self):
-        # local spacing h r on the log grid: smooth channels stay quiet
+        # the refinement gap stays below 1e-3 on every table channel
         for (inv_b, alpha, D, l), n_top in table_channels().items():
             result = solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1)
             assert len(result.eigenvalues) == n_top + 1
@@ -250,9 +251,8 @@ class TestSolveRadial:
                 solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=2)
 
     @pytest.mark.parametrize("mode", list(CentrifugalMode))
-    def test_refinement_gap_warning_on_coarse_uniform_grid(self, mode):
-        # 401 points uniform in ln r: the correction moves the levels by 1.7e-3,
-        # which the points-per-wavelength check does not see
+    def test_refinement_gap_warning_on_coarse_log_grid(self, mode):
+        # 401 points uniform in ln r: the correction moves the levels by 1.7e-3
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         grid = LogRadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=401)
         result = solve_radial(params, 3, 1, mode, grid=grid, k=2)
