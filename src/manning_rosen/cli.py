@@ -6,8 +6,9 @@ Exit codes are stable: 0 success, 2 usage error, 3 unbound state,
 Each subcommand returns a :class:`Report`; ``main`` renders and writes it.
 A process builds the argument parser once and never modifies it: a
 ``--config`` file's values become ``--flag=value`` tokens after the
-subcommand, so each request is parsed once.  Only the ``oracle`` subcommand
-imports SciPy.
+subcommand, so each request is parsed once and argparse enforces every
+required and either-or flag, from the file or typed.  Only the ``oracle``
+subcommand imports SciPy.
 """
 
 import argparse
@@ -72,16 +73,18 @@ class Report:
 # ---------------------------------------------------------------------------
 
 def _add_physics_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--A", type=float, default=None, help="dimensionless coupling A")
-    sub.add_argument("--A-over-b", dest="a_over_b", type=float, default=None,
-                     help="coupling as the ratio A/b (pairs with --inv-b)")
-    sub.add_argument("--b", type=float, default=None, help="screening length b")
-    sub.add_argument("--inv-b", dest="inv_b", type=float, default=None,
-                     help="screening 1/b (alternative to --b)")
-    sub.add_argument("--alpha", type=float, default=None, help="shape parameter alpha")
+    coupling = sub.add_mutually_exclusive_group(required=True)
+    coupling.add_argument("--A", type=float, default=None, help="dimensionless coupling A")
+    coupling.add_argument("--A-over-b", dest="a_over_b", type=float, default=None,
+                          help="coupling as the ratio A/b (pairs with --inv-b)")
+    screening = sub.add_mutually_exclusive_group(required=True)
+    screening.add_argument("--b", type=float, default=None, help="screening length b")
+    screening.add_argument("--inv-b", dest="inv_b", type=float, default=None,
+                           help="screening 1/b (alternative to --b)")
+    sub.add_argument("--alpha", type=float, required=True, help="shape parameter alpha")
     sub.add_argument("--mu", type=float, default=1.0, help="reduced mass (default 1, atomic units)")
     sub.add_argument("--hbar", type=float, default=1.0, help="hbar (default 1, atomic units)")
-    sub.add_argument("--dim", type=int, default=None, help="spatial dimension D >= 2")
+    sub.add_argument("--dim", type=int, required=True, help="spatial dimension D >= 2")
 
 
 def _add_output_flags(sub: argparse.ArgumentParser) -> None:
@@ -132,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--mode", choices=("exact", "approx", "both"), default="both",
                      help="centrifugal mode(s) of the solver")
     orc.add_argument("--r-min", dest="r_min", type=float, default=None,
-                     help="inner end of an explicit grid uniform in ln r (default 1e-12 b)")
+                     help="inner end of an explicit grid uniform in ln r "
+                          "(default 1e-12 min(b, r_max))")
     orc.add_argument("--r-max", dest="r_max", type=float, default=None,
                      help="outer end of an explicit grid uniform in ln r")
     orc.add_argument("--n-points", dest="n_points", type=int, default=None,
@@ -224,31 +228,14 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
                               *argv[1:]])
 
 
-def _pick_either(args, key: str, alt_key: str, flags: str,
-                 what: str) -> tuple[float | None, float | None]:
-    """Values of two alternative float flags, exactly one of which is given."""
-    value, alt_value = getattr(args, key), getattr(args, alt_key)
-    if value is not None and alt_value is not None:
-        raise UsageError(f"give either {flags}, not both")
-    if value is None and alt_value is None:
-        raise UsageError(f"{what} required: give {flags}")
-    return value, alt_value
-
-
 def _resolve_params(args) -> tuple[PotentialParams, int]:
     """Potential parameters and dimension D from the flags."""
-    b, inv_b = _pick_either(args, "b", "inv_b", "--b or --inv-b", "screening length")
+    b = args.b
     if b is None:
-        if inv_b <= 0.0:
+        if args.inv_b <= 0.0:
             raise UsageError("--inv-b must be positive")
-        b = 1.0 / inv_b
-    a_value, a_over_b = _pick_either(args, "A", "a_over_b", "--A or --A-over-b", "coupling")
-    if a_value is None:
-        a_value = a_over_b * b
-    if args.alpha is None:
-        raise UsageError("--alpha is required")
-    if args.dim is None:
-        raise UsageError("--dim is required")
+        b = 1.0 / args.inv_b
+    a_value = args.A if args.A is not None else args.a_over_b * b
     if args.dim < 2:
         raise UsageError("--dim must be >= 2")
     return PotentialParams(A=a_value, alpha=args.alpha, b=b, mu=args.mu, hbar=args.hbar), args.dim
@@ -410,7 +397,8 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 
 def _cmd_oracle(args, precision) -> Report:
-    from .oracle import LogRadialGrid, _level, solve_radial  # SciPy loads here, not at startup
+    # SciPy loads here, not at startup
+    from .oracle import LogRadialGrid, _grid_origin, _level, solve_radial
 
     params, dim = _resolve_params(args)
     states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
@@ -418,8 +406,8 @@ def _cmd_oracle(args, precision) -> Report:
     if args.r_min is not None or args.r_max is not None or args.n_points is not None:
         if args.r_max is None or args.n_points is None:
             raise UsageError("grid override needs --r-max and --n-points (and optional --r-min)")
-        grid = LogRadialGrid(r_min=args.r_min if args.r_min is not None else 1e-12 * params.b,
-                             r_max=args.r_max, n_points=args.n_points)
+        r_min = args.r_min if args.r_min is not None else _grid_origin(params.b, args.r_max)
+        grid = LogRadialGrid(r_min=r_min, r_max=args.r_max, n_points=args.n_points)
 
     if args.mode == "both":
         modes = (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED)

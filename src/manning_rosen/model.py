@@ -59,6 +59,10 @@ class PotentialParams:
             raise DomainError(f"A, alpha, b, mu and hbar must all be finite; got {self}")
         if not (self.b > 0.0 and self.mu > 0.0 and self.hbar > 0.0):
             raise DomainError("b, mu and hbar must all be positive")
+        hbar_sq = self.hbar * self.hbar  # 0 when it underflows
+        if not (hbar_sq > 0.0 and 0.0 < 2.0 * self.mu / hbar_sq < math.inf):
+            raise DomainError(f"kappa = 2 mu / hbar^2 must be a positive finite float; "
+                              f"got mu={self.mu}, hbar={self.hbar}")
 
     @property
     def kappa(self) -> float:

@@ -57,8 +57,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
 from .model import CentrifugalMode, PotentialParams, QuantumState, effective_potential
+from .spectrum import bound_states, epsilon_parameter
 from .spectrum import energy as _closed_energy
-from .spectrum import epsilon_parameter
 
 __all__ = [
     "LogRadialGrid",
@@ -145,31 +145,31 @@ class OracleResult:
         return self.refined[index]
 
 
+def _grid_origin(b: float, r_max: float) -> float:
+    """1e-12 min(b, r_max), the inner end of every grid not given an r_min.
+
+    The min keeps r_min below the state when b is large: at fixed A/b the
+    state's extent b/eps stops growing with b, and r_max falls below b.
+    """
+    return 1e-12 * min(b, r_max)
+
+
 def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadialGrid:
     """Log-mapped grid sized from the closed-form decay estimate of the slowest state.
 
     The wavefunction of a state with energy parameter eps decays like
     exp(-eps r / b), so r_max = b (35 + 5 n_top) / eps_min keeps the
-    truncated tail below ~1e-15.  The grid is uniform in x = ln r from
-    r_min = 1e-12 min(b, r_max), with the Robin ghost node there carrying the
-    u ~ e^(nu x) origin behaviour of every channel, q = 0 and eta < 0
-    included, so one fixed point count serves all of them.  The min keeps
-    r_min below the state when b is large: at fixed A/b the state's extent
-    b/eps stops growing with b, and r_max falls below b.
+    truncated tail below ~1e-15; n_top is the highest of the first k levels
+    that ``bound_states`` finds bound, and eps_min = 1 when none is.  The
+    grid is uniform in x = ln r from the ``_grid_origin`` of explicit grids,
+    with the Robin ghost node there carrying the u ~ e^(nu x) origin
+    behaviour of every channel, q = 0 and eta < 0 included, so one fixed
+    point count serves all of them.
     """
-    eps_min = None
-    n_top = 0
-    for n in range(max(k, 1)):
-        eps = epsilon_parameter(params, QuantumState(n=n, l=l, D=D))
-        if eps > 0.0:
-            eps_min = eps
-            n_top = n
-        else:
-            break
-    if eps_min is None:
-        eps_min = 1.0  # nothing bound: fall back to a few potential ranges
+    entries = bound_states(params, D, l, n_max=max(k, 1) - 1)
+    n_top, eps_min = (entries[-1].state.n, entries[-1].epsilon) if entries else (0, 1.0)
     r_max = params.b * (35.0 + 5.0 * n_top) / eps_min
-    return LogRadialGrid(r_min=1e-12 * min(params.b, r_max), r_max=r_max,
+    return LogRadialGrid(r_min=_grid_origin(params.b, r_max), r_max=r_max,
                          n_points=_LOG_GRID_POINTS)
 
 
@@ -191,6 +191,8 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     t_diag = np.full(len(r), 2.0 / (h * h))
     t_diag[0] -= math.exp(-nu * h) / (h * h)
     diag = (t_diag + 0.25) / (r * r) + v_scaled
+    if not np.all(np.isfinite(diag)):
+        raise DomainError(f"kappa V_eff is not a finite float on grid {grid} for {params}")
     off = -1.0 / (h * h * r[:-1] * r[1:])
     return diag, off, v_scaled
 

@@ -46,6 +46,33 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--A", "80", "--alpha", "0.75", "--dim", "2",
                      "--states", "2p"]) == 2
 
+    @pytest.mark.parametrize("config, flags, phrase", [
+        (None, ["--b", "40", "--alpha", "0.75", "--dim", "2"],
+         "one of the arguments --A --A-over-b is required"),
+        (None, ["--A", "80", "--alpha", "0.75", "--dim", "2"],
+         "one of the arguments --b --inv-b is required"),
+        (None, ["--A", "80", "--b", "40", "--inv-b", "0.025", "--alpha", "0.75", "--dim", "2"],
+         "argument --inv-b: not allowed with argument --b"),
+        ("inv-b=0.025\n", ["--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2"],
+         "argument --b: not allowed with argument --inv-b"),
+        (None, ["--A", "80", "--b", "40", "--dim", "2"],
+         "the following arguments are required: --alpha"),
+        (None, ["--A", "80", "--b", "40", "--alpha", "0.75"],
+         "the following arguments are required: --dim"),
+    ], ids=["no-coupling", "no-screening", "b-and-inv-b", "config-inv-b-and-typed-b",
+            "no-alpha", "no-dim"])
+    def test_physics_flag_usage_error_is_worded_by_argparse(self, config, flags, phrase,
+                                                            tmp_path, capsys):
+        argv = ["spectrum", *flags, "--states", "2p"]
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"manning-rosen spectrum: error: {phrase}" in captured.err
+
     def test_unknown_flag_exits_2(self):
         assert main(["spectrum", "--nonsense", "1"]) == 2
 
@@ -273,6 +300,17 @@ class TestOracleCommand:
         records = json.loads(capsys.readouterr().out)
         assert [r["label"] for r in records] == ["2p", "3p"]
         assert all(r["rel_err"] <= 1e-9 for r in records)
+
+    @pytest.mark.parametrize("b", ["1e12", "1e14", "1e20"])
+    def test_explicit_grid_without_r_min_starts_below_the_state_at_large_b(self, b, capsys):
+        # --r-max 50 < b: the grid starts at 1e-12 r_max, as a default grid would
+        rc = main(["oracle", "--A-over-b", "2", "--b", b, "--alpha", "0.75", "--dim", "3",
+                   "--states", "2p", "--mode", "approx", "--r-max", "50",
+                   "--n-points", "4001", "--format", "json"])
+        assert rc == 0
+        [record] = json.loads(capsys.readouterr().out)
+        assert record["label"] == "2p"
+        assert record["rel_err"] <= 1e-9
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid", [

@@ -233,6 +233,14 @@ class TestParams:
         with pytest.raises(DomainError, match="finite"):
             PotentialParams(**values)
 
+    @pytest.mark.parametrize("scales", [{"hbar": 1e155}, {"hbar": 1e-200},
+                                        {"mu": 1e308, "hbar": 1e-5}],
+                             ids=["kappa-underflows", "hbar-squared-underflows",
+                                  "kappa-overflows"])
+    def test_rejects_kappa_out_of_float_range(self, scales):
+        with pytest.raises(DomainError, match="kappa"):
+            PotentialParams(A=1.0, alpha=0.5, b=1.0, **scales)
+
     def test_kappa_derived(self):
         params = PotentialParams(A=1.0, alpha=0.5, b=1.0, mu=2.0, hbar=0.5)
         assert params.kappa == pytest.approx(2.0 * 2.0 / 0.25)

@@ -279,6 +279,17 @@ class TestSolveRadial:
         with pytest.raises(DomainError):
             solve_radial(table_params(), 2, 1, k=0)
 
+    @pytest.mark.parametrize("grid", [None, LogRadialGrid(r_min=4e-11, r_max=2000.0,
+                                                          n_points=4001)],
+                             ids=["default-grid", "explicit-grid"])
+    @pytest.mark.parametrize("scale", [{"hbar": 1e155}, {"mu": 1e-310}],
+                             ids=["hbar-1e155", "mu-1e-310"])
+    def test_kappa_out_of_float_range_raises_domain_error(self, scale, grid):
+        # kappa = 2 mu / hbar^2 underflows to 0 at hbar = 1e155; at mu = 1e-310
+        # kappa is subnormal and kappa V_eff overflows near the origin
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+            solve_radial(PotentialParams(A=80.0, alpha=0.75, b=40.0, **scale), 2, 1, grid=grid)
+
 
 class TestApproximationAudit:
     def test_approximated_mode_is_solver_exact(self):
