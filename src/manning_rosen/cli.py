@@ -236,8 +236,6 @@ def _resolve_params(args) -> tuple[PotentialParams, int]:
             raise UsageError("--inv-b must be positive")
         b = 1.0 / args.inv_b
     a_value = args.A if args.A is not None else args.a_over_b * b
-    if args.dim < 2:
-        raise UsageError("--dim must be >= 2")
     return PotentialParams(A=a_value, alpha=args.alpha, b=b, mu=args.mu, hbar=args.hbar), args.dim
 
 
@@ -370,8 +368,6 @@ def _cmd_wavefunction(args, precision) -> Report:
     states = _resolve_states(args)
     if len(states) != 1:
         raise UsageError("wavefunction wants exactly one state")
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
     n, l = states[0]
     solution = radial_wavefunction(params, QuantumState(n=n, l=l, D=dim))
     quad_norm = normalization_quadrature(params, solution.entry)
@@ -398,7 +394,7 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 def _cmd_oracle(args, precision) -> Report:
     # SciPy loads here, not at startup
-    from .oracle import LogRadialGrid, _grid_origin, _level, solve_radial
+    from .oracle import LogRadialGrid, _grid_origin, solve_radial
 
     params, dim = _resolve_params(args)
     states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
@@ -436,7 +432,7 @@ def _cmd_oracle(args, precision) -> Report:
             if (state.l, mode) not in solves:
                 solves[state.l, mode] = solve_radial(params, dim, state.l, mode=mode,
                                                      grid=grid, k=top_n[state.l] + 1)
-            e_oracle = _level(solves[state.l, mode], state)
+            e_oracle = solves[state.l, mode].best(state.n)
             values[mode.value] = e_oracle
             values["rel_err" if len(modes) == 1 else f"rel_err_{mode.value}"] = (
                 abs(values["closed"] - e_oracle) / abs(e_oracle))
@@ -450,8 +446,6 @@ def _cmd_oracle(args, precision) -> Report:
 
 def _cmd_degeneracy(args, precision) -> Report:
     params, dim = _resolve_params(args)
-    if args.dmin < 2 or args.dmax < args.dmin:
-        raise UsageError("need 2 <= dmin <= dmax")
     state = QuantumState(n=args.n, l=args.l, D=dim)
     shared_energy = None
     records = []
@@ -470,8 +464,6 @@ def _cmd_degeneracy(args, precision) -> Report:
 
 
 def _cmd_critical_coupling(args, precision) -> Report:
-    if args.dim < 2:
-        raise UsageError("--dim must be >= 2")
     a_critical = critical_coupling(QuantumState(n=args.n, l=args.l, D=args.dim), args.alpha)
     return Report(payload={"n": args.n, "l": args.l, "D": args.dim,
                            "alpha": args.alpha, "A_c": a_critical},

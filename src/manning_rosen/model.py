@@ -59,8 +59,8 @@ class PotentialParams:
             raise DomainError(f"A, alpha, b, mu and hbar must all be finite; got {self}")
         if not (self.b > 0.0 and self.mu > 0.0 and self.hbar > 0.0):
             raise DomainError("b, mu and hbar must all be positive")
-        hbar_sq = self.hbar * self.hbar  # 0 when it underflows
-        if not (hbar_sq > 0.0 and 0.0 < 2.0 * self.mu / hbar_sq < math.inf):
+        # kappa divides by hbar^2, which underflows to 0 for a tiny hbar
+        if not (self.hbar * self.hbar > 0.0 and 0.0 < self.kappa < math.inf):
             raise DomainError(f"kappa = 2 mu / hbar^2 must be a positive finite float; "
                               f"got mu={self.mu}, hbar={self.hbar}")
 

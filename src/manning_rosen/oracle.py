@@ -46,6 +46,7 @@ costs O(N) per level and converges at order 4, so each channel takes one
 eigensolve.
 """
 
+import dataclasses
 import logging
 import math
 import sys
@@ -141,7 +142,15 @@ class OracleResult:
     warnings: tuple[str, ...] = ()
 
     def best(self, index: int) -> float:
-        """Refined energy of level ``index``."""
+        """Refined energy of level ``index``.
+
+        Raises :class:`ConvergenceError` when the solve holds no level
+        ``index``, that is, fewer than index + 1 bound levels.
+        """
+        if index >= len(self.refined):
+            raise ConvergenceError(
+                f"oracle found only {len(self.refined)} bound levels in {self.mode.value} "
+                f"mode, so no level n = {index}; grid {self.grid}")
         return self.refined[index]
 
 
@@ -178,12 +187,14 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     """Diagonal and off-diagonal of the scaled radial operator on ``grid``.
 
     Built on the interior nodes; eigenvalues are kappa * E.  Also returns
-    kappa V_eff on those nodes.
+    kappa V_eff on those nodes, which depends only on A, alpha and b: it is
+    V_eff in the units where kappa = 1, so no factor 1/kappa can overflow.
     """
     r = grid.points()[1:-1]
     h = grid.spacing
     state = QuantumState(n=0, l=l, D=D)
-    v_scaled = params.kappa * effective_potential(params, state, r, mode)
+    unit_kappa = dataclasses.replace(params, mu=0.5, hbar=1.0)
+    v_scaled = effective_potential(unit_kappa, state, r, mode)
     # Robin end: u ~ e^(nu x) below the first node, nu^2 = 1/4 + r^2 kappa V_eff
     # there.  Clamped at 0: for q = 0, alpha = 0 the limit is exactly 0 and the
     # first node reads it about A r / b too low.
@@ -303,10 +314,13 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     eigenvector w_i, with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j
     the u'' the equation gives, and components with |w_ij| <= 1e-12 max|w_i|
     left out of the sum.  A level that the correction moves by more than
-    1e-3 relative adds the one resolution warning.  Raises :class:`ConvergenceError`
-    when stebz's pivot floor tiny * max off^2, which bounds its accuracy,
-    exceeds 1e-8 of the shallowest level found (r_min below about 1e-73 at
-    4001 points).
+    1e-3 relative adds the one resolution warning.
+
+    Raises :class:`DomainError` when an energy kappa E / kappa is not a
+    finite float (a subnormal kappa), as ``spectrum.energy`` does for the
+    closed form, and :class:`ConvergenceError` when stebz's pivot floor
+    tiny * max off^2, which bounds its accuracy, exceeds 1e-8 of the
+    shallowest level found (r_min below about 1e-73 at 4001 points).
 
     Each call logs its grid points, window, level count and stage timings at
     DEBUG level on the ``manning_rosen.oracle`` logger.
@@ -335,6 +349,8 @@ def solve_radial(params: PotentialParams, D: int, l: int,
 
     delta = _deferred_correction(grid.points()[1:-1], grid.spacing, v_scaled, values, vectors)
     refined = tuple(float(v) / kappa for v in values + delta)
+    if not all(map(math.isfinite, energies + refined)):
+        raise DomainError(f"oracle energies kappa E / kappa are not finite floats for {params}")
     warnings: list[str] = []
     if refined:
         gap = max(abs(x - e) / abs(x) for x, e in zip(refined, energies))
@@ -358,24 +374,11 @@ def oracle_energy(params: PotentialParams, state: QuantumState, mode: Centrifuga
                   grid: LogRadialGrid | None = None) -> float:
     """Refined oracle energy of one state in one centrifugal mode.
 
-    Raises :class:`ConvergenceError` when the grid holds fewer than n + 1
-    bound levels.
+    ``OracleResult.best`` raises :class:`ConvergenceError` when the grid
+    holds fewer than n + 1 bound levels.
     """
-    return _level(solve_radial(params, state.D, state.l, mode=mode, grid=grid,
-                               k=state.n + 1), state)
-
-
-def _level(result: OracleResult, state: QuantumState) -> float:
-    """Refined energy of ``state`` from a solve of its channel.
-
-    The one place that raises :class:`ConvergenceError` when the solve holds
-    fewer than n + 1 bound levels.
-    """
-    if len(result.eigenvalues) <= state.n:
-        raise ConvergenceError(
-            f"oracle found only {len(result.eigenvalues)} bound levels in "
-            f"{result.mode.value} mode for {state}; grid {result.grid}")
-    return result.best(state.n)
+    return solve_radial(params, state.D, state.l, mode=mode, grid=grid,
+                        k=state.n + 1).best(state.n)
 
 
 @dataclass(frozen=True)

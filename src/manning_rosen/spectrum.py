@@ -145,10 +145,11 @@ def degenerate_partners(state: QuantumState, d_min: int, d_max: int) -> list[Qua
 
     These share the energy of ``state`` exactly (the spectrum depends on
     (l, D) only through q).  Output is sorted by ascending D' and includes
-    the input state when it lies in range.
+    the input state when it lies in range.  Raises :class:`DomainError`
+    unless 2 <= d_min <= d_max.
     """
-    if d_min < 2:
-        raise DomainError(f"d_min must be >= 2, got {d_min}")
+    if not 2 <= d_min <= d_max:
+        raise DomainError(f"need 2 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
     total = state.D + 2 * state.l
     partners = []
     for d_prime in range(d_min, d_max + 1):

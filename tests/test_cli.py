@@ -313,6 +313,19 @@ class TestOracleCommand:
         assert record["rel_err"] <= 1e-9
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [[], ["--r-max", "2000", "--n-points", "4001"]],
+                             ids=["default-grid", "explicit-grid"])
+    def test_tiny_mu_matches_closed_form(self, grid, capsys):
+        # kappa = 2e-300: E ~ -1e299 is finite and kappa V_eff is a modest float
+        rc = main(["oracle", "--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2",
+                   "--states", "2p,3p", "--mode", "both", "--mu", "1e-300",
+                   "--format", "json", *grid])
+        assert rc == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["label"] for r in records] == ["2p", "3p"]
+        assert all(r["rel_err_approx"] <= 1e-9 for r in records)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid", [
         ["--r-min", "1e-160", "--r-max", "2000"],
         ["--r-min", "1e-300", "--r-max", "2000"],
@@ -328,6 +341,21 @@ class TestOracleCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--A", "80", "--b", "40", "--alpha", "0.75", "--states", "2p"],
+    ["wavefunction", "--A", "80", "--b", "40", "--alpha", "0.75", "--states", "2p"],
+    ["oracle", "--A", "80", "--b", "40", "--alpha", "0.75", "--states", "2p"],
+    ["degeneracy", "--A", "80", "--b", "40", "--alpha", "0.75", "--n", "0", "--l", "1",
+     "--dmin", "2", "--dmax", "4"],
+    ["critical-coupling", "--n", "0", "--l", "1", "--alpha", "0.75"],
+], ids=lambda argv: argv[0])
+def test_dim_below_2_exits_2(argv, capsys):
+    assert main([*argv, "--dim", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "D >= 2" in captured.err
 
 
 class TestDegeneracyCommand:

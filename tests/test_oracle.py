@@ -275,6 +275,14 @@ class TestSolveRadial:
         handlers = logging.getLogger("manning_rosen").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
+    def test_best_of_a_missing_level_raises_convergence_error(self):
+        # 4A > (2n + 2)^2 binds only n = 0 of this Hulthen channel
+        result = solve_radial(PotentialParams(A=2.0, alpha=0.0, b=1.0), 3, 0, k=5)
+        assert len(result.refined) == 1
+        assert result.best(0) == result.refined[0]
+        with pytest.raises(ConvergenceError, match="^oracle found only 1 bound levels"):
+            result.best(1)
+
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             solve_radial(table_params(), 2, 1, k=0)
@@ -286,7 +294,7 @@ class TestSolveRadial:
                              ids=["hbar-1e155", "mu-1e-310"])
     def test_kappa_out_of_float_range_raises_domain_error(self, scale, grid):
         # kappa = 2 mu / hbar^2 underflows to 0 at hbar = 1e155; at mu = 1e-310
-        # kappa is subnormal and kappa V_eff overflows near the origin
+        # kappa is subnormal and E = kappa E / kappa overflows
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             solve_radial(PotentialParams(A=80.0, alpha=0.75, b=40.0, **scale), 2, 1, grid=grid)
 

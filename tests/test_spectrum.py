@@ -139,6 +139,8 @@ class TestDegeneracy:
     def test_bad_range(self):
         with pytest.raises(DomainError):
             degenerate_partners(QuantumState(n=0, l=1, D=4), 1, 6)
+        with pytest.raises(DomainError):
+            degenerate_partners(QuantumState(n=0, l=1, D=4), 6, 3)
 
 
 class TestHulthenAndCoulomb:
