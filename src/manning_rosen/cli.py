@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_physics_flags(orc)
     _add_state_flags(orc)
     orc.add_argument("--mode", choices=("exact", "approx", "both"), default="both",
-                     help="centrifugal mode(s) of the solver")
+                     help="centrifugal mode(s) of the solver; with both, the exact "
+                          "cells of a level that only the exact 1/r^2 barrier unbinds "
+                          "read unbound")
     orc.add_argument("--r-min", dest="r_min", type=float, default=None,
                      help="inner end of an explicit grid uniform in ln r "
                           "(default 1e-12 min(b, r_max))")
@@ -432,12 +434,21 @@ def _cmd_oracle(args, precision) -> Report:
             if (state.l, mode) not in solves:
                 solves[state.l, mode] = solve_radial(params, dim, state.l, mode=mode,
                                                      grid=grid, k=top_n[state.l] + 1)
+        approx = solves.get((state.l, CentrifugalMode.APPROXIMATED))
+        for mode in modes:
+            rel_err = "rel_err" if len(modes) == 1 else f"rel_err_{mode.value}"
+            # the exact 1/r^2 barrier can unbind a level that the approximated
+            # barrier holds on the same grid: physics, not a solver failure
+            if (mode is CentrifugalMode.EXACT and approx is not None
+                    and len(solves[state.l, mode].refined) <= state.n < len(approx.refined)):
+                values[mode.value] = values[rel_err] = None
+                continue
             e_oracle = solves[state.l, mode].best(state.n)
             values[mode.value] = e_oracle
-            values["rel_err" if len(modes) == 1 else f"rel_err_{mode.value}"] = (
-                abs(values["closed"] - e_oracle) / abs(e_oracle))
+            values[rel_err] = abs(values["closed"] - e_oracle) / abs(e_oracle)
         rows.append([label, str(state.n), str(state.l), str(dim)]
-                    + [f"{values[key]:.3e}" if key.startswith("rel_err")
+                    + ["unbound" if values[key] is None
+                       else f"{values[key]:.3e}" if key.startswith("rel_err")
                        else _fmt(values[key], precision) for key in ["closed", *columns]])
         records.append({**record, "status": "ok", **values})
     return Report(payload=records, header=["label", "n", "l", "D", "closed", *columns],

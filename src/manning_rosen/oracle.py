@@ -25,6 +25,13 @@ near 1e26 at the origin), so bisection runs to a tolerance of a few times
 the smallest normal number: at LAPACK's default, scaled by the largest
 entry, the eigenvalues come out wrong by 1e9 or more.
 
+A default grid keeps one spacing h, that of 4001 points from 1e-12
+min(b, r_max) to r_max, but starts where its channel's states begin: the
+weight below r, about (r/b)^(2 nu + 1), falls under 1e-18 there.  So its
+point count falls with nu, from 4001 at nu = 0 (q = 0 at alpha = 0 or 1,
+and eta -> -1/2) to roughly a third of that where the start reaches its cap,
+1e-3 min(b, r_max).  An explicit grid is used as given.
+
 Bisection works on a value window, not an index range.  Asked for levels
 0..k-1 by index, LAPACK first brackets them by Sturm counts over the whole
 Gershgorin interval, about [-5e20, 1e26] on the graded matrix, and that
@@ -72,8 +79,15 @@ __all__ = [
     "approximation_audit",
 ]
 
-# Points of the default log-mapped grid.
+# Points of a default grid that starts at the grid origin; its spacing is every
+# default grid's spacing.
 _LOG_GRID_POINTS = 4001
+# A default grid starts where the state's weight below r, about (r/b)^(2 nu + 1),
+# reaches 10^-_ORIGIN_WEIGHT_EXPONENT, but at least _ORIGIN_FLOOR and at most
+# _ORIGIN_CAP times min(b, r_max).
+_ORIGIN_WEIGHT_EXPONENT = 18.0
+_ORIGIN_FLOOR = 1e-12
+_ORIGIN_CAP = 1e-3
 # Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
 # Relative margin that keeps rounding in V_eff from lifting the window's lower end.
@@ -160,26 +174,41 @@ def _grid_origin(b: float, r_max: float) -> float:
     The min keeps r_min below the state when b is large: at fixed A/b the
     state's extent b/eps stops growing with b, and r_max falls below b.
     """
-    return 1e-12 * min(b, r_max)
+    return _ORIGIN_FLOOR * min(b, r_max)
 
 
 def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadialGrid:
-    """Log-mapped grid sized from the closed-form decay estimate of the slowest state.
+    """Log-mapped grid sized from the closed-form decay and origin behaviour of the channel.
 
     The wavefunction of a state with energy parameter eps decays like
     exp(-eps r / b), so r_max = b (35 + 5 n_top) / eps_min keeps the
     truncated tail below ~1e-15; n_top is the highest of the first k levels
-    that ``bound_states`` finds bound, and eps_min = 1 when none is.  The
-    grid is uniform in x = ln r from the ``_grid_origin`` of explicit grids,
-    with the Robin ghost node there carrying the u ~ e^(nu x) origin
-    behaviour of every channel, q = 0 and eta < 0 included, so one fixed
-    point count serves all of them.
+    that ``bound_states`` finds bound, and eps_min = 1 when none is.
+
+    The grid is uniform in x = ln r with spacing h = ln(r_max / r_0) / 4000,
+    the spacing of 4001 points from the ``_grid_origin`` r_0 of explicit
+    grids.  Near the origin every state of the channel goes like
+    u ~ e^(nu x), nu^2 = q^2/4 + alpha(alpha - 1) in either centrifugal
+    mode, so its weight below r is about (r / b)^(2 nu + 1).  The grid
+    starts a whole number of steps above r_0, at the node nearest
+    min(b, r_max) 10^(-18 / (2 nu + 1)), clamped to [1e-12, 1e-3] of
+    min(b, r_max), and the Robin ghost node there carries the e^(nu x)
+    behaviour.  The point count falls with the span, and every channel keeps
+    the same h; channels with nu -> 0 (q = 0 at alpha = 0 or 1, and
+    eta -> -1/2) keep r_0 and 4001 points.
     """
     entries = bound_states(params, D, l, n_max=max(k, 1) - 1)
     n_top, eps_min = (entries[-1].state.n, entries[-1].epsilon) if entries else (0, 1.0)
     r_max = params.b * (35.0 + 5.0 * n_top) / eps_min
-    return LogRadialGrid(r_min=_grid_origin(params.b, r_max), r_max=r_max,
-                         n_points=_LOG_GRID_POINTS)
+    floor = _grid_origin(params.b, r_max)
+    h = math.log(r_max / floor) / (_LOG_GRID_POINTS - 1)
+    q = QuantumState(n=0, l=l, D=D).q
+    nu = math.sqrt(max(0.25 * q * q + params.alpha_product, 0.0))
+    onset = 10.0 ** (-_ORIGIN_WEIGHT_EXPONENT / (2.0 * nu + 1.0))
+    start = min(params.b, r_max) * min(max(onset, _ORIGIN_FLOOR), _ORIGIN_CAP)
+    steps = round(math.log(start / floor) / h)
+    return LogRadialGrid(r_min=floor * math.exp(steps * h), r_max=r_max,
+                         n_points=_LOG_GRID_POINTS - steps)
 
 
 def _tridiagonal(params: PotentialParams, D: int, l: int,
@@ -320,10 +349,11 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     finite float (a subnormal kappa), as ``spectrum.energy`` does for the
     closed form, and :class:`ConvergenceError` when stebz's pivot floor
     tiny * max off^2, which bounds its accuracy, exceeds 1e-8 of the
-    shallowest level found (r_min below about 1e-73 at 4001 points).
+    shallowest level found (h r_min below about 1e-75, which only an
+    explicit grid reaches).
 
-    Each call logs its grid points, window, level count and stage timings at
-    DEBUG level on the ``manning_rosen.oracle`` logger.
+    Each call logs its grid points, r_min and spacing h, window, level count
+    and stage timings at DEBUG level on the ``manning_rosen.oracle`` logger.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -359,9 +389,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                 f"refinement moves a level by {gap:.1e} relative "
                 f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse"
             )
-    _LOG.debug("solve_radial D=%d l=%d %s: %d points, window (%.6g, %.6g]%s, "
-               "%d of %d levels; assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
-               D, l, mode.value, grid.n_points, window[0], window[1],
+    _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
+               "window (%.6g, %.6g]%s, %d of %d levels; "
+               "assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
+               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, window[0], window[1],
                " widened" if widened else "", k_found, k, assembled - started,
                solved - assembled, time.perf_counter() - solved)
 

@@ -277,6 +277,28 @@ class TestOracleCommand:
         assert capsys.readouterr().out.splitlines()[1].split() == [
             "1s", "0", "0", "2", "-", "undefined", "undefined"]
 
+    @pytest.mark.parametrize("alpha, unbound", [("0.75", {"4f"}), ("0", {"4f"}),
+                                                ("1.5", {"4d", "4f"})])
+    def test_level_unbound_by_the_exact_barrier_reads_unbound(self, alpha, unbound, capsys):
+        # the exact barrier shift (q^2-1)/(48 kappa b^2) exceeds |E| of 4f (and of
+        # 4d at alpha = 1.5); the approximated barrier binds them on the same grid
+        argv = ["oracle", "--inv-b", "0.075", "--A-over-b", "2", "--alpha", alpha,
+                "--dim", "4", "--states", "2p,3p,3d,4p,4d,4f", "--mode", "both"]
+        assert main([*argv, "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert len(records) == 6
+        for record in records:
+            assert record["status"] == "ok"
+            assert record["rel_err_approx"] <= 1e-8
+            if record["label"] in unbound:
+                assert record["exact"] is None and record["rel_err_exact"] is None
+            else:
+                assert record["exact"] > record["approx"]
+        assert main(argv) == 0
+        for row in capsys.readouterr().out.splitlines()[1:]:
+            cells = row.split()
+            assert (cells[5] == cells[8] == "unbound") == (cells[0] in unbound)
+
     def test_incomplete_grid_override_exits_2(self):
         rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
                    "--states", "1s", "--mode", "approx", "--r-max", "100"])

@@ -13,7 +13,8 @@ from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, Poten
                            effective_potential, energy, hulthen_energy,
                            parse_spectroscopic, solve_radial, sturm_count)
 from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
-                                  _eigenvector_nodes, _tridiagonal, _window_top)
+                                  _eigenvector_nodes, _grid_origin, _tridiagonal,
+                                  _window_top)
 from manning_rosen.reference import iter_reference_cells
 
 
@@ -78,6 +79,29 @@ class TestRadialGrid:
                 e = energy(params, QuantumState(n=n, l=1, D=2)).energy
                 assert abs(result.best(n) - e) / abs(e) < 1e-7
 
+    def test_default_grid_keeps_the_origin_of_a_q0_alpha0_channel(self):
+        # u tends to a constant at the origin (nu = 0): nothing to cut
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        grid = default_grid(params, D=2, l=0)
+        assert grid.r_min == 1e-12 * min(params.b, grid.r_max)
+        assert grid.n_points == 4001
+
+    def test_default_grid_origin_is_capped_for_high_q(self):
+        # q = 10: the weight rule would start near 0.02 b; the cap holds it at 1e-3
+        params = table_params()
+        grid = default_grid(params, D=6, l=3)
+        cap = 1e-3 * min(params.b, grid.r_max)
+        assert abs(math.log(grid.r_min / cap)) <= 0.5 * grid.spacing
+        assert grid.n_points < 4001
+
+    @pytest.mark.parametrize("D, l, alpha", [(2, 0, 0.0), (2, 1, 0.75), (4, 2, 1.5),
+                                             (6, 3, 0.75), (3, 0, 0.4)])
+    def test_default_grid_spacing_is_that_of_4001_points_from_the_origin(self, D, l, alpha):
+        params = table_params(alpha=alpha)
+        grid = default_grid(params, D, l, k=2)
+        floor = _grid_origin(params.b, grid.r_max)
+        assert grid.spacing == pytest.approx(math.log(grid.r_max / floor) / 4000, rel=1e-12)
+
 
 class TestSolveRadial:
     def test_matches_closed_form_deep_p_state(self):
@@ -140,6 +164,29 @@ class TestSolveRadial:
             for n in range(n_top + 1):
                 e = energy(params, QuantumState(n=n, l=l, D=D)).energy
                 assert abs(result.best(n) - e) <= 1e-8 * abs(e), (inv_b, alpha, D, l, n)
+
+    def test_cut_origin_matches_a_grid_from_the_origin_floor(self):
+        # the default grid leaves out only nodes below 1e-18 of a state's weight:
+        # starting at 1e-12 min(b, r_max) with the same r_max and h moves no level
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 50:
+            b = rng.uniform(2.0, 60.0)
+            params = PotentialParams(A=b * rng.uniform(0.5, 4.0),
+                                     alpha=rng.uniform(-0.5, 2.0), b=b)
+            D, l = rng.randint(2, 6), rng.randint(0, 4)
+            if D + 2 * l == 2 and 0.0 < params.alpha < 1.0:
+                continue  # q = 0 with no real shape parameter: no closed-form grid
+            checked += 1
+            grid = default_grid(params, D, l, k=2)
+            floor = LogRadialGrid(r_min=_grid_origin(b, grid.r_max), r_max=grid.r_max,
+                                  n_points=4001)
+            for mode in CentrifugalMode:
+                cut = solve_radial(params, D, l, mode, grid=grid, k=2).refined
+                full = solve_radial(params, D, l, mode, grid=floor, k=2).refined
+                assert len(cut) == len(full), (params, D, l, mode)
+                for x, y in zip(cut, full):
+                    assert abs(x - y) <= 1e-9 * abs(y), (params, D, l, mode)
 
     def test_node_counts_match_eigenvalue_index(self):
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
@@ -270,6 +317,15 @@ class TestSolveRadial:
         assert " widened, 1 of 1 levels" in records[0].getMessage()
         assert "widened" not in records[1].getMessage()
         assert "eigensolve" in records[1].getMessage()
+
+    def test_debug_log_reports_r_min_and_spacing(self, caplog):
+        params = table_params()
+        grid = default_grid(params, 2, 1)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            solve_radial(params, 2, 1, k=1)
+        [record] = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
+        assert (f"{grid.n_points} points from r_min {grid.r_min:.6g} "
+                f"with h {grid.spacing:.6g}, window") in record.getMessage()
 
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("manning_rosen").handlers
