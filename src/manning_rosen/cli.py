@@ -378,7 +378,9 @@ def _cmd_wavefunction(args, precision) -> Report:
     samples = solution.sample(args.samples).tolist()
     columns = ["r", "z", "g", "g_squared"]
     label = state_label(n, l)
-    text = _format_csv(columns, [[_fmt(v, precision) for v in row] for row in samples])
+    # a fixed-point float needs no csv quoting, so one %-format writes a whole row
+    row_format = ",".join([f"%.{precision}f"] * len(columns)) + "\n"
+    text = ",".join(columns) + "\n" + "".join(row_format % tuple(row) for row in samples)
     text += f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n"
     payload = {
         "label": label, "n": n, "l": l, "D": dim,

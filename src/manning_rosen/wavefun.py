@@ -12,12 +12,17 @@ ways: a closed-form one-term Jacobi moment identity (gamma-function ratios
 in log space; eps can run well past 25, where naive Gamma arithmetic
 overflows) and exp-sinh quadrature of the norm integral (Takahasi & Mori,
 Publ. RIMS 9 (1974) 721).
+
+The arrays that depend on no state, the abscissae of the node-count scan and
+the nodes and weights of each exp-sinh level, are built once per process on
+first use and are read-only, like the cached Gauss-Legendre rules.
 """
 
 import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,15 +109,27 @@ class RadialSolution:
         return np.column_stack([r, np.exp(-r / self.b), g, g * g])
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def _node_scan_abscissae() -> np.ndarray:
+    """x = cos(theta) at 4001 theta uniform inside (0, pi); built once, read-only."""
+    return _read_only(np.cos(np.linspace(0.0, math.pi, 4003)[1:-1]))
+
+
 def _count_nodes(eps: float, eta: float, n: int) -> int:
     """Interior sign changes of g, counted on its Jacobi factor.
 
     The envelope z^eps (1-z)^(1+eta) is positive on (0, 1), so g changes sign
     where P_n^(2 eps, 2 eta + 1)(x) does.  x = cos(theta) with theta uniform
-    in (0, pi) packs points towards x = +-1, where the zeros cluster.
+    in (0, pi) packs points towards x = +-1, where the zeros cluster.  The
+    4001 abscissae depend on nothing else, so they are built once per process
+    and shared read-only.
     """
-    theta = np.linspace(0.0, math.pi, 4003)[1:-1]
-    signs = np.sign(jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, np.cos(theta)))
+    signs = np.sign(jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, _node_scan_abscissae()))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -184,25 +201,40 @@ def normalization_closed_form(entry: SpectrumEntry, b: float) -> float:
 _U_MIN, _U_MAX, _H_FIRST, _HALVINGS = -4.0, 3.0, 0.125, 8
 
 
+@lru_cache(maxsize=None)
+def _exp_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t = exp(pi/2 sinh u) and weights t cosh u of one level, read-only.
+
+    Level 0 is u = _U_MIN + h k, k = 0..n_steps, at h = _H_FIRST; level
+    m > 0 holds the odd k at h = _H_FIRST / 2^m, the midpoints it adds.
+    """
+    h = _H_FIRST / 2 ** level
+    n_steps = round((_U_MAX - _U_MIN) / _H_FIRST) * 2 ** level
+    u = _U_MIN + h * (np.arange(1, n_steps, 2) if level else np.arange(n_steps + 1))
+    t = np.exp(0.5 * math.pi * np.sinh(u))
+    return _read_only(t), _read_only(t * np.cosh(u))
+
+
 def _exp_sinh_integral(fn, rel_tol: float) -> float:
     """int_0^inf fn(t) dt by the exp-sinh trapezoid rule t = exp(pi/2 sinh u).
 
     The substitution gives the integrand double-exponential decay in u at
     both ends, where the trapezoid rule converges exponentially fast as h
     falls (Takahasi & Mori 1974; DLMF 3.5).  Each halving of h adds only the
-    midpoints; stops when two levels agree to ``rel_tol``.
+    midpoints; stops when two levels agree to ``rel_tol``.  The nodes and
+    weights of each level do not depend on ``fn``: they are built once per
+    process and passed to ``fn`` read-only.
     """
-    def node_sum(u):
-        t = np.exp(0.5 * math.pi * np.sinh(u))
-        return 0.5 * math.pi * float(np.dot(fn(t), t * np.cosh(u)))
+    def node_sum(level):
+        t, weights = _exp_sinh_level(level)
+        return 0.5 * math.pi * float(np.dot(fn(t), weights))
 
     h = _H_FIRST
-    n_steps = round((_U_MAX - _U_MIN) / h)
-    total = node_sum(_U_MIN + h * np.arange(n_steps + 1))
+    total = node_sum(0)
     estimates = [h * total]
-    for _ in range(_HALVINGS):
-        h, n_steps = 0.5 * h, 2 * n_steps
-        total += node_sum(_U_MIN + h * np.arange(1, n_steps, 2))
+    for level in range(1, _HALVINGS + 1):
+        h *= 0.5
+        total += node_sum(level)
         estimates.append(h * total)
         if abs(estimates[-1] - estimates[-2]) <= rel_tol * abs(estimates[-1]):
             return estimates[-1]

@@ -1,5 +1,7 @@
 """CLI contract: published values, exit codes, determinism, file formats."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import manning_rosen
+from manning_rosen import (PotentialParams, QuantumState, critical_coupling,
+                           normalization_quadrature, parse_spectroscopic, radial_wavefunction)
 from manning_rosen.cli import _subparsers, build_parser, main
 from manning_rosen.reference import audit_reference_table
 
@@ -236,6 +240,42 @@ class TestWavefunctionCommand:
                    "--dim", "3", "--states", "5s", "--samples", "10"])
         assert rc == 3
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    @pytest.mark.parametrize("precision", [1, 9, 17])
+    @pytest.mark.parametrize("label, dim", [("2p", 2), ("3p", 2), ("6g", 4)])
+    def test_dump_matches_csv_writer_byte_for_byte(self, label, dim, precision, fmt, capsys):
+        params = PotentialParams(A=80.0, alpha=0.75, b=40.0)
+        n, l = parse_spectroscopic(label)
+        solution = radial_wavefunction(params, QuantumState(n=n, l=l, D=dim))
+        norm_check = (solution.norm_constant / normalization_quadrature(params, solution.entry)) ** 2
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["r", "z", "g", "g_squared"])
+        writer.writerows([f"{v:.{precision}f}" for v in row] for row in solution.sample(300))
+        expected = (buffer.getvalue() + f"# norm={norm_check:.12f}\n"
+                    f"# node_count={solution.node_count}\n")
+        rc = main(["wavefunction", "--A", "80", "--b", "40", "--alpha", "0.75",
+                   "--dim", str(dim), "--states", label, "--samples", "300",
+                   "--precision", str(precision), "--format", fmt])
+        assert rc == 0
+        assert capsys.readouterr().out == expected
+        if label == "6g":  # n = 1 and g ~ -s^5.5 near the origin: -0.000... cells
+            assert ",-0." + "0" * precision + "," in expected
+
+    @pytest.mark.parametrize("n, l, dim, alpha", [(0, 0, 3, 0.0), (2, 1, 2, 0.75),
+                                                  (3, 2, 4, 1.5)])
+    def test_near_threshold_state_exits_0(self, n, l, dim, alpha, capsys):
+        # A = A_c (1 + 1e-9): eps ~ 1e-9, the samples run out to r ~ 1e10 b
+        a_coupling = critical_coupling(QuantumState(n=n, l=l, D=dim), alpha) * (1.0 + 1e-9)
+        rc = main(["wavefunction", "--A", repr(a_coupling), "--b", "1", "--alpha", repr(alpha),
+                   "--dim", str(dim), "--n", str(n), "--l", str(l), "--samples", "20"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "nan" not in captured.out
+        assert captured.out.splitlines()[-2:] == ["# norm=1.000000000000",
+                                                  f"# node_count={n}"]
 
     def test_json_payload(self, capsys):
         rc = main(["wavefunction", "--inv-b", "0.1", "--A-over-b", "2",

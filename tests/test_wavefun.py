@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import sys
 
 import mpmath
@@ -10,12 +11,13 @@ import pytest
 
 from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
                            PotentialParams, QuantumState, SpectrumEntry,
-                           UnboundStateError, angular_factor, energy,
+                           UnboundStateError, angular_factor, critical_coupling, energy,
                            gauss_legendre, jacobi, ln_gamma,
                            normalization_closed_form, normalization_quadrature,
-                           radial_wavefunction, total_wavefunction)
-from manning_rosen.wavefun import (_H_FIRST, _HALVINGS, _U_MAX, _U_MIN, _exp_sinh_integral,
-                                   _norm_integral_quadrature)
+                           radial_wavefunction, total_wavefunction, wavefun)
+from manning_rosen.wavefun import (_H_FIRST, _HALVINGS, _U_MAX, _U_MIN, _count_nodes,
+                                   _exp_sinh_integral, _exp_sinh_level,
+                                   _node_scan_abscissae, _norm_integral_quadrature)
 
 
 def table_params(inv_b=0.025, alpha=0.75):
@@ -146,6 +148,96 @@ class TestNormalization:
         expected = (trapezoid(2.0 * h_last), trapezoid(h_last))
         assert excinfo.value.estimates == pytest.approx(expected, rel=1e-12)
         assert abs(expected[1] - expected[0]) > 1e-10 * abs(expected[1])
+
+
+def exp_sinh_rebuilt(fn, rel_tol):
+    """The exp-sinh ladder with every level's nodes and weights rebuilt per call."""
+    def node_sum(u):
+        t = np.exp(0.5 * math.pi * np.sinh(u))
+        return 0.5 * math.pi * float(np.dot(fn(t), t * np.cosh(u)))
+
+    h = _H_FIRST
+    n_steps = round((_U_MAX - _U_MIN) / h)
+    total = node_sum(_U_MIN + h * np.arange(n_steps + 1))
+    estimates = [h * total]
+    for _ in range(_HALVINGS):
+        h, n_steps = 0.5 * h, 2 * n_steps
+        total += node_sum(_U_MIN + h * np.arange(1, n_steps, 2))
+        estimates.append(h * total)
+        if abs(estimates[-1] - estimates[-2]) <= rel_tol * abs(estimates[-1]):
+            return estimates[-1]
+    raise ConvergenceError("no convergence", estimates=tuple(estimates[-2:]))
+
+
+def count_nodes_rebuilt(eps, eta, n):
+    """Sign changes of the Jacobi factor on a scan grid rebuilt per call."""
+    theta = np.linspace(0.0, math.pi, 4003)[1:-1]
+    signs = np.sign(jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, np.cos(theta)))
+    signs = signs[signs != 0.0]
+    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+
+
+def shape_sweep():
+    """Seeded (n, eps, eta): n <= 8, eps log-uniform in [1e-3, 3e6], eta in [-1/2, 20]."""
+    rng = random.Random(16)
+    cases = [(0, 1e-3, -0.5), (8, 3e6, 20.0), (3, 1e-3, 20.0), (5, 3e6, -0.5)]
+    cases += [(rng.randint(0, 8), math.exp(rng.uniform(math.log(1e-3), math.log(3e6))),
+               rng.uniform(-0.5, 20.0)) for _ in range(60)]
+    return cases
+
+
+class TestCachedNodeSets:
+    """The scan grid and the exp-sinh ladder are built once; results stay bit-identical."""
+
+    @pytest.mark.parametrize("n, eps, eta", shape_sweep())
+    def test_quadrature_matches_a_ladder_rebuilt_per_call(self, n, eps, eta, monkeypatch):
+        cached = _norm_integral_quadrature(n, eps, eta)
+        monkeypatch.setattr(wavefun, "_exp_sinh_integral", exp_sinh_rebuilt)
+        assert _norm_integral_quadrature(n, eps, eta) == cached
+
+    def test_convergence_failure_estimates_match_a_ladder_rebuilt_per_call(self):
+        def step(t):
+            return np.where(t < 2.0, 1.0, 0.0)
+
+        with pytest.raises(ConvergenceError) as cached:
+            _exp_sinh_integral(step, 1e-10)
+        with pytest.raises(ConvergenceError) as rebuilt:
+            exp_sinh_rebuilt(step, 1e-10)
+        assert cached.value.estimates == rebuilt.value.estimates
+
+    @pytest.mark.parametrize("n, eps, eta", shape_sweep())
+    def test_node_count_matches_a_scan_grid_rebuilt_per_call(self, n, eps, eta):
+        assert _count_nodes(eps, eta, n) == count_nodes_rebuilt(eps, eta, n)
+
+    def test_scan_grid_is_the_interior_of_4003_uniform_angles(self):
+        theta = np.linspace(0.0, math.pi, 4003)[1:-1]
+        assert np.array_equal(_node_scan_abscissae(), np.cos(theta))
+
+    def test_cached_arrays_are_built_once_and_read_only(self):
+        assert _node_scan_abscissae() is _node_scan_abscissae()
+        assert _exp_sinh_level(3) is _exp_sinh_level(3)
+        arrays = [_node_scan_abscissae()]
+        arrays += [array for level in range(_HALVINGS + 1) for array in _exp_sinh_level(level)]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+
+class TestNearThreshold:
+    """A = A_c (1 + delta): eps -> 0+, the state spreads to r ~ b / eps."""
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize("n, l, D, alpha", [(0, 0, 3, 0.0), (2, 1, 2, 0.75),
+                                                (3, 2, 4, 1.5)])
+    def test_quadrature_norm_and_node_count(self, n, l, D, alpha, delta):
+        state = QuantumState(n=n, l=l, D=D)
+        params = PotentialParams(A=critical_coupling(state, alpha) * (1.0 + delta),
+                                 alpha=alpha, b=1.0)
+        solution = radial_wavefunction(params, state)
+        assert 0.0 < solution.entry.epsilon < 1e-5
+        quadrature = normalization_quadrature(params, solution.entry)
+        assert abs(quadrature / solution.norm_constant - 1.0) <= 1e-10
+        assert solution.node_count == n
 
 
 class TestRadialSolution:
