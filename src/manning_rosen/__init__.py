@@ -41,6 +41,7 @@ __all__ = [
     "UnboundStateError",
     "angular_factor",
     "approximation_audit",
+    "audit_channel",
     "bound_states",
     "coulomb_limit_energy",
     "critical_coupling",
@@ -55,7 +56,6 @@ __all__ = [
     "ln_gamma",
     "normalization_closed_form",
     "normalization_quadrature",
-    "oracle_energy",
     "parse_spectroscopic",
     "potential_curvature",
     "potential_minimum",
@@ -71,7 +71,7 @@ __all__ = [
 
 
 _ORACLE_NAMES = frozenset({"AuditResult", "LogRadialGrid", "OracleResult",
-                           "approximation_audit", "default_grid", "oracle_energy",
+                           "approximation_audit", "audit_channel", "default_grid",
                            "solve_radial", "sturm_count"})
 
 

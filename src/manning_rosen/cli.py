@@ -380,8 +380,9 @@ def _cmd_wavefunction(args, precision) -> Report:
     label = state_label(n, l)
     # a fixed-point float needs no csv quoting, so one %-format writes a whole row
     row_format = ",".join([f"%.{precision}f"] * len(columns)) + "\n"
-    text = ",".join(columns) + "\n" + "".join(row_format % tuple(row) for row in samples)
-    text += f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n"
+    text = None if args.output_format == "json" else (
+        ",".join(columns) + "\n" + "".join(row_format % tuple(row) for row in samples)
+        + f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n")
     payload = {
         "label": label, "n": n, "l": l, "D": dim,
         "energy": solution.entry.energy,
@@ -398,7 +399,7 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 def _cmd_oracle(args, precision) -> Report:
     # SciPy loads here, not at startup
-    from .oracle import LogRadialGrid, _grid_origin, solve_radial
+    from .oracle import LogRadialGrid, _grid_origin, audit_channel
 
     params, dim = _resolve_params(args)
     states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
@@ -415,44 +416,30 @@ def _cmd_oracle(args, precision) -> Report:
     else:
         modes = (CentrifugalMode(args.mode),)
         columns = [args.mode, "rel_err"]
-    closed = {state: _closed_form(params, state) for state in states}
-    # one solve per (l, mode), deep enough for the highest bound n asked of it;
-    # states come sorted by (l, n), so the last one of each l is the highest
-    top_n = {state.l: state.n for state in states if closed[state]["status"] == "bound"}
-    solves = {}
+    status = {state: _closed_form(params, state)["status"] for state in states}
+    bound = [state for state in states if status[state] == "bound"]
+    audits = {}
+    for l in dict.fromkeys(state.l for state in bound):  # states come sorted by (l, n)
+        group = [state for state in bound if state.l == l]
+        audits.update(zip(group, audit_channel(params, dim, l, [s.n for s in group], modes, grid)))
     rows = []
     records = []
     for state in states:
         label = state_label(state.n, state.l)
-        record = {"label": label, "n": state.n, "l": state.l, "D": dim}
-        status = closed[state]["status"]
-        if status != "bound":
-            rows.append([label, str(state.n), str(state.l), str(dim), "-"]
-                        + [status] * len(columns))
-            records.append({**record, "status": status})
-            continue
-        values = {"closed": closed[state]["energy"]}
-        for mode in modes:
-            if (state.l, mode) not in solves:
-                solves[state.l, mode] = solve_radial(params, dim, state.l, mode=mode,
-                                                     grid=grid, k=top_n[state.l] + 1)
-        approx = solves.get((state.l, CentrifugalMode.APPROXIMATED))
-        for mode in modes:
-            rel_err = "rel_err" if len(modes) == 1 else f"rel_err_{mode.value}"
-            # the exact 1/r^2 barrier can unbind a level that the approximated
-            # barrier holds on the same grid: physics, not a solver failure
-            if (mode is CentrifugalMode.EXACT and approx is not None
-                    and len(solves[state.l, mode].refined) <= state.n < len(approx.refined)):
-                values[mode.value] = values[rel_err] = None
-                continue
-            e_oracle = solves[state.l, mode].best(state.n)
-            values[mode.value] = e_oracle
-            values[rel_err] = abs(values["closed"] - e_oracle) / abs(e_oracle)
-        rows.append([label, str(state.n), str(state.l), str(dim)]
-                    + ["unbound" if values[key] is None
-                       else f"{values[key]:.3e}" if key.startswith("rel_err")
-                       else _fmt(values[key], precision) for key in ["closed", *columns]])
-        records.append({**record, "status": "ok", **values})
+        record = {"label": label, "n": state.n, "l": state.l, "D": dim, "status": status[state]}
+        cells = ["-"] + [status[state]] * len(columns)
+        if state in audits:
+            audit = audits[state]
+            fields = {"closed": audit.e_closed, "exact": audit.e_exact, "approx": audit.e_approx,
+                      "rel_err_approx": audit.rel_errors[0], "rel_err_exact": audit.rel_errors[1]}
+            fields["rel_err"] = fields.get(f"rel_err_{args.mode}")  # the one mode's, unless both
+            values = {key: fields[key] for key in ["closed", *columns]}
+            record.update(status="ok", **values)
+            cells = ["unbound" if values[key] is None
+                     else f"{values[key]:.3e}" if key.startswith("rel_err")
+                     else _fmt(values[key], precision) for key in values]
+        rows.append([label, str(state.n), str(state.l), str(dim), *cells])
+        records.append(record)
     return Report(payload=records, header=["label", "n", "l", "D", "closed", *columns],
                   rows=rows)
 

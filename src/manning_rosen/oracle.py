@@ -25,12 +25,8 @@ near 1e26 at the origin), so bisection runs to a tolerance of a few times
 the smallest normal number: at LAPACK's default, scaled by the largest
 entry, the eigenvalues come out wrong by 1e9 or more.
 
-A default grid keeps one spacing h, that of 4001 points from 1e-12
-min(b, r_max) to r_max, but starts where its channel's states begin: the
-weight below r, about (r/b)^(2 nu + 1), falls under 1e-18 there.  So its
-point count falls with nu, from 4001 at nu = 0 (q = 0 at alpha = 0 or 1,
-and eta -> -1/2) to roughly a third of that where the start reaches its cap,
-1e-3 min(b, r_max).  An explicit grid is used as given.
+A default grid (``default_grid``) keeps one spacing h for every channel but
+starts where the channel's states begin; an explicit grid is used as given.
 
 Bisection works on a value window, not an index range.  Asked for levels
 0..k-1 by index, LAPACK first brackets them by Sturm counts over the whole
@@ -51,6 +47,13 @@ u'' comes from the equation itself, and the integration by parts leaves no
 boundary term, because u ~ e^(nu x) as x -> -inf and u = 0 at r_max.  It
 costs O(N) per level and converges at order 4, so each channel takes one
 eigensolve.
+
+A channel audit (``audit_channel``) solves each centrifugal mode once, on one
+grid, for the highest level asked.  For q^2 > 1 the exact barrier lies above
+its stand-in, 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2, and can unbind a level that the
+stand-in holds on the same grid.  That level reads None: both solves share
+every discretization choice, so its absence is physics, not a solver failure.
+With no approximated solve to tell the two apart, a missing exact level raises.
 """
 
 import dataclasses
@@ -75,7 +78,7 @@ __all__ = [
     "default_grid",
     "sturm_count",
     "solve_radial",
-    "oracle_energy",
+    "audit_channel",
     "approximation_audit",
 ]
 
@@ -193,9 +196,10 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
     starts a whole number of steps above r_0, at the node nearest
     min(b, r_max) 10^(-18 / (2 nu + 1)), clamped to [1e-12, 1e-3] of
     min(b, r_max), and the Robin ghost node there carries the e^(nu x)
-    behaviour.  The point count falls with the span, and every channel keeps
-    the same h; channels with nu -> 0 (q = 0 at alpha = 0 or 1, and
-    eta -> -1/2) keep r_0 and 4001 points.
+    behaviour.  The point count falls with the span, to roughly a third of
+    4001 where the start reaches its cap, and every channel keeps the same
+    h; channels with nu -> 0 (q = 0 at alpha = 0 or 1, and eta -> -1/2) keep
+    r_0 and 4001 points.
     """
     entries = bound_states(params, D, l, n_max=max(k, 1) - 1)
     n_top, eps_min = (entries[-1].state.n, entries[-1].epsilon) if entries else (0, 1.0)
@@ -326,24 +330,16 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     """Lowest k bound eigenvalues of the discretized radial equation.
 
     ``grid`` defaults to ``default_grid(params, D, l, k)``.  The eigenvalues
-    come from bisection to full relative accuracy inside the value window
-    (lower, top] and the eigenvectors from inverse iteration (LAPACK's stebz
-    and stein), so the i-th returned state has exactly i interior nodes.
-    lower = kappa min V_eff less a 1e-9 relative margin bounds the spectrum
-    from below; top is kappa times the midpoint of closed-form levels k-1
-    and k, or 0 when either is unbound or the closed form is undefined.
-    When the window holds fewer than k levels it is widened once to
-    (lower, 0].  Bisecting by index instead would first bracket the levels
-    over the Gershgorin interval of the graded matrix, which is the slower
-    part.  The bound levels are the negative ones; when fewer than k exist,
+    come from bisection to full relative accuracy inside the value window of
+    the module docstring, widened once to (lower, 0] when it holds fewer
+    than k levels, and the eigenvectors from inverse iteration (LAPACK's
+    stebz and stein), so the i-th returned state has exactly i interior
+    nodes.  The bound levels are the negative ones; when fewer than k exist,
     the bound subset is returned with ``truncated`` set.
 
-    ``refined`` cancels the O(h^2) stencil error: level i gets the deferred
-    correction lambda_i + (h^2/12) sum_j c_ij^2 / sum_j w_ij^2 from its
-    eigenvector w_i, with c_ij = (1/4 + r_j^2 (kappa V_eff,j - lambda_i)) w_ij / r_j
-    the u'' the equation gives, and components with |w_ij| <= 1e-12 max|w_i|
-    left out of the sum.  A level that the correction moves by more than
-    1e-3 relative adds the one resolution warning.
+    ``refined`` adds the deferred correction of ``_deferred_correction``,
+    which cancels the O(h^2) stencil error.  A level that it moves by more
+    than 1e-3 relative adds the one resolution warning.
 
     Raises :class:`DomainError` when an energy kappa E / kappa is not a
     finite float (a subnormal kappa), as ``spectrum.energy`` does for the
@@ -401,25 +397,44 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                         warnings=tuple(warnings))
 
 
-def oracle_energy(params: PotentialParams, state: QuantumState, mode: CentrifugalMode,
-                  grid: LogRadialGrid | None = None) -> float:
-    """Refined oracle energy of one state in one centrifugal mode.
-
-    ``OracleResult.best`` raises :class:`ConvergenceError` when the grid
-    holds fewer than n + 1 bound levels.
-    """
-    return solve_radial(params, state.D, state.l, mode=mode, grid=grid,
-                        k=state.n + 1).best(state.n)
-
-
 @dataclass(frozen=True)
 class AuditResult:
-    """Closed form vs. both oracle modes for one state."""
+    """Closed form vs. both oracle modes for one state; None where a mode has no value."""
 
     e_closed: float
-    e_exact: float
-    e_approx: float
-    rel_errors: tuple[float, float]  # (closed vs approx, closed vs exact)
+    e_exact: float | None
+    e_approx: float | None
+    rel_errors: tuple[float | None, float | None]  # (closed vs approx, closed vs exact)
+
+
+def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
+                  modes=(CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED),
+                  grid: LogRadialGrid | None = None) -> list[AuditResult]:
+    """Closed form vs. the oracle in ``modes``, one result per level n in ``ns``.
+
+    Solves each mode once, in the order given, for max(ns) + 1 levels on
+    ``grid`` or else the channel's one default grid.  A mode left out, and an
+    exact level unbound as the module docstring says, read None.  Raises
+    :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
+    form is unbound or undefined, before any solve; then what
+    ``solve_radial`` raises, and :class:`ConvergenceError` for any other
+    level that a solve lacks.
+    """
+    closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
+    k = max(ns) + 1
+    grid = default_grid(params, D, l, k) if grid is None else grid
+    solves = {mode: solve_radial(params, D, l, mode=mode, grid=grid, k=k) for mode in modes}
+    approx = solves.get(CentrifugalMode.APPROXIMATED)
+    held = len(approx.refined) if approx is not None else 0
+    audits = []
+    for n, e_closed in zip(ns, closed):
+        found = {mode: None if mode is CentrifugalMode.EXACT and len(result.refined) <= n < held
+                 else result.best(n) for mode, result in solves.items()}
+        e_exact, e_approx = map(found.get, (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED))
+        audits.append(AuditResult(e_closed=e_closed, e_exact=e_exact, e_approx=e_approx,
+                                  rel_errors=tuple(None if e is None else abs(e_closed - e) / abs(e)
+                                                   for e in (e_approx, e_exact))))
+    return audits
 
 
 def approximation_audit(params: PotentialParams, state: QuantumState,
@@ -430,15 +445,12 @@ def approximation_audit(params: PotentialParams, state: QuantumState,
     barrier, the oracle energy with the short-range replacement, and both
     relative differences.  The approximated oracle solves the same equation
     as the closed form, so that pair agrees to solver accuracy; the exact
-    pair measures the physical quality of the replacement.
+    pair measures the physical quality of the replacement.  Raises as
+    ``audit_channel`` does, and :class:`ConvergenceError` where the exact
+    barrier unbinds the level.
     """
-    e_closed = _closed_energy(params, state).energy
-    e_exact = oracle_energy(params, state, CentrifugalMode.EXACT, grid)
-    e_approx = oracle_energy(params, state, CentrifugalMode.APPROXIMATED, grid)
-    return AuditResult(
-        e_closed=e_closed,
-        e_exact=e_exact,
-        e_approx=e_approx,
-        rel_errors=(abs(e_closed - e_approx) / abs(e_approx),
-                    abs(e_closed - e_exact) / abs(e_exact)),
-    )
+    [audit] = audit_channel(params, state.D, state.l, [state.n], grid=grid)
+    if audit.e_exact is None:
+        raise ConvergenceError(f"the exact 1/r^2 barrier unbinds {state}, which the "
+                               f"approximated barrier holds")
+    return audit

@@ -339,6 +339,17 @@ class TestOracleCommand:
             cells = row.split()
             assert (cells[5] == cells[8] == "unbound") == (cells[0] in unbound)
 
+    def test_exact_mode_alone_keeps_the_missing_level_a_solver_failure(self, capsys):
+        # telling physics from a solver failure needs the approximated solve on
+        # the same grid, so exact mode alone still exits 4 on 4f
+        rc = main(["oracle", "--inv-b", "0.075", "--A-over-b", "2", "--alpha", "0.75",
+                   "--dim", "4", "--states", "4f", "--mode", "exact"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "solver failure: oracle found only 0 bound levels in exact mode")
+        assert captured.out == ""
+
     def test_incomplete_grid_override_exits_2(self):
         rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
                    "--states", "1s", "--mode", "approx", "--r-max", "100"])
@@ -711,6 +722,7 @@ with contextlib.redirect_stdout(io.StringIO()):
                    "--alpha", "0"])]
 assert codes == [0] * 5, codes
 assert "scipy" not in sys.modules, sorted(name for name in sys.modules if "scipy" in name)
+assert callable(manning_rosen.audit_channel) and "scipy" in sys.modules
 from manning_rosen import solve_radial
 assert callable(solve_radial) and callable(manning_rosen.approximation_audit)
 with contextlib.redirect_stdout(io.StringIO()):

@@ -9,9 +9,11 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, PotentialParams,
-                           QuantumState, approximation_audit, default_grid,
-                           effective_potential, energy, hulthen_energy,
-                           parse_spectroscopic, solve_radial, sturm_count)
+                           QuantumState, UnboundStateError, approximation_audit,
+                           audit_channel, default_grid, effective_potential, energy,
+                           hulthen_energy, parse_spectroscopic, solve_radial, state_label,
+                           sturm_count)
+from manning_rosen import oracle
 from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
                                   _eigenvector_nodes, _grid_origin, _tridiagonal,
                                   _window_top)
@@ -388,3 +390,88 @@ class TestApproximationAudit:
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         audit = approximation_audit(params, QuantumState(n=0, l=0, D=3))
         assert audit.e_exact == audit.e_approx
+
+    def test_level_unbound_by_the_exact_barrier_raises(self):
+        # 4f, D = 4: the exact barrier shift (q^2-1)/(48 kappa b^2) exceeds |E|
+        with pytest.raises(ConvergenceError, match="exact 1/r\\^2 barrier unbinds"):
+            approximation_audit(table_params(0.075, 0.75), QuantumState(n=0, l=3, D=4))
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Counts of ``default_grid`` calls and of ``solve_radial`` calls per mode."""
+    calls = {"default_grid": 0, CentrifugalMode.EXACT: 0, CentrifugalMode.APPROXIMATED: 0}
+    solve, grid = oracle.solve_radial, oracle.default_grid
+
+    def counted_solve(params, D, l, mode=CentrifugalMode.APPROXIMATED, **kwargs):
+        calls[mode] += 1
+        return solve(params, D, l, mode, **kwargs)
+
+    def counted_grid(*args, **kwargs):
+        calls["default_grid"] += 1
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_radial", counted_solve)
+    monkeypatch.setattr(oracle, "default_grid", counted_grid)
+    return calls
+
+
+# (l, ns) of the 1/b = 0.075, D = 4 table groups, one channel per l
+TABLE_075_D4_CHANNELS = ((1, [0, 1, 2]), (2, [0, 1]), (3, [0]))
+
+
+class TestAuditChannel:
+    def test_one_solve_per_mode_on_one_default_grid(self, oracle_calls):
+        params = table_params()
+        audits = audit_channel(params, 2, 1, [0, 1, 2])
+        assert oracle_calls == {"default_grid": 1, CentrifugalMode.EXACT: 1,
+                                CentrifugalMode.APPROXIMATED: 1}
+        for n, audit in enumerate(audits):
+            assert audit.e_closed == energy(params, QuantumState(n=n, l=1, D=2)).energy
+            assert audit.rel_errors[0] < 1e-8
+            assert audit.e_exact > audit.e_approx  # the exact barrier lies higher
+
+    def test_approx_mode_makes_no_exact_solve(self, oracle_calls):
+        audits = audit_channel(table_params(), 2, 1, [0, 1],
+                               modes=(CentrifugalMode.APPROXIMATED,))
+        assert oracle_calls == {"default_grid": 1, CentrifugalMode.EXACT: 0,
+                                CentrifugalMode.APPROXIMATED: 1}
+        for audit in audits:
+            assert audit.e_exact is None and audit.rel_errors[1] is None
+            assert audit.rel_errors[0] < 1e-8
+
+    def test_explicit_grid_builds_no_default_grid(self, oracle_calls):
+        grid = default_grid(table_params(), 2, 1, k=2)
+        oracle_calls["default_grid"] = 0
+        audit_channel(table_params(), 2, 1, [0, 1], grid=grid)
+        assert oracle_calls["default_grid"] == 0
+
+    def test_unbound_level_raises_before_any_solve(self, oracle_calls):
+        with pytest.raises(UnboundStateError):
+            audit_channel(PotentialParams(A=1.0, alpha=0.0, b=1.0), 3, 0, [0, 4])
+        assert oracle_calls == {"default_grid": 0, CentrifugalMode.EXACT: 0,
+                                CentrifugalMode.APPROXIMATED: 0}
+
+    @pytest.mark.parametrize("alpha, unbound", [(0.75, {"4f"}), (0.0, {"4f"}),
+                                                (1.5, {"4d", "4f"})])
+    def test_level_unbound_by_the_exact_barrier_reads_none(self, alpha, unbound):
+        params = table_params(0.075, alpha)
+        for l, ns in TABLE_075_D4_CHANNELS:
+            grid = default_grid(params, 4, l, k=max(ns) + 1)
+            for n, audit in zip(ns, audit_channel(params, 4, l, ns)):
+                state = QuantumState(n=n, l=l, D=4)
+                assert audit.e_approx is not None and audit.rel_errors[0] <= 1e-8
+                if state_label(n, l) in unbound:
+                    assert audit.e_exact is None and audit.rel_errors[1] is None
+                    continue
+                assert audit.e_exact > audit.e_approx
+                # a one-level audit is the same solve as approximation_audit; a level
+                # below the channel's top sits in a wider bisection window, which
+                # may end a few ulp away
+                assert audit_channel(params, 4, l, [n])[0] == approximation_audit(params, state)
+                alone = approximation_audit(params, state, grid)
+                assert alone.e_closed == audit.e_closed
+                assert alone.e_exact == pytest.approx(audit.e_exact, rel=1e-15, abs=0.0)
+                assert alone.e_approx == pytest.approx(audit.e_approx, rel=1e-15, abs=0.0)
+                if n == max(ns):
+                    assert alone == audit
