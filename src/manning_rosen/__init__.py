@@ -65,14 +65,13 @@ __all__ = [
     "shape_parameter",
     "solve_radial",
     "state_label",
-    "sturm_count",
     "total_wavefunction",
 ]
 
 
 _ORACLE_NAMES = frozenset({"AuditResult", "LogRadialGrid", "OracleResult",
                            "approximation_audit", "audit_channel", "default_grid",
-                           "solve_radial", "sturm_count"})
+                           "solve_radial"})
 
 
 def __getattr__(name: str):

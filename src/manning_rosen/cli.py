@@ -447,18 +447,15 @@ def _cmd_oracle(args, precision) -> Report:
 def _cmd_degeneracy(args, precision) -> Report:
     params, dim = _resolve_params(args)
     state = QuantumState(n=args.n, l=args.l, D=dim)
-    shared_energy = None
-    records = []
-    for partner in degenerate_partners(state, args.dmin, args.dmax):
-        closed = _closed_form(params, partner)
-        if closed["energy"] is not None:
-            shared_energy = closed["energy"]
-        records.append({"label": state_label(partner.n, partner.l), "n": partner.n,
-                        "l": partner.l, "D": partner.D, "status": closed["status"]})
+    partners = degenerate_partners(state, args.dmin, args.dmax)
+    # every partner keeps q = D + 2l - 2, and with it the whole closed form
+    closed = _closed_form(params, state)
+    records = [{"label": state_label(partner.n, partner.l), "n": partner.n, "l": partner.l,
+                "D": partner.D, "status": closed["status"]} for partner in partners]
     header = ["label", "n", "l", "D", "status"]
-    shared = ("unbound for these parameters" if shared_energy is None
-              else _fmt(shared_energy, precision))
-    return Report(payload={"partners": records, "energy": shared_energy}, header=header,
+    shared = (f"{closed['status']} for these parameters" if closed["energy"] is None
+              else _fmt(closed["energy"], precision))
+    return Report(payload={"partners": records, "energy": closed["energy"]}, header=header,
                   rows=[[str(record[key]) for key in header] for record in records],
                   footer=f"shared energy: {shared}\n")
 

@@ -2,12 +2,11 @@
 
 Solves  g'' + kappa [E - V_eff(r)] g = 0  as a symmetric tridiagonal
 eigenproblem whose eigenvalues are kappa E; the bound levels are the
-negative ones, found by LAPACK bisection (``sturm_count`` is the
-independent count the tests check them against).  Every returned value is
-an eigenvalue of the assembled matrix, so this path shares no algebra with
-the closed-form spectrum and serves as its ground truth, in either
-centrifugal mode.  The closed form only sizes the default grid and says
-where bisection looks.
+negative ones, found by LAPACK bisection.  Every returned value is an
+eigenvalue of the assembled matrix, so this path shares no algebra with the
+closed-form spectrum and serves as its ground truth, in either centrifugal
+mode.  The closed form only sizes the default grid and says where
+bisection looks.
 
 The grid is uniform in x = ln r (Langer's substitution r = e^x,
 g = r^(1/2) u).  There the equation reads
@@ -76,7 +75,6 @@ __all__ = [
     "OracleResult",
     "AuditResult",
     "default_grid",
-    "sturm_count",
     "solve_radial",
     "audit_channel",
     "approximation_audit",
@@ -239,24 +237,6 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
         raise DomainError(f"kappa V_eff is not a finite float on grid {grid} for {params}")
     off = -1.0 / (h * h * r[:-1] * r[1:])
     return diag, off, v_scaled
-
-
-def sturm_count(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
-    """Eigenvalues of the symmetric tridiagonal matrix strictly below shift.
-
-    Standard LDL^T sign count; exact integer answer regardless of clustering.
-    """
-    count = 0
-    d = float(diag[0]) - shift
-    if d < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        if d == 0.0:
-            d = 1e-300  # grazing pivot: standard tiny perturbation
-        d = float(diag[i]) - shift - float(off[i - 1]) ** 2 / d
-        if d < 0.0:
-            count += 1
-    return count
 
 
 def _eigenvector_nodes(vec: np.ndarray) -> int:

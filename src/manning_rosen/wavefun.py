@@ -120,16 +120,36 @@ def _node_scan_abscissae() -> np.ndarray:
     return _read_only(np.cos(np.linspace(0.0, math.pi, 4003)[1:-1]))
 
 
+@lru_cache(maxsize=None)
+def _node_scan_offsets() -> np.ndarray:
+    """(1 - cos theta)/2 = sin^2(theta/2) on the same theta; built once, read-only."""
+    return _read_only(np.sin(0.5 * np.linspace(0.0, math.pi, 4003)[1:-1]) ** 2)
+
+
 def _count_nodes(eps: float, eta: float, n: int) -> int:
     """Interior sign changes of g, counted on its Jacobi factor.
 
     The envelope z^eps (1-z)^(1+eta) is positive on (0, 1), so g changes sign
-    where P_n^(2 eps, 2 eta + 1)(x) does.  x = cos(theta) with theta uniform
-    in (0, pi) packs points towards x = +-1, where the zeros cluster.  The
-    4001 abscissae depend on nothing else, so they are built once per process
-    and shared read-only.
+    where P_n^(a, b)(x) does, with a = 2 eps and b = 2 eta + 1.  For large a
+    its zeros sit within 2 (4n + 2b + 2)/a of x = -1: in the Laguerre limit
+    P_n^(a, b)(-1 + 2t/a) -> (-1)^n L_n^(b)(t) (DLMF 18.7(iii)), and the zeros
+    of L_n^(b) lie below 4n + 2b + 2.  So the scan covers the window
+    -1 < x < -1 + w, w = min(2, 4 (4n + 2b + 2)/a), twice that reach, at
+    x = -1 + w (1 - cos theta)/2 for 4001 theta uniform in (0, pi); this packs
+    points towards both ends of the window, where the zeros cluster.  At
+    w = 2 the scan is x = cos(theta).  Both arrays over theta depend on
+    nothing else, so they are built once per process and shared read-only.
     """
-    signs = np.sign(jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, _node_scan_abscissae()))
+    if n == 0:  # P_0 = 1
+        return 0
+    a, b = 2.0 * eps, 2.0 * eta + 1.0
+    width = 4.0 * (4.0 * n + 2.0 * b + 2.0) / a
+    if width >= 2.0:
+        x = _node_scan_abscissae()
+    else:
+        x = width * _node_scan_offsets()
+        x -= 1.0
+    signs = np.sign(jacobi(n, a, b, x))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -139,7 +159,9 @@ def radial_wavefunction(params: PotentialParams, state: QuantumState) -> RadialS
 
     Raises :class:`UnboundStateError` when the state is not bound; the
     normalization constant comes from the closed form and the node count
-    from a dense sign-change scan of the Jacobi factor (it must equal n).
+    (it must equal n) from a sign-change scan of the Jacobi factor
+    P_n^(a, b)(x), a = 2 eps, b = 2 eta + 1, at 4001 points of the window
+    -1 < x < -1 + min(2, 4 (4n + 2b + 2)/a) that holds all its zeros.
     """
     entry = energy(params, state)
     norm = normalization_closed_form(entry, params.b)

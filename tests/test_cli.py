@@ -229,6 +229,13 @@ class TestWavefunctionCommand:
         footer = [ln for ln in out_file.read_text().splitlines() if ln.startswith("#")]
         assert "# node_count=1" in footer
 
+    def test_node_count_at_large_eps(self, capsys):
+        # eps = 1.27e7 puts the node of 3p (n = 1) within 1e-6 of x = -1 in the Jacobi factor
+        rc = main(["wavefunction", "--A", "1e8", "--b", "40", "--alpha", "0.75",
+                   "--dim", "3", "--states", "3p", "--samples", "3"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "# node_count=1"
+
     def test_zero_samples_exits_2(self):
         rc = main(["wavefunction", "--inv-b", "0.025", "--A-over-b", "2",
                    "--alpha", "0.75", "--dim", "2", "--states", "2p",
@@ -452,9 +459,28 @@ class TestDegeneracyCommand:
         assert len(body) == 1
 
     def test_invalid_range_exits_2(self):
-        rc = main(self.BASE + ["--dim", "2", "--n", "0", "--l", "4",
-                               "--dmin", "1", "--dmax", "8"])
-        assert rc == 2
+        for dmin, dmax in (("1", "8"), ("6", "3")):
+            rc = main(self.BASE + ["--dim", "2", "--n", "0", "--l", "4",
+                                   "--dmin", dmin, "--dmax", dmax])
+            assert rc == 2, (dmin, dmax)
+
+    def test_no_partner_in_range_still_reports_the_energy(self, capsys):
+        # 2p, D = 3 has D + 2l = 5, so no partner has D' = 2; the state is bound all the same
+        argv = ["degeneracy", "--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "3",
+                "--n", "0", "--l", "1", "--dmin", "2", "--dmax", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "shared energy: -0.120579348"
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"partners": [], "energy": -0.12057934836595724}
+
+    def test_undefined_family_reads_undefined(self, capsys):
+        # q = 0 with |1 - 2 alpha| < 1: the closed form has no real eta
+        assert main(["degeneracy", "--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2",
+                     "--n", "0", "--l", "0", "--dmin", "2", "--dmax", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["1s", "0", "0", "2", "undefined"]
+        assert lines[-1] == "shared energy: undefined for these parameters"
 
     def test_required_flags_from_config(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -721,6 +747,7 @@ with contextlib.redirect_stdout(io.StringIO()):
              main(["critical-coupling", "--n", "0", "--l", "0", "--dim", "3",
                    "--alpha", "0"])]
 assert codes == [0] * 5, codes
+assert not hasattr(manning_rosen, "sturm_count")
 assert "scipy" not in sys.modules, sorted(name for name in sys.modules if "scipy" in name)
 assert callable(manning_rosen.audit_channel) and "scipy" in sys.modules
 from manning_rosen import solve_radial

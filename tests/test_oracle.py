@@ -11,8 +11,7 @@ from scipy.linalg import eigh_tridiagonal
 from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, PotentialParams,
                            QuantumState, UnboundStateError, approximation_audit,
                            audit_channel, default_grid, effective_potential, energy,
-                           hulthen_energy, parse_spectroscopic, solve_radial, state_label,
-                           sturm_count)
+                           hulthen_energy, parse_spectroscopic, solve_radial, state_label)
 from manning_rosen import oracle
 from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
                                   _eigenvector_nodes, _grid_origin, _tridiagonal,
@@ -23,6 +22,24 @@ from manning_rosen.reference import iter_reference_cells
 def table_params(inv_b=0.025, alpha=0.75):
     b = 1.0 / inv_b
     return PotentialParams(A=2.0 * b, alpha=alpha, b=b)
+
+
+def sturm_count(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
+    """Eigenvalues of the symmetric tridiagonal matrix strictly below shift.
+
+    Standard LDL^T sign count; exact integer answer regardless of clustering.
+    """
+    count = 0
+    d = float(diag[0]) - shift
+    if d < 0.0:
+        count += 1
+    for i in range(1, len(diag)):
+        if d == 0.0:
+            d = 1e-300  # grazing pivot: standard tiny perturbation
+        d = float(diag[i]) - shift - float(off[i - 1]) ** 2 / d
+        if d < 0.0:
+            count += 1
+    return count
 
 
 def index_range_solve(params, D, l, mode, grid, k):

@@ -17,7 +17,8 @@ from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
                            radial_wavefunction, total_wavefunction, wavefun)
 from manning_rosen.wavefun import (_H_FIRST, _HALVINGS, _U_MAX, _U_MIN, _count_nodes,
                                    _exp_sinh_integral, _exp_sinh_level,
-                                   _node_scan_abscissae, _norm_integral_quadrature)
+                                   _node_scan_abscissae, _node_scan_offsets,
+                                   _norm_integral_quadrature)
 
 
 def table_params(inv_b=0.025, alpha=0.75):
@@ -170,9 +171,12 @@ def exp_sinh_rebuilt(fn, rel_tol):
 
 
 def count_nodes_rebuilt(eps, eta, n):
-    """Sign changes of the Jacobi factor on a scan grid rebuilt per call."""
+    """Sign changes of the Jacobi factor on a scan window rebuilt per call."""
+    a, b = 2.0 * eps, 2.0 * eta + 1.0
+    width = 4.0 * (4.0 * n + 2.0 * b + 2.0) / a
     theta = np.linspace(0.0, math.pi, 4003)[1:-1]
-    signs = np.sign(jacobi(n, 2.0 * eps, 2.0 * eta + 1.0, np.cos(theta)))
+    x = np.cos(theta) if width >= 2.0 else width * np.sin(0.5 * theta) ** 2 - 1.0
+    signs = np.sign(jacobi(n, a, b, x))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -207,7 +211,7 @@ class TestCachedNodeSets:
 
     @pytest.mark.parametrize("n, eps, eta", shape_sweep())
     def test_node_count_matches_a_scan_grid_rebuilt_per_call(self, n, eps, eta):
-        assert _count_nodes(eps, eta, n) == count_nodes_rebuilt(eps, eta, n)
+        assert _count_nodes(eps, eta, n) == count_nodes_rebuilt(eps, eta, n) == n
 
     def test_scan_grid_is_the_interior_of_4003_uniform_angles(self):
         theta = np.linspace(0.0, math.pi, 4003)[1:-1]
@@ -215,8 +219,9 @@ class TestCachedNodeSets:
 
     def test_cached_arrays_are_built_once_and_read_only(self):
         assert _node_scan_abscissae() is _node_scan_abscissae()
+        assert _node_scan_offsets() is _node_scan_offsets()
         assert _exp_sinh_level(3) is _exp_sinh_level(3)
-        arrays = [_node_scan_abscissae()]
+        arrays = [_node_scan_abscissae(), _node_scan_offsets()]
         arrays += [array for level in range(_HALVINGS + 1) for array in _exp_sinh_level(level)]
         for array in arrays:
             with pytest.raises(ValueError):
@@ -253,6 +258,18 @@ class TestRadialSolution:
         params = PotentialParams(A=4000.0, alpha=0.75, b=40.0)
         solution = radial_wavefunction(params, QuantumState(n=30, l=0, D=3))
         assert solution.node_count == 30
+
+    def test_node_count_equals_n_up_to_eps_1e12(self):
+        # seeded: n <= 20, eps log-uniform in [1e-3, 1e12], and eta uniform in
+        # [-1/2, 20] or eta + 1/2 log-uniform in [1e-3, 1e3]; a scan over all of
+        # [-1, 1] misses the zeros from eps ~ 1e5 on
+        rng = random.Random(18)
+        for _ in range(1000):
+            n = rng.randint(0, 20)
+            eps = math.exp(rng.uniform(math.log(1e-3), math.log(1e12)))
+            eta = (rng.uniform(-0.5, 20.0) if rng.random() < 0.5
+                   else math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) - 0.5)
+            assert _count_nodes(eps, eta, n) == n, (n, eps, eta)
 
     def test_exponential_tail(self):
         # g ~ z^eps = exp(-eps r / b) for r >> b up to the (1-z) factor
