@@ -67,7 +67,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
 from .model import CentrifugalMode, PotentialParams, QuantumState, effective_potential
-from .spectrum import bound_states, epsilon_parameter
+from .spectrum import bound_states, epsilon_parameter, shape_parameter
 from .spectrum import energy as _closed_energy
 
 __all__ = [
@@ -204,8 +204,7 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
     r_max = params.b * (35.0 + 5.0 * n_top) / eps_min
     floor = _grid_origin(params.b, r_max)
     h = math.log(r_max / floor) / (_LOG_GRID_POINTS - 1)
-    q = QuantumState(n=0, l=l, D=D).q
-    nu = math.sqrt(max(0.25 * q * q + params.alpha_product, 0.0))
+    nu = 0.5 * shape_parameter(params, QuantumState(n=0, l=l, D=D))
     onset = 10.0 ** (-_ORIGIN_WEIGHT_EXPONENT / (2.0 * nu + 1.0))
     start = min(params.b, r_max) * min(max(onset, _ORIGIN_FLOOR), _ORIGIN_CAP)
     steps = round(math.log(start / floor) / h)

@@ -2,7 +2,8 @@
 
 Everything downstream that touches gamma-function ratios goes through
 ``ln_gamma`` and log-space arithmetic, because the normalization constants
-involve arguments well past the overflow point of Gamma itself.
+involve arguments well past the overflow point of Gamma itself.  The one
+Jacobi recurrence runs in y = 1 + x, which keeps its digits near x = -1.
 """
 
 import math
@@ -53,28 +54,37 @@ def ln_gamma_ratio(x: float, s: float) -> float:
             + _stirling_tail(x + s) - _stirling_tail(x))
 
 
+def _jacobi_y(n: int, a: float, b: float, y: np.ndarray) -> np.ndarray:
+    """P_n^(a,b)(y - 1) by the ascending three-term recurrence in y = 1 + x.
+
+    Its factor c2 + c3 x is c3 y - d, d = (2k+s-1) (2s (b+2k-1) + 4k (k-1)),
+    s = a + b: a sum of positive terms, so nothing cancels near x = -1.
+    """
+    if n < 0:
+        raise DomainError(f"polynomial degree must be >= 0, got {n}")
+    p = np.ones_like(y)
+    if n == 0:
+        return p
+    apb = a + b
+    p_prev, p = p, 0.5 * (apb + 2.0) * y - (b + 1.0)
+    for k in range(2, n + 1):
+        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
+        c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
+        d = (2.0 * k + apb - 1.0) * (2.0 * apb * (b + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0))
+        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + apb)
+        p, p_prev = ((c3 * y - d) * p - c4 * p_prev) / c1, p
+    return p
+
+
 def jacobi(n: int, a: float, b: float, x):
     """Jacobi polynomial P_n^(a,b)(x) by the ascending three-term recurrence.
 
     Stable on x in [-1, 1], the only region used here.  Accepts scalar or
-    array ``x``; exact for n = 0 (-> 1) and n = 1 (-> (a-b)/2 + (a+b+2)x/2).
+    array ``x``; exact for n = 0 (-> 1).  Runs in y = 1 + x, exact for
+    x <= -1/2 (Sterbenz), so values near x = -1 keep their relative precision.
     """
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
     xs = np.asarray(x, dtype=float)
-    if n == 0:
-        result = np.ones_like(xs)
-    else:
-        p_prev = np.ones_like(xs)
-        p = 0.5 * (a - b + (a + b + 2.0) * xs)
-        apb = a + b
-        for k in range(2, n + 1):
-            c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
-            c2 = (2.0 * k + apb - 1.0) * (a * a - b * b)
-            c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
-            c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + apb)
-            p, p_prev = ((c2 + c3 * xs) * p - c4 * p_prev) / c1, p
-        result = p
+    result = _jacobi_y(n, a, b, 1.0 + xs)
     if np.isscalar(x) or xs.ndim == 0:
         return float(result)
     return result

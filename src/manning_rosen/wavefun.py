@@ -5,7 +5,7 @@ The bound radial solution, in s = r/b with z = exp(-s) in (0, 1), is
     g = N z^eps (1 - z)^(1 + eta) P_n^(2 eps, 2 eta + 1)(1 - 2z),
 
 vanishing at r = 0 (z = 1) and r -> infinity (z = 0), with
-int_0^inf |g(r)|^2 dr = 1.
+int_0^inf |g(r)|^2 dr = 1.  P_n is taken at 1 + x = 2 (1 - z), exact in s.
 
 The normalization constant N = 1/sqrt(s(n)) is evaluated two independent
 ways: a closed-form one-term Jacobi moment identity (gamma-function ratios
@@ -13,8 +13,8 @@ in log space; eps can run well past 25, where naive Gamma arithmetic
 overflows) and exp-sinh quadrature of the norm integral (Takahasi & Mori,
 Publ. RIMS 9 (1974) 721).
 
-The arrays that depend on no state, the abscissae of the node-count scan and
-the nodes and weights of each exp-sinh level, are built once per process on
+The arrays that depend on no state, the one node-count scan array and the
+nodes and weights of each exp-sinh level, are built once per process on
 first use and are read-only, like the cached Gauss-Legendre rules.
 """
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, NormalizationError
 from .model import PotentialParams, QuantumState, _as_positive_radius, _maybe_scalar
-from .specfun import jacobi, ln_gamma, ln_gamma_ratio
+from .specfun import _jacobi_y, jacobi, ln_gamma, ln_gamma_ratio
 from .spectrum import SpectrumEntry, energy
 
 __all__ = [
@@ -52,14 +52,15 @@ def _g_bare(s, eps: float, eta: float, n: int, ln_scale: float = 0.0):
     """Unnormalized g at s = r/b >= 0, zero at s = 0 and s = inf, over e^ln_scale.
 
     Taken in s, with 1 - z = -expm1(-s) and the envelope in log space, so the
-    tail survives where z = exp(-s) underflows.
+    tail survives where z = exp(-s) underflows, and the Jacobi factor at
+    y = 2 (1 - z) keeps its digits near z = 1.
     """
     ss = np.asarray(s, dtype=float)
     one_minus_z = -np.expm1(-ss)
     with np.errstate(divide="ignore"):  # ln(1 - z) = -inf at s = 0
         envelope = np.exp(-eps * ss + (1.0 + eta) * np.log(one_minus_z) - ln_scale)
-    return _maybe_scalar(envelope * jacobi(n, 2.0 * eps, 2.0 * eta + 1.0,
-                                           2.0 * one_minus_z - 1.0), s)
+    return _maybe_scalar(envelope * _jacobi_y(n, 2.0 * eps, 2.0 * eta + 1.0,
+                                              2.0 * one_minus_z), s)
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,8 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _node_scan_abscissae() -> np.ndarray:
-    """x = cos(theta) at 4001 theta uniform inside (0, pi); built once, read-only."""
-    return _read_only(np.cos(np.linspace(0.0, math.pi, 4003)[1:-1]))
-
-
-@lru_cache(maxsize=None)
 def _node_scan_offsets() -> np.ndarray:
-    """(1 - cos theta)/2 = sin^2(theta/2) on the same theta; built once, read-only."""
+    """sin^2(theta/2) at 4001 theta uniform inside (0, pi); built once, read-only."""
     return _read_only(np.sin(0.5 * np.linspace(0.0, math.pi, 4003)[1:-1]) ** 2)
 
 
@@ -133,23 +128,18 @@ def _count_nodes(eps: float, eta: float, n: int) -> int:
     where P_n^(a, b)(x) does, with a = 2 eps and b = 2 eta + 1.  For large a
     its zeros sit within 2 (4n + 2b + 2)/a of x = -1: in the Laguerre limit
     P_n^(a, b)(-1 + 2t/a) -> (-1)^n L_n^(b)(t) (DLMF 18.7(iii)), and the zeros
-    of L_n^(b) lie below 4n + 2b + 2.  So the scan covers the window
-    -1 < x < -1 + w, w = min(2, 4 (4n + 2b + 2)/a), twice that reach, at
-    x = -1 + w (1 - cos theta)/2 for 4001 theta uniform in (0, pi); this packs
-    points towards both ends of the window, where the zeros cluster.  At
-    w = 2 the scan is x = cos(theta).  Both arrays over theta depend on
-    nothing else, so they are built once per process and shared read-only.
+    of L_n^(b) lie below 4n + 2b + 2.  So the scan covers 0 < y < w in
+    y = 1 + x, w = min(2, 4 (4n + 2b + 2)/a), twice that reach, at
+    y = w sin^2(theta/2) for 4001 theta uniform in (0, pi); this packs points
+    towards both ends of the window, where the zeros cluster.  The array over
+    theta depends on nothing else, so it is built once per process and
+    shared read-only.
     """
     if n == 0:  # P_0 = 1
         return 0
     a, b = 2.0 * eps, 2.0 * eta + 1.0
-    width = 4.0 * (4.0 * n + 2.0 * b + 2.0) / a
-    if width >= 2.0:
-        x = _node_scan_abscissae()
-    else:
-        x = width * _node_scan_offsets()
-        x -= 1.0
-    signs = np.sign(jacobi(n, a, b, x))
+    width = min(2.0, 4.0 * (4.0 * n + 2.0 * b + 2.0) / a)
+    signs = np.sign(_jacobi_y(n, a, b, width * _node_scan_offsets()))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -161,7 +151,7 @@ def radial_wavefunction(params: PotentialParams, state: QuantumState) -> RadialS
     normalization constant comes from the closed form and the node count
     (it must equal n) from a sign-change scan of the Jacobi factor
     P_n^(a, b)(x), a = 2 eps, b = 2 eta + 1, at 4001 points of the window
-    -1 < x < -1 + min(2, 4 (4n + 2b + 2)/a) that holds all its zeros.
+    0 < y < min(2, 4 (4n + 2b + 2)/a) in y = 1 + x that holds all its zeros.
     """
     entry = energy(params, state)
     norm = normalization_closed_form(entry, params.b)

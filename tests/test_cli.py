@@ -230,11 +230,16 @@ class TestWavefunctionCommand:
         assert "# node_count=1" in footer
 
     def test_node_count_at_large_eps(self, capsys):
-        # eps = 1.27e7 puts the node of 3p (n = 1) within 1e-6 of x = -1 in the Jacobi factor
-        rc = main(["wavefunction", "--A", "1e8", "--b", "40", "--alpha", "0.75",
-                   "--dim", "3", "--states", "3p", "--samples", "3"])
-        assert rc == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "# node_count=1"
+        # eps = 1.27e7 puts the node of 3p (n = 1) within 1e-6 of x = -1 in the
+        # Jacobi factor; at A = 1e10 (eps ~ 1.7e9) the norm quadrature must still
+        # reach 1e-10 and agree with the closed form
+        for coupling, label, nodes in (("1e8", "3p", 1), ("1e10", "3p", 1), ("1e10", "4p", 2),
+                                       ("1e10", "6g", 1), ("1e10", "9s", 8)):
+            rc = main(["wavefunction", "--A", coupling, "--b", "40", "--alpha", "0.75",
+                       "--dim", "3", "--states", label, "--samples", "3"])
+            assert rc == 0, (coupling, label)
+            footer = capsys.readouterr().out.splitlines()[-2:]
+            assert footer == ["# norm=1.000000000000", f"# node_count={nodes}"], (coupling, label)
 
     def test_zero_samples_exits_2(self):
         rc = main(["wavefunction", "--inv-b", "0.025", "--A-over-b", "2",

@@ -9,7 +9,7 @@ import sympy
 
 from manning_rosen import (DomainError, PotentialParams, QuantumState, energy,
                            gauss_legendre, jacobi, ln_gamma)
-from manning_rosen.specfun import ln_gamma_ratio
+from manning_rosen.specfun import _jacobi_y, ln_gamma_ratio
 
 mp.mp.dps = 40
 
@@ -108,6 +108,18 @@ class TestJacobi:
             for point in (-0.8, 0.0, 0.6):
                 reference = float(mp.jacobi(n, mp.mpf(a), mp.mpf(b), mp.mpf(point)))
                 assert jacobi(n, a, b, point) == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("a", [0.5, 30.0, 1e3, 1e6, 1e10])
+    def test_recurrence_in_y_near_minus_one(self, a):
+        # y = 1 + x from 1e-12 to 2: the zeros of a large-a polynomial sit
+        # within ~(4n + 2b + 2)/a of x = -1, where x itself would round y
+        ys = np.geomspace(1e-12, 2.0, 25)
+        for b in (0.0, 2.5, 20.0):
+            for n in (1, 2, 3, 6, 10):
+                got = _jacobi_y(n, a, b, ys)
+                for y, value in zip(ys, got):
+                    reference = float(mp.jacobi(n, a, b, mp.mpf(float(y)) - 1))
+                    assert value == pytest.approx(reference, rel=1e-12), (n, b, y)
 
 
 class TestGaussLegendre:

@@ -15,9 +15,9 @@ from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
                            gauss_legendre, jacobi, ln_gamma,
                            normalization_closed_form, normalization_quadrature,
                            radial_wavefunction, total_wavefunction, wavefun)
+from manning_rosen.specfun import _jacobi_y
 from manning_rosen.wavefun import (_H_FIRST, _HALVINGS, _U_MAX, _U_MIN, _count_nodes,
-                                   _exp_sinh_integral, _exp_sinh_level,
-                                   _node_scan_abscissae, _node_scan_offsets,
+                                   _exp_sinh_integral, _exp_sinh_level, _node_scan_offsets,
                                    _norm_integral_quadrature)
 
 
@@ -67,6 +67,19 @@ class TestNormalization:
         closed = normalization_closed_form(entry, params.b)
         quad = normalization_quadrature(params, entry)
         assert abs(closed - quad) / quad < 1e-8
+
+    def test_quadrature_matches_closed_form_up_to_eps_1e10(self):
+        # seeded: n in 1..10, eps log-uniform in [1e5, 1e10], eta in [-1/2, 10];
+        # the nodes sit at 1 - z < 1e-3, where x = 1 - 2z would round 1 + x
+        rng = random.Random(19)
+        params = PotentialParams(A=1.0, alpha=0.0, b=1.0)
+        for _ in range(500):
+            n = rng.randint(1, 10)
+            eps = math.exp(rng.uniform(math.log(1e5), math.log(1e10)))
+            entry = synthetic_entry(eps, rng.uniform(-0.5, 10.0), n=n)
+            closed = normalization_closed_form(entry, params.b)
+            quad = normalization_quadrature(params, entry)
+            assert abs(quad / closed - 1.0) <= 1e-10, (n, eps, entry.eta)
 
     def test_screening_scale_of_norm_constant(self):
         entry = synthetic_entry(2.3, 0.7)
@@ -171,12 +184,11 @@ def exp_sinh_rebuilt(fn, rel_tol):
 
 
 def count_nodes_rebuilt(eps, eta, n):
-    """Sign changes of the Jacobi factor on a scan window rebuilt per call."""
+    """Sign changes of the Jacobi factor on a y = 1 + x scan rebuilt per call."""
     a, b = 2.0 * eps, 2.0 * eta + 1.0
-    width = 4.0 * (4.0 * n + 2.0 * b + 2.0) / a
-    theta = np.linspace(0.0, math.pi, 4003)[1:-1]
-    x = np.cos(theta) if width >= 2.0 else width * np.sin(0.5 * theta) ** 2 - 1.0
-    signs = np.sign(jacobi(n, a, b, x))
+    width = min(2.0, 4.0 * (4.0 * n + 2.0 * b + 2.0) / a)
+    y = width * np.sin(0.5 * np.linspace(0.0, math.pi, 4003)[1:-1]) ** 2
+    signs = np.sign(_jacobi_y(n, a, b, y))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -215,13 +227,12 @@ class TestCachedNodeSets:
 
     def test_scan_grid_is_the_interior_of_4003_uniform_angles(self):
         theta = np.linspace(0.0, math.pi, 4003)[1:-1]
-        assert np.array_equal(_node_scan_abscissae(), np.cos(theta))
+        assert np.array_equal(_node_scan_offsets(), np.sin(0.5 * theta) ** 2)
 
     def test_cached_arrays_are_built_once_and_read_only(self):
-        assert _node_scan_abscissae() is _node_scan_abscissae()
         assert _node_scan_offsets() is _node_scan_offsets()
         assert _exp_sinh_level(3) is _exp_sinh_level(3)
-        arrays = [_node_scan_abscissae(), _node_scan_offsets()]
+        arrays = [_node_scan_offsets()]
         arrays += [array for level in range(_HALVINGS + 1) for array in _exp_sinh_level(level)]
         for array in arrays:
             with pytest.raises(ValueError):
