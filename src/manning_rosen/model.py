@@ -105,6 +105,20 @@ def _as_positive_radius(r):
     return arr
 
 
+def _geometric(lo: float, hi: float, num: int) -> np.ndarray:
+    """np.geomspace(lo, hi, num) for lo, hi > 0 and num >= 1, bit for bit.
+
+    The same arithmetic, 10 ** linspace(log10 lo, log10 hi, num) with the
+    ends pinned to lo and hi, without geomspace's argument handling, which
+    costs more than the arithmetic on the grids used here.
+    """
+    points = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), num))
+    points[0] = lo
+    if num > 1:
+        points[-1] = hi
+    return points
+
+
 def _maybe_scalar(value, template):
     if np.isscalar(template) or getattr(template, "ndim", 1) == 0:
         return float(value)

@@ -66,7 +66,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError
-from .model import CentrifugalMode, PotentialParams, QuantumState, effective_potential
+from .model import (CentrifugalMode, PotentialParams, QuantumState, _geometric,
+                    effective_potential)
 from .spectrum import bound_states, epsilon_parameter, shape_parameter
 from .spectrum import energy as _closed_energy
 
@@ -141,7 +142,7 @@ class LogRadialGrid:
         return math.log(self.r_max / self.r_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.geomspace(self.r_min, self.r_max, self.n_points)
+        return _geometric(self.r_min, self.r_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -218,7 +219,8 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
 
     Built on the interior nodes; eigenvalues are kappa * E.  Also returns
     kappa V_eff on those nodes, which depends only on A, alpha and b: it is
-    V_eff in the units where kappa = 1, so no factor 1/kappa can overflow.
+    V_eff in the units where kappa = 1, so no factor 1/kappa can overflow;
+    and the nodes themselves, for the deferred correction.
     """
     r = grid.points()[1:-1]
     h = grid.spacing
@@ -235,7 +237,7 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     if not np.all(np.isfinite(diag)):
         raise DomainError(f"kappa V_eff is not a finite float on grid {grid} for {params}")
     off = -1.0 / (h * h * r[:-1] * r[1:])
-    return diag, off, v_scaled
+    return diag, off, v_scaled, r
 
 
 def _eigenvector_nodes(vec: np.ndarray) -> int:
@@ -335,7 +337,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     if grid is None:
         grid = default_grid(params, D, l, k)
     started = time.perf_counter()
-    diag, off, v_scaled = _tridiagonal(params, D, l, mode, grid)
+    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
     values, vectors, window, widened = _bound_levels(params, D, l, k, diag, off, v_scaled)
     solved = time.perf_counter()
@@ -352,7 +354,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     energies = tuple(float(v) / kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
 
-    delta = _deferred_correction(grid.points()[1:-1], grid.spacing, v_scaled, values, vectors)
+    delta = _deferred_correction(r, grid.spacing, v_scaled, values, vectors)
     refined = tuple(float(v) / kappa for v in values + delta)
     if not all(map(math.isfinite, energies + refined)):
         raise DomainError(f"oracle energies kappa E / kappa are not finite floats for {params}")
@@ -399,20 +401,27 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     ``solve_radial`` raises, and :class:`ConvergenceError` for any other
     level that a solve lacks.
     """
-    closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
-    k = max(ns) + 1
+    closed = {n: _closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns}
+    audits = _audit_levels(params, D, l, closed, modes, grid)
+    return [audits[n] for n in ns]
+
+
+def _audit_levels(params: PotentialParams, D: int, l: int, closed: dict[int, float],
+                  modes, grid: LogRadialGrid | None) -> dict[int, AuditResult]:
+    """``audit_channel`` for the levels n of ``closed``, given their closed-form energies."""
+    k = max(closed) + 1
     grid = default_grid(params, D, l, k) if grid is None else grid
     solves = {mode: solve_radial(params, D, l, mode=mode, grid=grid, k=k) for mode in modes}
     approx = solves.get(CentrifugalMode.APPROXIMATED)
     held = len(approx.refined) if approx is not None else 0
-    audits = []
-    for n, e_closed in zip(ns, closed):
+    audits = {}
+    for n, e_closed in closed.items():
         found = {mode: None if mode is CentrifugalMode.EXACT and len(result.refined) <= n < held
                  else result.best(n) for mode, result in solves.items()}
         e_exact, e_approx = map(found.get, (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED))
-        audits.append(AuditResult(e_closed=e_closed, e_exact=e_exact, e_approx=e_approx,
-                                  rel_errors=tuple(None if e is None else abs(e_closed - e) / abs(e)
-                                                   for e in (e_approx, e_exact))))
+        audits[n] = AuditResult(e_closed=e_closed, e_exact=e_exact, e_approx=e_approx,
+                                rel_errors=tuple(None if e is None else abs(e_closed - e) / abs(e)
+                                                 for e in (e_approx, e_exact)))
     return audits
 
 

@@ -59,6 +59,9 @@ def _jacobi_y(n: int, a: float, b: float, y: np.ndarray) -> np.ndarray:
 
     Its factor c2 + c3 x is c3 y - d, d = (2k+s-1) (2s (b+2k-1) + 4k (k-1)),
     s = a + b: a sum of positive terms, so nothing cancels near x = -1.
+    Each step ((c3 y - d) p - c4 p_prev) / c1 allocates one array, c3 y, and
+    does the rest in place, in the same order, so it rounds as the one
+    expression does; ``y`` is never written, and may be read-only.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
@@ -72,7 +75,13 @@ def _jacobi_y(n: int, a: float, b: float, y: np.ndarray) -> np.ndarray:
         c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
         d = (2.0 * k + apb - 1.0) * (2.0 * apb * (b + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0))
         c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + apb)
-        p, p_prev = ((c3 * y - d) * p - c4 * p_prev) / c1, p
+        step = c3 * y
+        step -= d
+        step *= p
+        p_prev *= c4  # P_{k-2} is not needed after this step
+        step -= p_prev
+        step /= c1
+        p, p_prev = step, p
     return p
 
 

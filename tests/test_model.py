@@ -1,6 +1,7 @@
 """Potential geometry against independent numerical oracles."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.optimize import minimize_scalar
 from manning_rosen import (CentrifugalMode, DomainError, NoMinimumError,
                            PotentialParams, QuantumState, effective_potential,
                            potential_curvature, potential_minimum, potential_value)
-from manning_rosen.model import potential_value_rational
+from manning_rosen.model import _geometric, potential_value_rational
 
 
 def hulthen_direct(v0, b, r):
@@ -251,3 +252,22 @@ class TestParams:
         with pytest.raises(DomainError):
             QuantumState(n=0, l=0, D=1)
         assert QuantumState(n=0, l=2, D=4).q == 6
+
+
+def geometric_draws():
+    """Seeded (lo, hi, num): both ends log-uniform in [1e-300, 1e300], num 1, 2 or up to 5000."""
+    rng = random.Random(20)
+    draws = [(1e-300, 1e300, 1), (1e-300, 1e300, 2), (1e-300, 1e300, 4001), (4e-3, 48.96, 1001)]
+    for _ in range(2000):
+        lo, hi = (10.0 ** rng.uniform(-300.0, 300.0) for _ in range(2))
+        draws.append((lo, hi, rng.choice([1, 2, 3, rng.randint(1, 5000)])))
+    return draws
+
+
+class TestGeometric:
+    def test_matches_geomspace_bit_for_bit(self):
+        for lo, hi, num in geometric_draws():
+            expected = np.geomspace(lo, hi, num)
+            got = _geometric(lo, hi, num)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), \
+                (lo, hi, num)

@@ -44,7 +44,7 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
 
 def index_range_solve(params, D, l, mode, grid, k):
     """Lowest k eigenpairs bisected by index over the whole spectrum, with kappa V_eff."""
-    diag, off, v_scaled = _tridiagonal(params, D, l, mode, grid)
+    diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid)
     values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
                                        lapack_driver="stebz", tol=_BISECTION_TOL)
     return values, vectors, v_scaled
@@ -217,7 +217,7 @@ class TestSolveRadial:
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         grid = default_grid(params, 3, 1, k=6)
         result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=6)
-        diag, off, _ = _tridiagonal(params, 3, 1, CentrifugalMode.APPROXIMATED, grid)
+        diag, off, _, _ = _tridiagonal(params, 3, 1, CentrifugalMode.APPROXIMATED, grid)
         rng = random.Random(7)
         eigs = result.eigenvalues
         for _ in range(5):
@@ -285,7 +285,7 @@ class TestSolveRadial:
     def test_widened_window_matches_index_range(self):
         params, D, l, mode = WIDENED
         result = solve_radial(params, D, l, mode, k=1)
-        diag, off, _ = _tridiagonal(params, D, l, mode, result.grid)
+        diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid)
         assert sturm_count(diag, off, _window_top(params, D, l, 1)) == 0
         values, _, _ = index_range_solve(params, D, l, mode, result.grid, 1)
         assert result.eigenvalues == pytest.approx([values[0] / params.kappa], rel=1e-15)

@@ -122,6 +122,52 @@ class TestJacobi:
                     assert value == pytest.approx(reference, rel=1e-12), (n, b, y)
 
 
+def jacobi_y_one_expression(n, a, b, y):
+    """The y-recurrence with each step written as one expression: the bitwise reference."""
+    p = np.ones_like(y)
+    if n == 0:
+        return p
+    apb = a + b
+    p_prev, p = p, 0.5 * (apb + 2.0) * y - (b + 1.0)
+    for k in range(2, n + 1):
+        c1 = 2.0 * k * (k + apb) * (2.0 * k + apb - 2.0)
+        c3 = (2.0 * k + apb - 2.0) * (2.0 * k + apb - 1.0) * (2.0 * k + apb)
+        d = (2.0 * k + apb - 1.0) * (2.0 * apb * (b + 2.0 * k - 1.0) + 4.0 * k * (k - 1.0))
+        c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + apb)
+        p, p_prev = ((c3 * y - d) * p - c4 * p_prev) / c1, p
+    return p
+
+
+class TestJacobiInPlace:
+    """The in-place steps of _jacobi_y round exactly as the one-expression recurrence."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_one_expression_recurrence_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(0, 13))
+            a = float(10.0 ** rng.uniform(-1.0, 10.0))
+            b = float(rng.uniform(0.0, 41.0))
+            y = 2.0 * rng.random(int(rng.integers(1, 4002)))
+            assert _jacobi_y(n, a, b, y).tobytes() == jacobi_y_one_expression(n, a, b, y).tobytes()
+
+    def test_scalar_and_zero_dimensional_inputs(self):
+        for y in (0.3, np.float64(1.7), np.array(1e-9)):
+            for n in (0, 1, 2, 7):
+                got = _jacobi_y(n, 1e3, 2.5, y)
+                assert float(got) == float(jacobi_y_one_expression(n, 1e3, 2.5, y))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8])
+    def test_never_writes_its_input(self, n):
+        y = np.linspace(1e-6, 2.0, 1001)
+        before = y.copy()
+        _jacobi_y(n, 40.0, 3.0, y)
+        assert np.array_equal(y, before)
+        y.setflags(write=False)
+        assert np.array_equal(_jacobi_y(n, 40.0, 3.0, y), jacobi_y_one_expression(n, 40.0, 3.0, y))
+        assert np.array_equal(y, before)
+
+
 class TestGaussLegendre:
     def test_order_one_midpoint(self):
         rule = gauss_legendre(1)

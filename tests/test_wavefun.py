@@ -1,6 +1,7 @@
 """Radial wavefunctions, normalization cross-checks, angular factors."""
 
 import cmath
+import functools
 import math
 import random
 import sys
@@ -16,8 +17,9 @@ from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
                            normalization_closed_form, normalization_quadrature,
                            radial_wavefunction, total_wavefunction, wavefun)
 from manning_rosen.specfun import _jacobi_y
-from manning_rosen.wavefun import (_H_FIRST, _HALVINGS, _U_MAX, _U_MIN, _count_nodes,
-                                   _exp_sinh_integral, _exp_sinh_level, _node_scan_offsets,
+from manning_rosen.wavefun import (_BLOCK_LEVELS, _H_FIRST, _HALVINGS, _U_MAX, _U_MIN,
+                                   _count_nodes, _exp_sinh_block, _exp_sinh_integral,
+                                   _exp_sinh_level, _node_scan_offsets,
                                    _norm_integral_quadrature)
 
 
@@ -164,8 +166,11 @@ class TestNormalization:
         assert abs(expected[1] - expected[0]) > 1e-10 * abs(expected[1])
 
 
-def exp_sinh_rebuilt(fn, rel_tol):
-    """The exp-sinh ladder with every level's nodes and weights rebuilt per call."""
+def exp_sinh_rebuilt(fn, rel_tol, stops=None):
+    """The exp-sinh ladder with every level's nodes and weights rebuilt per call.
+
+    Evaluates ``fn`` once per level, and appends the level it stops at to ``stops``.
+    """
     def node_sum(u):
         t = np.exp(0.5 * math.pi * np.sinh(u))
         return 0.5 * math.pi * float(np.dot(fn(t), t * np.cosh(u)))
@@ -174,11 +179,13 @@ def exp_sinh_rebuilt(fn, rel_tol):
     n_steps = round((_U_MAX - _U_MIN) / h)
     total = node_sum(_U_MIN + h * np.arange(n_steps + 1))
     estimates = [h * total]
-    for _ in range(_HALVINGS):
+    for level in range(1, _HALVINGS + 1):
         h, n_steps = 0.5 * h, 2 * n_steps
         total += node_sum(_U_MIN + h * np.arange(1, n_steps, 2))
         estimates.append(h * total)
         if abs(estimates[-1] - estimates[-2]) <= rel_tol * abs(estimates[-1]):
+            if stops is not None:
+                stops.append(level)
             return estimates[-1]
     raise ConvergenceError("no convergence", estimates=tuple(estimates[-2:]))
 
@@ -211,6 +218,35 @@ class TestCachedNodeSets:
         monkeypatch.setattr(wavefun, "_exp_sinh_integral", exp_sinh_rebuilt)
         assert _norm_integral_quadrature(n, eps, eta) == cached
 
+    @pytest.mark.parametrize("n, eps, eta, level", [
+        (0, 1.0, 0.5, 1), (0, 0.5, 0.0, 1), (3, 2.0, 1.0, 2), (2, 0.05, 0.5, 2),
+        (3, 400.0, 2.0, 3), (0, 4e5, 9.0, 3), (8, 3e6, 20.0, 4), (5, 1e-3, 20.0, 4)])
+    def test_quadrature_stopping_at_each_level_matches_the_ladder_rebuilt_per_call(
+            self, n, eps, eta, level, monkeypatch):
+        # levels 0-2 come from one call on the block, later levels one call each
+        cached = _norm_integral_quadrature(n, eps, eta)
+        stops = []
+        monkeypatch.setattr(wavefun, "_exp_sinh_integral",
+                            functools.partial(exp_sinh_rebuilt, stops=stops))
+        assert _norm_integral_quadrature(n, eps, eta) == cached
+        assert stops == [level]
+
+    @pytest.mark.parametrize("fn, level, calls", [
+        (lambda t: np.exp(-100.0 * t), 1, [225]),
+        (lambda t: np.exp(-t * t), 2, [225]),
+        (lambda t: np.exp(-t / 50.0), 3, [225, 224])])
+    def test_levels_0_to_2_are_evaluated_in_one_call(self, fn, level, calls):
+        sizes = []
+
+        def counted(t):
+            sizes.append(len(t))
+            return fn(t)
+
+        stops = []
+        assert _exp_sinh_integral(counted, 1e-10) == exp_sinh_rebuilt(fn, 1e-10, stops)
+        assert stops == [level]
+        assert sizes == calls
+
     def test_convergence_failure_estimates_match_a_ladder_rebuilt_per_call(self):
         def step(t):
             return np.where(t < 2.0, 1.0, 0.0)
@@ -229,10 +265,18 @@ class TestCachedNodeSets:
         theta = np.linspace(0.0, math.pi, 4003)[1:-1]
         assert np.array_equal(_node_scan_offsets(), np.sin(0.5 * theta) ** 2)
 
+    def test_block_holds_levels_0_to_2_end_to_end(self):
+        block, parts = _exp_sinh_block()
+        assert len(block) == 57 + 56 + 112
+        assert [(part.start, part.stop) for part in parts] == [(0, 57), (57, 113), (113, 225)]
+        for level, part in zip(range(_BLOCK_LEVELS), parts, strict=True):
+            assert np.array_equal(block[part], _exp_sinh_level(level)[0])
+
     def test_cached_arrays_are_built_once_and_read_only(self):
         assert _node_scan_offsets() is _node_scan_offsets()
         assert _exp_sinh_level(3) is _exp_sinh_level(3)
-        arrays = [_node_scan_offsets()]
+        assert _exp_sinh_block() is _exp_sinh_block()
+        arrays = [_node_scan_offsets(), _exp_sinh_block()[0]]
         arrays += [array for level in range(_HALVINGS + 1) for array in _exp_sinh_level(level)]
         for array in arrays:
             with pytest.raises(ValueError):
