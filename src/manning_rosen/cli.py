@@ -399,7 +399,7 @@ def _cmd_wavefunction(args, precision) -> Report:
 
 def _cmd_oracle(args, precision) -> Report:
     # SciPy loads here, not at startup
-    from .oracle import LogRadialGrid, _audit_levels, _grid_origin
+    from .oracle import LogRadialGrid, _grid_origin, audit_channel
 
     params, dim = _resolve_params(args)
     states = [QuantumState(n=n, l=l, D=dim) for n, l in _resolve_states(args)]
@@ -416,21 +416,18 @@ def _cmd_oracle(args, precision) -> Report:
     else:
         modes = (CentrifugalMode(args.mode),)
         columns = [args.mode, "rel_err"]
-    closed = {state: _closed_form(params, state) for state in states}
-    bound = [state for state in states if closed[state]["status"] == "bound"]
+    status = {state: _closed_form(params, state)["status"] for state in states}
+    bound = [state for state in states if status[state] == "bound"]
     audits = {}
     for l in dict.fromkeys(state.l for state in bound):  # states come sorted by (l, n)
         group = [state for state in bound if state.l == l]
-        levels = _audit_levels(params, dim, l, {s.n: closed[s]["energy"] for s in group},
-                               modes, grid)
-        audits.update((s, levels[s.n]) for s in group)
+        audits.update(zip(group, audit_channel(params, dim, l, [s.n for s in group], modes, grid)))
     rows = []
     records = []
     for state in states:
         label = state_label(state.n, state.l)
-        status = closed[state]["status"]
-        record = {"label": label, "n": state.n, "l": state.l, "D": dim, "status": status}
-        cells = ["-"] + [status] * len(columns)
+        record = {"label": label, "n": state.n, "l": state.l, "D": dim, "status": status[state]}
+        cells = ["-"] + [status[state]] * len(columns)
         if state in audits:
             audit = audits[state]
             fields = {"closed": audit.e_closed, "exact": audit.e_exact, "approx": audit.e_approx,

@@ -26,7 +26,6 @@ __all__ = [
     "PotentialParams",
     "QuantumState",
     "potential_value",
-    "potential_value_rational",
     "potential_minimum",
     "potential_curvature",
     "effective_potential",
@@ -135,24 +134,6 @@ def potential_value(params: PotentialParams, r):
     w = _screening_ratio(x)
     scale = 1.0 / (params.kappa * params.b * params.b)
     value = -scale * (params.A * w - params.alpha_product * w * w)
-    return _maybe_scalar(value, r)
-
-
-def potential_value_rational(params: PotentialParams, r):
-    """Same potential in its single-fraction form.
-
-    V(r) = -(1/(kappa b^2)) (C u + D u^2)/(1-u)^2 with u = exp(-r/b),
-    C = A and D = -A - alpha(alpha-1).  The numerator is evaluated in the
-    rearrangement u [A(1-u) - alpha(alpha-1)u]; the printed C u + D u^2
-    grouping cancels catastrophically at small r when A dominates.
-    Exposed so the equivalence of the two published forms can be checked.
-    """
-    x = _as_positive_radius(r) / params.b
-    u = np.exp(-x)
-    one_minus = -np.expm1(-x)
-    numerator = u * (params.A * one_minus - params.alpha_product * u)
-    scale = 1.0 / (params.kappa * params.b * params.b)
-    value = -scale * numerator / (one_minus * one_minus)
     return _maybe_scalar(value, r)
 
 

@@ -320,7 +320,9 @@ def solve_radial(params: PotentialParams, D: int, l: int,
 
     ``refined`` adds the deferred correction of ``_deferred_correction``,
     which cancels the O(h^2) stencil error.  A level that it moves by more
-    than 1e-3 relative adds the one resolution warning.
+    than 1e-3 relative adds the one resolution warning; one that it lifts to
+    E >= 0, a level nearer threshold than the grid resolves, raises
+    :class:`ConvergenceError`.
 
     Raises :class:`DomainError` when an energy kappa E / kappa is not a
     finite float (a subnormal kappa), as ``spectrum.energy`` does for the
@@ -358,6 +360,11 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     refined = tuple(float(v) / kappa for v in values + delta)
     if not all(map(math.isfinite, energies + refined)):
         raise DomainError(f"oracle energies kappa E / kappa are not finite floats for {params}")
+    for n, e in enumerate(refined):
+        if e >= 0.0:
+            raise ConvergenceError(
+                f"the deferred correction lifts bound level n = {n} to {e:.3g} >= 0 on "
+                f"grid {grid}: the level lies closer to threshold than the grid resolves")
     warnings: list[str] = []
     if refined:
         gap = max(abs(x - e) / abs(x) for x, e in zip(refined, energies))
@@ -399,29 +406,24 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
     form is unbound or undefined, before any solve; then what
     ``solve_radial`` raises, and :class:`ConvergenceError` for any other
-    level that a solve lacks.
+    level that a solve lacks.  The closed-form energies come from
+    ``spectrum.energy``, one call per n; the CLI's ``oracle`` command calls
+    this once per l group of the states it is given.
     """
-    closed = {n: _closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns}
-    audits = _audit_levels(params, D, l, closed, modes, grid)
-    return [audits[n] for n in ns]
-
-
-def _audit_levels(params: PotentialParams, D: int, l: int, closed: dict[int, float],
-                  modes, grid: LogRadialGrid | None) -> dict[int, AuditResult]:
-    """``audit_channel`` for the levels n of ``closed``, given their closed-form energies."""
-    k = max(closed) + 1
+    closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
+    k = max(ns) + 1
     grid = default_grid(params, D, l, k) if grid is None else grid
     solves = {mode: solve_radial(params, D, l, mode=mode, grid=grid, k=k) for mode in modes}
     approx = solves.get(CentrifugalMode.APPROXIMATED)
     held = len(approx.refined) if approx is not None else 0
-    audits = {}
-    for n, e_closed in closed.items():
+    audits = []
+    for n, e_closed in zip(ns, closed):
         found = {mode: None if mode is CentrifugalMode.EXACT and len(result.refined) <= n < held
                  else result.best(n) for mode, result in solves.items()}
         e_exact, e_approx = map(found.get, (CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED))
-        audits[n] = AuditResult(e_closed=e_closed, e_exact=e_exact, e_approx=e_approx,
-                                rel_errors=tuple(None if e is None else abs(e_closed - e) / abs(e)
-                                                 for e in (e_approx, e_exact)))
+        audits.append(AuditResult(e_closed=e_closed, e_exact=e_exact, e_approx=e_approx,
+                                  rel_errors=tuple(None if e is None else abs(e_closed - e) / abs(e)
+                                                   for e in (e_approx, e_exact))))
     return audits
 
 

@@ -13,12 +13,11 @@ in log space; eps can run well past 25, where naive Gamma arithmetic
 overflows) and exp-sinh quadrature of the norm integral (Takahasi & Mori,
 Publ. RIMS 9 (1974) 721).
 
-The arrays that depend on no state, the one node-count scan array, the
-nodes and weights of each exp-sinh level and the nodes of levels 0-2 end to
-end in one block, are built once per process on first use and are
-read-only, like the cached Gauss-Legendre rules.  Most norm integrals stop
-at level 2, so the integrand is evaluated once on that block, not once per
-level.
+The arrays that depend on no state, the node-count scan array and one
+table of the nodes and weights of every exp-sinh level end to end, are built
+at import and are read-only.  Most norm integrals stop at level 2, so the
+integrand is evaluated once on the head of that table, levels 0-2, not once
+per level.
 """
 
 import cmath
@@ -26,7 +25,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -99,15 +97,13 @@ class RadialSolution:
         z_peak = eps / (eps + 1.0 + self.entry.eta)
         return -self.b * math.log(z_peak) + self.b * (12.0 * math.log(10.0) + 5.0) / eps
 
-    def sample(self, n_samples: int, r_min: float | None = None,
-               r_max: float | None = None) -> np.ndarray:
-        """Columns (r, z, g, |g|^2) on a geometric radial grid."""
+    def sample(self, n_samples: int, r_min: float | None = None) -> np.ndarray:
+        """Columns (r, z, g, |g|^2) on a geometric radial grid up to ``decay_cutoff()``."""
         if n_samples < 1:
             raise DomainError(f"need at least one sample, got {n_samples}")
-        cutoff = self.decay_cutoff()
+        hi = self.decay_cutoff()
         # from 1e-4 b, or from 1e-2 of the cutoff for states tighter than that
-        lo = min(1e-4 * self.b, 1e-2 * cutoff) if r_min is None else r_min
-        hi = cutoff if r_max is None else r_max
+        lo = min(1e-4 * self.b, 1e-2 * hi) if r_min is None else r_min
         if not (0.0 < lo < hi):
             raise DomainError(f"bad sampling range [{lo}, {hi}]")
         r = _geometric(lo, hi, n_samples)
@@ -115,15 +111,9 @@ class RadialSolution:
         return np.column_stack([r, np.exp(-r / self.b), g, g * g])
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
-@lru_cache(maxsize=None)
-def _node_scan_offsets() -> np.ndarray:
-    """sin^2(theta/2) at 4001 theta uniform inside (0, pi); built once, read-only."""
-    return _read_only(np.sin(0.5 * np.linspace(0.0, math.pi, 4003)[1:-1]) ** 2)
+# sin^2(theta/2) at 4001 theta uniform inside (0, pi), read-only
+_NODE_SCAN_OFFSETS = np.sin(0.5 * np.linspace(0.0, math.pi, 4003)[1:-1]) ** 2
+_NODE_SCAN_OFFSETS.setflags(write=False)
 
 
 def _count_nodes(eps: float, eta: float, n: int) -> int:
@@ -137,14 +127,14 @@ def _count_nodes(eps: float, eta: float, n: int) -> int:
     y = 1 + x, w = min(2, 4 (4n + 2b + 2)/a), twice that reach, at
     y = w sin^2(theta/2) for 4001 theta uniform in (0, pi); this packs points
     towards both ends of the window, where the zeros cluster.  The array over
-    theta depends on nothing else, so it is built once per process and
+    theta depends on nothing else, so it is built once, at import, and
     shared read-only.
     """
     if n == 0:  # P_0 = 1
         return 0
     a, b = 2.0 * eps, 2.0 * eta + 1.0
     width = min(2.0, 4.0 * (4.0 * n + 2.0 * b + 2.0) / a)
-    signs = np.sign(_jacobi_y(n, a, b, width * _node_scan_offsets()))
+    signs = np.sign(_jacobi_y(n, a, b, width * _NODE_SCAN_OFFSETS))
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -214,56 +204,57 @@ def normalization_closed_form(entry: SpectrumEntry, b: float) -> float:
 
 
 # exp-sinh rule on u in [_U_MIN, _U_MAX] (t from 2e-19 to 7e6), first step
-# _H_FIRST, halved at most _HALVINGS times; levels below _BLOCK_LEVELS are
-# evaluated in one call
-_U_MIN, _U_MAX, _H_FIRST, _HALVINGS, _BLOCK_LEVELS = -4.0, 3.0, 0.125, 8, 3
+# _H_FIRST, halved at most _HALVINGS times until two levels agree to _REL_TOL;
+# levels below _HEAD_LEVELS are evaluated in one call
+_U_MIN, _U_MAX, _H_FIRST, _HALVINGS, _HEAD_LEVELS = -4.0, 3.0, 0.125, 8, 3
+_REL_TOL = 1e-10
 
 
-@lru_cache(maxsize=None)
-def _exp_sinh_level(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t = exp(pi/2 sinh u) and weights t cosh u of one level, read-only.
+def _exp_sinh_table() -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
+    """Nodes t = exp(pi/2 sinh u) and weights t cosh u of every level end to end.
 
     Level 0 is u = _U_MIN + h k, k = 0..n_steps, at h = _H_FIRST; level
     m > 0 holds the odd k at h = _H_FIRST / 2^m, the midpoints it adds.
+    Each level is computed on its own, then concatenated; returns the
+    read-only nodes and weights and each level's slice of them.
     """
-    h = _H_FIRST / 2 ** level
-    n_steps = round((_U_MAX - _U_MIN) / _H_FIRST) * 2 ** level
-    u = _U_MIN + h * (np.arange(1, n_steps, 2) if level else np.arange(n_steps + 1))
-    t = np.exp(0.5 * math.pi * np.sinh(u))
-    return _read_only(t), _read_only(t * np.cosh(u))
-
-
-@lru_cache(maxsize=None)
-def _exp_sinh_block() -> tuple[np.ndarray, tuple[slice, ...]]:
-    """Nodes of levels 0.._BLOCK_LEVELS - 1 end to end, read-only, and each level's slice.
-
-    57 + 56 + 112 = 225 nodes, copied from ``_exp_sinh_level``.
-    """
-    nodes = [_exp_sinh_level(level)[0] for level in range(_BLOCK_LEVELS)]
+    nodes, weights = [], []
+    for level in range(_HALVINGS + 1):
+        h = _H_FIRST / 2 ** level
+        n_steps = round((_U_MAX - _U_MIN) / _H_FIRST) * 2 ** level
+        u = _U_MIN + h * (np.arange(1, n_steps, 2) if level else np.arange(n_steps + 1))
+        nodes.append(np.exp(0.5 * math.pi * np.sinh(u)))
+        weights.append(nodes[-1] * np.cosh(u))
     ends = [0, *itertools.accumulate(map(len, nodes))]
-    return _read_only(np.concatenate(nodes)), tuple(map(slice, ends, ends[1:]))
+    table = np.concatenate(nodes), np.concatenate(weights)
+    for array in table:
+        array.setflags(write=False)
+    return *table, tuple(map(slice, ends, ends[1:]))
 
 
-def _exp_sinh_integral(fn, rel_tol: float) -> float:
+_EXP_SINH_NODES, _EXP_SINH_WEIGHTS, _EXP_SINH_LEVELS = _exp_sinh_table()
+
+
+def _exp_sinh_integral(fn) -> float:
     """int_0^inf fn(t) dt by the exp-sinh trapezoid rule t = exp(pi/2 sinh u).
 
     The substitution gives the integrand double-exponential decay in u at
     both ends, where the trapezoid rule converges exponentially fast as h
     falls (Takahasi & Mori 1974; DLMF 3.5).  Each halving of h adds only the
-    midpoints; stops when two levels agree to ``rel_tol``.  The nodes and
-    weights of each level do not depend on ``fn``: they are built once per
-    process and passed to ``fn`` read-only.  Most norm integrals stop at
-    level 1 or 2, so ``fn`` is called once on the 225 nodes of levels 0-2
-    together, and each of those levels sums its own slice, in the same order
-    with the same weights; levels 3 and up are evaluated one at a time.
+    midpoints; stops when two levels agree to ``_REL_TOL``.  The nodes and
+    weights of each level do not depend on ``fn``: they are slices of the
+    table built at import and are passed to ``fn`` read-only.  Most norm
+    integrals stop at level 1 or 2, so ``fn`` is called once on the 225
+    nodes of levels 0-2, the head of the table, and each of those levels
+    sums its own slice, in the same order with the same weights; levels 3
+    and up are evaluated one at a time.
     """
-    block, parts = _exp_sinh_block()
-    block_values = fn(block)
+    head_values = fn(_EXP_SINH_NODES[:_EXP_SINH_LEVELS[_HEAD_LEVELS - 1].stop])
 
     def node_sum(level):
-        t, weights = _exp_sinh_level(level)
-        values = block_values[parts[level]] if level < _BLOCK_LEVELS else fn(t)
-        return 0.5 * math.pi * float(np.dot(values, weights))
+        part = _EXP_SINH_LEVELS[level]
+        values = head_values[part] if level < _HEAD_LEVELS else fn(_EXP_SINH_NODES[part])
+        return 0.5 * math.pi * float(np.dot(values, _EXP_SINH_WEIGHTS[part]))
 
     h = _H_FIRST
     total = node_sum(0)
@@ -272,9 +263,9 @@ def _exp_sinh_integral(fn, rel_tol: float) -> float:
         h *= 0.5
         total += node_sum(level)
         estimates.append(h * total)
-        if abs(estimates[-1] - estimates[-2]) <= rel_tol * abs(estimates[-1]):
+        if abs(estimates[-1] - estimates[-2]) <= _REL_TOL * abs(estimates[-1]):
             return estimates[-1]
-    raise ConvergenceError(f"norm integral did not converge to {rel_tol:g} by step {h:g}",
+    raise ConvergenceError(f"norm integral did not converge to {_REL_TOL:g} by step {h:g}",
                            estimates=tuple(estimates[-2:]))
 
 
@@ -295,7 +286,7 @@ def _norm_integral_quadrature(n: int, eps: float, eta: float) -> tuple[float, fl
     """
     ln_peak = -eps * math.log1p((1.0 + eta) / eps) - (1.0 + eta) * math.log1p(eps / (1.0 + eta))
     c = ln_peak if ln_peak < _LN_PEAK_MIN else 0.0
-    return _exp_sinh_integral(lambda t: _g_bare(t / eps, eps, eta, n, c) ** 2, 1e-10) / eps, c
+    return _exp_sinh_integral(lambda t: _g_bare(t / eps, eps, eta, n, c) ** 2) / eps, c
 
 
 def normalization_quadrature(params: PotentialParams, entry: SpectrumEntry) -> float:

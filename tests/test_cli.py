@@ -362,6 +362,16 @@ class TestOracleCommand:
             "solver failure: oracle found only 0 bound levels in exact mode")
         assert captured.out == ""
 
+    def test_level_lifted_to_threshold_by_the_correction_exits_4(self, capsys):
+        # the closed-form 1s level is -7.8e-19; the oracle must not print it as 0
+        rc = main(["oracle", "--A", "1.0000001", "--b", "40", "--alpha", "0", "--dim", "3",
+                   "--states", "1s", "--mode", "both"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "solver failure: the deferred correction lifts bound level n = 0 to ")
+        assert captured.out == ""
+
     def test_incomplete_grid_override_exits_2(self):
         rc = main(["oracle", "--b", "40", "--A", "80", "--alpha", "0", "--dim", "3",
                    "--states", "1s", "--mode", "approx", "--r-max", "100"])

@@ -12,11 +12,27 @@ from scipy.optimize import minimize_scalar
 from manning_rosen import (CentrifugalMode, DomainError, NoMinimumError,
                            PotentialParams, QuantumState, effective_potential,
                            potential_curvature, potential_minimum, potential_value)
-from manning_rosen.model import _geometric, potential_value_rational
+from manning_rosen.model import _geometric
 
 
 def hulthen_direct(v0, b, r):
     return -v0 * math.exp(-r / b) / (1.0 - math.exp(-r / b))
+
+
+def potential_value_rational(params, r):
+    """V(r) in its single-fraction form, the second of the two published forms.
+
+    V(r) = -(1/(kappa b^2)) (C u + D u^2)/(1-u)^2 with u = exp(-r/b),
+    C = A and D = -A - alpha(alpha-1).  The numerator is evaluated in the
+    rearrangement u [A(1-u) - alpha(alpha-1)u]; the printed C u + D u^2
+    grouping cancels catastrophically at small r when A dominates.
+    """
+    x = r / params.b
+    u = np.exp(-x)
+    one_minus = -np.expm1(-x)
+    numerator = u * (params.A * one_minus - params.alpha_product * u)
+    scale = 1.0 / (params.kappa * params.b * params.b)
+    return -scale * numerator / (one_minus * one_minus)
 
 
 class TestPotentialValue:

@@ -358,6 +358,17 @@ class TestSolveRadial:
         with pytest.raises(ConvergenceError, match="^oracle found only 1 bound levels"):
             result.best(1)
 
+    def test_level_the_correction_lifts_to_threshold_raises(self):
+        # A = 1 + 1e-7 binds 1s of this Hulthen channel by only -7.8e-19; the raw
+        # eigenvalue, -3.7e-16, is off by more than that, and the correction lifts it
+        # to +3.4e-16, which would read as a bound level of positive energy
+        params = PotentialParams(A=1.0000001, alpha=0.0, b=40.0)
+        assert -1e-18 < energy(params, QuantumState(n=0, l=0, D=3)).energy < 0.0
+        with pytest.raises(ConvergenceError,
+                           match=r"^the deferred correction lifts bound level n = 0 to "
+                                 r"\S+ >= 0 on grid LogRadialGrid\(r_min="):
+            solve_radial(params, 3, 0)
+
     def test_rejects_bad_k(self):
         with pytest.raises(DomainError):
             solve_radial(table_params(), 2, 1, k=0)

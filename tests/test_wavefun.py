@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import math
 import random
 import sys
@@ -17,9 +18,9 @@ from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
                            normalization_closed_form, normalization_quadrature,
                            radial_wavefunction, total_wavefunction, wavefun)
 from manning_rosen.specfun import _jacobi_y
-from manning_rosen.wavefun import (_BLOCK_LEVELS, _H_FIRST, _HALVINGS, _U_MAX, _U_MIN,
-                                   _count_nodes, _exp_sinh_block, _exp_sinh_integral,
-                                   _exp_sinh_level, _node_scan_offsets,
+from manning_rosen.wavefun import (_EXP_SINH_LEVELS, _EXP_SINH_NODES, _EXP_SINH_WEIGHTS,
+                                   _H_FIRST, _HALVINGS, _NODE_SCAN_OFFSETS, _U_MAX, _U_MIN,
+                                   _count_nodes, _exp_sinh_integral,
                                    _norm_integral_quadrature)
 
 
@@ -159,17 +160,18 @@ class TestNormalization:
             return h * np.sum(integrand(t) * t * 0.5 * math.pi * np.cosh(u))
 
         with pytest.raises(ConvergenceError) as excinfo:
-            _exp_sinh_integral(integrand, 1e-10)
+            _exp_sinh_integral(integrand)
         h_last = _H_FIRST / 2 ** _HALVINGS
         expected = (trapezoid(2.0 * h_last), trapezoid(h_last))
         assert excinfo.value.estimates == pytest.approx(expected, rel=1e-12)
         assert abs(expected[1] - expected[0]) > 1e-10 * abs(expected[1])
 
 
-def exp_sinh_rebuilt(fn, rel_tol, stops=None):
+def exp_sinh_rebuilt(fn, stops=None):
     """The exp-sinh ladder with every level's nodes and weights rebuilt per call.
 
-    Evaluates ``fn`` once per level, and appends the level it stops at to ``stops``.
+    Evaluates ``fn`` once per level, stops when two levels agree to 1e-10, and
+    appends the level it stops at to ``stops``.
     """
     def node_sum(u):
         t = np.exp(0.5 * math.pi * np.sinh(u))
@@ -183,7 +185,7 @@ def exp_sinh_rebuilt(fn, rel_tol, stops=None):
         h, n_steps = 0.5 * h, 2 * n_steps
         total += node_sum(_U_MIN + h * np.arange(1, n_steps, 2))
         estimates.append(h * total)
-        if abs(estimates[-1] - estimates[-2]) <= rel_tol * abs(estimates[-1]):
+        if abs(estimates[-1] - estimates[-2]) <= 1e-10 * abs(estimates[-1]):
             if stops is not None:
                 stops.append(level)
             return estimates[-1]
@@ -210,7 +212,7 @@ def shape_sweep():
 
 
 class TestCachedNodeSets:
-    """The scan grid and the exp-sinh ladder are built once; results stay bit-identical."""
+    """The scan grid and the exp-sinh table are built at import; results stay bit-identical."""
 
     @pytest.mark.parametrize("n, eps, eta", shape_sweep())
     def test_quadrature_matches_a_ladder_rebuilt_per_call(self, n, eps, eta, monkeypatch):
@@ -223,7 +225,7 @@ class TestCachedNodeSets:
         (3, 400.0, 2.0, 3), (0, 4e5, 9.0, 3), (8, 3e6, 20.0, 4), (5, 1e-3, 20.0, 4)])
     def test_quadrature_stopping_at_each_level_matches_the_ladder_rebuilt_per_call(
             self, n, eps, eta, level, monkeypatch):
-        # levels 0-2 come from one call on the block, later levels one call each
+        # levels 0-2 come from one call on the table's head, later levels one call each
         cached = _norm_integral_quadrature(n, eps, eta)
         stops = []
         monkeypatch.setattr(wavefun, "_exp_sinh_integral",
@@ -239,11 +241,13 @@ class TestCachedNodeSets:
         sizes = []
 
         def counted(t):
+            # a read-only view of the table, not a copy
+            assert np.shares_memory(t, _EXP_SINH_NODES) and not t.flags.writeable
             sizes.append(len(t))
             return fn(t)
 
         stops = []
-        assert _exp_sinh_integral(counted, 1e-10) == exp_sinh_rebuilt(fn, 1e-10, stops)
+        assert _exp_sinh_integral(counted) == exp_sinh_rebuilt(fn, stops)
         assert stops == [level]
         assert sizes == calls
 
@@ -252,9 +256,9 @@ class TestCachedNodeSets:
             return np.where(t < 2.0, 1.0, 0.0)
 
         with pytest.raises(ConvergenceError) as cached:
-            _exp_sinh_integral(step, 1e-10)
+            _exp_sinh_integral(step)
         with pytest.raises(ConvergenceError) as rebuilt:
-            exp_sinh_rebuilt(step, 1e-10)
+            exp_sinh_rebuilt(step)
         assert cached.value.estimates == rebuilt.value.estimates
 
     @pytest.mark.parametrize("n, eps, eta", shape_sweep())
@@ -263,22 +267,24 @@ class TestCachedNodeSets:
 
     def test_scan_grid_is_the_interior_of_4003_uniform_angles(self):
         theta = np.linspace(0.0, math.pi, 4003)[1:-1]
-        assert np.array_equal(_node_scan_offsets(), np.sin(0.5 * theta) ** 2)
+        assert np.array_equal(_NODE_SCAN_OFFSETS, np.sin(0.5 * theta) ** 2)
 
-    def test_block_holds_levels_0_to_2_end_to_end(self):
-        block, parts = _exp_sinh_block()
-        assert len(block) == 57 + 56 + 112
-        assert [(part.start, part.stop) for part in parts] == [(0, 57), (57, 113), (113, 225)]
-        for level, part in zip(range(_BLOCK_LEVELS), parts, strict=True):
-            assert np.array_equal(block[part], _exp_sinh_level(level)[0])
+    def test_table_holds_every_level_end_to_end(self):
+        lengths = [57, 56, *(112 * 2 ** m for m in range(_HALVINGS - 1))]
+        ends = [0, *itertools.accumulate(lengths)]
+        assert [(part.start, part.stop) for part in _EXP_SINH_LEVELS] == list(zip(ends, ends[1:]))
+        assert len(_EXP_SINH_NODES) == len(_EXP_SINH_WEIGHTS) == ends[-1] == 14337
+        # each level is the odd-k midpoints at h = _H_FIRST / 2^m, computed on its own
+        for level, part in enumerate(_EXP_SINH_LEVELS):
+            h = _H_FIRST / 2 ** level
+            n_steps = round((_U_MAX - _U_MIN) / _H_FIRST) * 2 ** level
+            u = _U_MIN + h * (np.arange(1, n_steps, 2) if level else np.arange(n_steps + 1))
+            t = np.exp(0.5 * math.pi * np.sinh(u))
+            assert np.array_equal(_EXP_SINH_NODES[part], t)
+            assert np.array_equal(_EXP_SINH_WEIGHTS[part], t * np.cosh(u))
 
-    def test_cached_arrays_are_built_once_and_read_only(self):
-        assert _node_scan_offsets() is _node_scan_offsets()
-        assert _exp_sinh_level(3) is _exp_sinh_level(3)
-        assert _exp_sinh_block() is _exp_sinh_block()
-        arrays = [_node_scan_offsets(), _exp_sinh_block()[0]]
-        arrays += [array for level in range(_HALVINGS + 1) for array in _exp_sinh_level(level)]
-        for array in arrays:
+    def test_every_table_array_is_read_only(self):
+        for array in (_NODE_SCAN_OFFSETS, _EXP_SINH_NODES, _EXP_SINH_WEIGHTS):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
