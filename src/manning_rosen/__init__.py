@@ -69,14 +69,9 @@ __all__ = [
 ]
 
 
-_ORACLE_NAMES = frozenset({"AuditResult", "LogRadialGrid", "OracleResult",
-                           "approximation_audit", "audit_channel", "default_grid",
-                           "solve_radial"})
-
-
 def __getattr__(name: str):
-    """Serve the oracle's names, importing it (and SciPy) on first use (PEP 562)."""
-    if name not in _ORACLE_NAMES:
+    """Serve the oracle's names of ``__all__``, importing it (and SciPy) on first use (PEP 562)."""
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
 

@@ -19,17 +19,19 @@ second difference in x, symmetrised by w = r u, gives diagonal
 (T_ii + 1/4)/r_i^2 + kappa V_eff(r_i) and off-diagonal -1/(h^2 r_i r_(i+1)).
 The left end is a Robin condition: the ghost node below the first unknown
 holds e^(-nu h) times it, with nu read off the assembled potential at that
-node; the right end is Dirichlet.  The matrix is strongly graded (entries
-near 1e26 at the origin), so bisection runs to a tolerance of a few times
-the smallest normal number: at LAPACK's default, scaled by the largest
-entry, the eigenvalues come out wrong by 1e9 or more.
+node; the right end is Dirichlet.  In s = r / b the equation holds no b, so
+LAPACK solves the matrix at that unit size (``_bound_levels``) for any b.
+It is strongly graded (entries near 1e29 at the origin), so bisection runs
+to a tolerance of a few times the smallest normal number: at LAPACK's
+default, scaled by the largest entry, the eigenvalues come out wrong by 1e9
+or more.
 
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
 
 Bisection works on a value window, not an index range.  Asked for levels
 0..k-1 by index, LAPACK first brackets them by Sturm counts over the whole
-Gershgorin interval, about [-5e20, 1e26] on the graded matrix, and that
+Gershgorin interval, about [-1e24, 1e29] on the graded matrix, and that
 search costs more than bisecting the levels themselves.  The kinetic part
 is positive (a second difference with a Robin ratio <= 1 at one end and
 Dirichlet at the other, plus 1/(4 r^2)), so no eigenvalue lies below
@@ -158,11 +160,7 @@ class OracleResult:
     warnings: tuple[str, ...] = ()
 
     def best(self, index: int) -> float:
-        """Refined energy of level ``index``.
-
-        Raises :class:`ConvergenceError` when the solve holds no level
-        ``index``, that is, fewer than index + 1 bound levels.
-        """
+        """Refined energy of level ``index``; :class:`ConvergenceError` if there is none."""
         if index >= len(self.refined):
             raise ConvergenceError(
                 f"oracle found only {len(self.refined)} bound levels in {self.mode.value} "
@@ -267,9 +265,17 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lower: float, top: float):
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
 
 
-def _bound_levels(params: PotentialParams, D: int, l: int, k: int,
+def _bound_levels(params: PotentialParams, D: int, l: int, k: int, grid: LogRadialGrid,
                   diag: np.ndarray, off: np.ndarray, v_scaled: np.ndarray):
     """Lowest k negative eigenpairs, bisected only inside a value window.
+
+    LAPACK gets the matrix and the window times 4^m, m = round(log2 b) held
+    to |m| <= 511: an exact power of two that leaves them at their size in
+    s = r / b, and the values come back divided by it.  stebz floors each
+    Sturm pivot at tiny * max off^2 of that matrix, its absolute accuracy: a
+    floor over 1e-8 of the window's lower end (judged before the solve) or
+    of the shallowest level found raises :class:`ConvergenceError`
+    (h r_min / b below about 1e-75, which only an explicit grid reaches).
 
     Returns the values, their eigenvectors as columns, the window (lower,
     top] last searched and whether it had to be widened to (lower, 0].
@@ -281,13 +287,26 @@ def _bound_levels(params: PotentialParams, D: int, l: int, k: int,
     top = _window_top(params, D, l, k)
     if not lower < top:
         top = 0.0
-    values, vectors = _eigenpairs(diag, off, lower, top)
+    scale = math.ldexp(1.0, 2 * min(max(round(math.log2(params.b)), -511), 511))
+    diag, off = diag * scale, off * scale
+    off_max = float(np.max(np.abs(off), initial=1.0))
+    floor = np.finfo(float).tiny * off_max * off_max
+
+    def judge(levels, what: str):  # levels at LAPACK's scale, the last the shallowest
+        if len(levels) and not floor <= _MAX_PIVOT_FLOOR * abs(levels[-1]):  # inf fails too
+            raise ConvergenceError(
+                f"bisection resolves kappa E only to {floor / scale:.1e}, over "
+                f"{_MAX_PIVOT_FLOOR:g} of {what} {levels[-1] / scale:.6g}, on grid {grid}: "
+                "raise r_min")
+    judge([lower * scale], "the window's lower end")
+    values, vectors = _eigenpairs(diag, off, lower * scale, top * scale)
     widened = len(values) < k and top < 0.0
     if widened:
-        top = 0.0
-        values, vectors = _eigenpairs(diag, off, lower, top)
+        values, vectors = _eigenpairs(diag, off, lower * scale, 0.0)
     bound = values < 0.0
-    return values[bound][:k], vectors[:, bound][:, :k], (lower, top), widened
+    values, vectors = values[bound][:k], vectors[:, bound][:, :k]
+    judge(values, "level")
+    return values / scale, vectors, (lower, 0.0 if widened else top), widened
 
 
 def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
@@ -326,10 +345,8 @@ def solve_radial(params: PotentialParams, D: int, l: int,
 
     Raises :class:`DomainError` when an energy kappa E / kappa is not a
     finite float (a subnormal kappa), as ``spectrum.energy`` does for the
-    closed form, and :class:`ConvergenceError` when stebz's pivot floor
-    tiny * max off^2, which bounds its accuracy, exceeds 1e-8 of the
-    shallowest level found (h r_min below about 1e-75, which only an
-    explicit grid reaches).
+    closed form, and :class:`ConvergenceError` when bisection cannot
+    resolve the levels (``_bound_levels``).
 
     Each call logs its grid points, r_min and spacing h, window, level count
     and stage timings at DEBUG level on the ``manning_rosen.oracle`` logger.
@@ -341,23 +358,13 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
-    values, vectors, window, widened = _bound_levels(params, D, l, k, diag, off, v_scaled)
+    values, vectors, window, widened = _bound_levels(params, D, l, k, grid, diag, off, v_scaled)
     solved = time.perf_counter()
     k_found = len(values)
-    # stebz floors each Sturm pivot at tiny * max off^2, and that floor is also its
-    # absolute accuracy; 1/(h r_min)^4 lifts it to the levels when r_min is tiny
-    off_max = float(np.max(np.abs(off), initial=1.0))
-    pivot_floor = np.finfo(float).tiny * off_max * off_max
-    if k_found and pivot_floor > _MAX_PIVOT_FLOOR * abs(float(values[-1])):
-        raise ConvergenceError(
-            f"bisection resolves kappa E only to {pivot_floor:.1e}, over {_MAX_PIVOT_FLOOR:g} "
-            f"of level {float(values[-1]):.6g}, on grid {grid}: raise r_min")
-    kappa = params.kappa
-    energies = tuple(float(v) / kappa for v in values)
+    energies = tuple(float(v) / params.kappa for v in values)
     nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
-
     delta = _deferred_correction(r, grid.spacing, v_scaled, values, vectors)
-    refined = tuple(float(v) / kappa for v in values + delta)
+    refined = tuple(float(v) / params.kappa for v in values + delta)
     if not all(map(math.isfinite, energies + refined)):
         raise DomainError(f"oracle energies kappa E / kappa are not finite floats for {params}")
     for n, e in enumerate(refined):
@@ -365,24 +372,18 @@ def solve_radial(params: PotentialParams, D: int, l: int,
             raise ConvergenceError(
                 f"the deferred correction lifts bound level n = {n} to {e:.3g} >= 0 on "
                 f"grid {grid}: the level lies closer to threshold than the grid resolves")
-    warnings: list[str] = []
-    if refined:
-        gap = max(abs(x - e) / abs(x) for x, e in zip(refined, energies))
-        if gap > _MAX_REFINEMENT_GAP:
-            warnings.append(
-                f"refinement moves a level by {gap:.1e} relative "
-                f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse"
-            )
+    gap = max((abs(x - e) / abs(x) for x, e in zip(refined, energies)), default=0.0)
+    warnings = () if gap <= _MAX_REFINEMENT_GAP else (
+        f"refinement moves a level by {gap:.1e} relative "
+        f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
     _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
                "window (%.6g, %.6g]%s, %d of %d levels; "
                "assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
                D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, window[0], window[1],
                " widened" if widened else "", k_found, k, assembled - started,
                solved - assembled, time.perf_counter() - solved)
-
     return OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
-                        refined=refined, truncated=k_found < k,
-                        warnings=tuple(warnings))
+                        refined=refined, truncated=k_found < k, warnings=warnings)
 
 
 @dataclass(frozen=True)
@@ -407,8 +408,7 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     form is unbound or undefined, before any solve; then what
     ``solve_radial`` raises, and :class:`ConvergenceError` for any other
     level that a solve lacks.  The closed-form energies come from
-    ``spectrum.energy``, one call per n; the CLI's ``oracle`` command calls
-    this once per l group of the states it is given.
+    ``spectrum.energy``, one call per n.
     """
     closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
     k = max(ns) + 1

@@ -89,7 +89,7 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
     Raises :class:`UnboundStateError` (carrying the computed eps) when the
     state is not bound, which happens for large n or weak coupling, and
     :class:`DomainError` when E is not a finite float (for example b so small
-    that b^2 underflows).
+    that b^2 underflows) or rounds to 0 (b so large that b^2 overflows).
     """
     eps, eta, a = _epsilon(params.A, params.alpha, state.n, state.q)
     if eps <= 0.0:
@@ -101,8 +101,9 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
     denominator = 2.0 * params.mu * params.b * params.b
     # a denominator that underflowed to 0 stands for an infinite |E|
     e_value = -(params.hbar * params.hbar * eps * eps) / denominator if denominator else -math.inf
-    if not math.isfinite(e_value):
-        raise DomainError(f"energy of {state} is not a finite float for {params}")
+    if e_value == 0.0 or not math.isfinite(e_value):
+        what = "rounds to 0" if e_value == 0.0 else "is not a finite float"
+        raise DomainError(f"energy of {state} {what} for {params}")
     return SpectrumEntry(state=state, energy=e_value, a_param=a, eta=eta, epsilon=eps)
 
 

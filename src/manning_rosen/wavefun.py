@@ -332,8 +332,6 @@ class AngularMultiIndex:
             raise DomainError(
                 f"angular hierarchy violated: need |l_1| <= l_2 <= ... ; got {self.l_values}"
             )
-        if any(v < 0 for v in self.l_values[1:]):
-            raise DomainError(f"l_k must be >= 0 for k >= 2; got {self.l_values}")
 
     @property
     def D(self) -> int:

@@ -16,6 +16,7 @@ from manning_rosen import (PotentialParams, QuantumState, critical_coupling,
 from manning_rosen.cli import _subparsers, build_parser, main
 from manning_rosen.reference import audit_reference_table
 
+PHYSICS_2P = ["--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2"]
 TABLE_2P = ["spectrum", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "0.75",
             "--dim", "2", "--states", "2p"]
 
@@ -171,6 +172,47 @@ class TestSpectrumCommand:
                    "--states", "2p"])
         assert rc == 0
         assert "-0.241087728" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, phrase", [
+        (["spectrum", "--A-over-b", "2", "--inv-b", "0", "--alpha", "0.75", "--dim", "2",
+          "--states", "2p"], "--inv-b must be positive"),
+        (["spectrum", *PHYSICS_2P, "--n", "3:1", "--l", "1"], "bad --n range '3:1'"),
+        (["spectrum", *PHYSICS_2P, "--n", "x", "--l", "1"], "bad --n range 'x'"),
+        (["spectrum", *PHYSICS_2P], "give --states, or both --n and --l"),
+        (["spectrum", *PHYSICS_2P, "--states", ","], "no states requested"),
+        (["wavefunction", *PHYSICS_2P, "--states", "2p,3p"], "wants exactly one state"),
+        (["spectrum", *PHYSICS_2P, "--states", "2p", "--precision", "0"], "1..17"),
+        (["spectrum", *PHYSICS_2P, "--states", "2p", "--precision", "18"], "1..17"),
+    ], ids=["inv-b-0", "n-range-reversed", "n-range-not-a-number", "no-states",
+            "empty-state-list", "two-wavefunction-states", "precision-0", "precision-18"])
+    def test_request_error_exits_2_with_one_error_line(self, argv, phrase, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and phrase in line
+
+    @pytest.mark.parametrize("text, phrase", [("alpha 0.75\n", "bad config line (want key=value)"),
+                                              (None, "cannot read config file")],
+                             ids=["line-without-equals", "missing-file"])
+    def test_config_error_exits_2_with_one_error_line(self, text, phrase, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        if text is not None:
+            config.write_text(text)
+        assert main(["spectrum", *PHYSICS_2P, "--states", "2p", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and phrase in line
+
+    def test_config_skips_comments_blank_lines_and_other_commands_keys(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# the 2p row of the table\n\nsamples=5\nalpha=0.75\n")
+        typed = ["spectrum", "--A", "80", "--b", "40", "--dim", "2", "--states", "2p"]
+        assert main(typed + ["--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(typed + ["--alpha", "0.75"]) == 0
+        assert from_config == capsys.readouterr().out
 
 
 class TestTableCommand:
@@ -785,3 +827,14 @@ class TestLazyOracle:
     def test_unknown_package_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             manning_rosen.no_such_name  # noqa: B018
+
+    def test_unknown_package_name_leaves_scipy_unloaded(self):
+        script = ("import sys, manning_rosen\n"
+                  "try:\n    manning_rosen.no_such_name\n"
+                  "except AttributeError:\n    print('scipy' in sys.modules)\n")
+        source = str(Path(manning_rosen.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -194,6 +194,11 @@ class TestCurvature:
 
 
 class TestEffectivePotential:
+    def test_mode_given_as_a_string_raises(self):
+        params = PotentialParams(A=80.0, alpha=0.75, b=40.0)
+        with pytest.raises(DomainError, match="unknown centrifugal mode: 'exact'"):
+            effective_potential(params, QuantumState(n=0, l=1, D=2), 1.0, "exact")
+
     def test_centrifugal_prefactor_vanishes_d3_s_state(self):
         params = PotentialParams(A=3.0, alpha=0.6, b=1.0)
         state = QuantumState(n=0, l=0, D=3)

@@ -384,6 +384,56 @@ class TestSolveRadial:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             solve_radial(PotentialParams(A=80.0, alpha=0.75, b=40.0, **scale), 2, 1, grid=grid)
 
+    def test_alpha_out_of_float_range_on_an_explicit_grid_raises_domain_error(self):
+        params = PotentialParams(A=80.0, alpha=1e200, b=40.0)
+        grid = LogRadialGrid(r_min=1e-10, r_max=2000.0, n_points=401)
+        with pytest.raises(DomainError, match="kappa V_eff is not a finite float"):
+            solve_radial(params, 2, 1, grid=grid)
+
+    def test_pivot_floor_is_judged_against_the_shallowest_level(self):
+        # at r_min = 2e-73 the floor, 3.0e-9 in kappa E, is under 1e-8 of the
+        # window's lower end, -0.475, so bisection runs; but it is over 1e-8 of
+        # the 3p level, kappa E = -0.0876
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        grid = LogRadialGrid(r_min=2e-73, r_max=2000.0, n_points=4001)
+        with pytest.raises(ConvergenceError, match=r"of level -0\.08756\d*, on grid .* r_min"):
+            solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=2)
+
+
+# (D, l) of the 2p state at A = 80, alpha = 0.75, solved across the range of b
+P_CHANNEL = (2, 1)
+
+
+def p_channel_params(b):
+    return PotentialParams(A=80.0, alpha=0.75, b=b)
+
+
+class TestScreeningLengthRange:
+    @pytest.mark.parametrize("exponent", [-140, -100, 80, 120, 150])
+    def test_level_matches_closed_form_at_extreme_b(self, exponent):
+        # in units of r the matrix entries scale as 1/b^2: they reach subnormal
+        # floats at b = 1e80, and max off^2 overflows at b = 1e-100
+        params = p_channel_params(10.0 ** exponent)
+        e_closed = energy(params, QuantumState(n=0, l=1, D=2)).energy
+        result = solve_radial(params, *P_CHANNEL)
+        assert abs(result.refined[0] - e_closed) <= 1e-9 * abs(e_closed)
+
+    def test_audit_is_invariant_under_a_power_of_two_in_b(self):
+        audits = [audit_channel(p_channel_params(40.0 * 2.0 ** k), *P_CHANNEL, [0, 1])
+                  for k in (-400, -200, 0, 200, 400)]
+        reference = [audit.rel_errors for audit in audits[2]]
+        for audit_set in audits:
+            for audit, expected in zip(audit_set, reference):
+                assert audit.rel_errors == pytest.approx(expected, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("b", [1e-160, 1e160])
+    def test_b_out_of_float_range_raises_domain_error(self, b):
+        # the closed form (1e-160) or the grid (1e160) is out of float range
+        with pytest.raises(DomainError):
+            solve_radial(p_channel_params(b), *P_CHANNEL)
+        with pytest.raises(DomainError):
+            audit_channel(p_channel_params(b), *P_CHANNEL, [0])
+
 
 class TestApproximationAudit:
     def test_approximated_mode_is_solver_exact(self):

@@ -51,6 +51,11 @@ class TestEnergy:
         with pytest.raises(DomainError, match="not a finite float"):
             energy(PotentialParams(A=80.0, alpha=0.75, b=1e-300), QuantumState(n=0, l=1, D=2))
 
+    def test_overflowing_b_squared_raises(self):
+        # 2 mu b^2 = 2e308 overflows: E would read -0.0 for a bound state
+        with pytest.raises(DomainError, match="rounds to 0"):
+            energy(PotentialParams(A=80.0, alpha=0.75, b=1e154), QuantumState(n=0, l=1, D=2))
+
     def test_published_2p_value(self):
         entry = energy(table_params(0.025, 0.75), QuantumState(n=0, l=1, D=2))
         assert abs(entry.energy - (-0.241087728)) <= 5e-9
@@ -178,6 +183,10 @@ class TestHulthenAndCoulomb:
         with pytest.raises(DomainError):
             coulomb_limit_energy(QuantumState(n=0, l=0, D=3), Z=0.0)
 
+    def test_screened_coulomb_rejects_zero_screening(self):
+        with pytest.raises(DomainError, match="screening delta must be positive"):
+            screened_coulomb_coupling(1.0, 0.0)
+
 
 class TestSpectroscopicLabels:
     @pytest.mark.parametrize("label,expected", [
@@ -195,6 +204,9 @@ class TestSpectroscopicLabels:
         for n in range(4):
             for l in range(6):
                 assert parse_spectroscopic(state_label(n, l)) == (n, l)
+
+    def test_label_past_the_letter_table(self):
+        assert state_label(0, 6) == "7[l=6]"
 
 
 class TestSpectrumInvariants:

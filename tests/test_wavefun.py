@@ -36,6 +36,15 @@ def synthetic_entry(eps, eta, n=0, l=0, D=3):
 
 
 class TestNormalization:
+    def test_closed_form_rejects_eta_below_minus_half(self):
+        with pytest.raises(DomainError, match="eta must be >= -1/2"):
+            normalization_closed_form(synthetic_entry(1.0, -0.6), 40.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_quadrature_rejects_an_unbound_entry(self, eps):
+        with pytest.raises(DomainError, match="requires a bound state"):
+            normalization_quadrature(table_params(), synthetic_entry(eps, 0.5))
+
     def test_ground_level_reduces_to_beta_function(self):
         # s(0) = b * Gamma(2 eps) Gamma(2 eta + 3) / Gamma(2 eps + 2 eta + 3)
         for eps, eta, b in ((1.0, 0.0, 1.0), (2.3, 0.7, 5.0), (27.8, 0.4, 40.0)):
@@ -307,6 +316,16 @@ class TestNearThreshold:
 
 
 class TestRadialSolution:
+    def test_z_outside_unit_interval_raises(self):
+        solution = radial_wavefunction(table_params(), QuantumState(n=0, l=1, D=2))
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            solution.g_of_z(1.5)
+
+    def test_sampling_from_the_decay_cutoff_raises(self):
+        solution = radial_wavefunction(table_params(), QuantumState(n=0, l=1, D=2))
+        with pytest.raises(DomainError, match="bad sampling range"):
+            solution.sample(5, r_min=solution.decay_cutoff())
+
     def test_nodeless_ground_state(self):
         solution = radial_wavefunction(table_params(), QuantumState(n=0, l=1, D=2))
         assert solution.node_count == 0
@@ -392,6 +411,19 @@ class TestAngularMultiIndex:
             AngularMultiIndex((2, 1))
         with pytest.raises(DomainError):
             AngularMultiIndex((0, 2, 1))
+
+    # |l_1| >= 0, so the hierarchy rejects a negative l_k for any k >= 2
+    @pytest.mark.parametrize("l_values, phrase", [((), "at least one"),
+                                                  ((1.5,), "must be integers"),
+                                                  ((0, -1), "hierarchy violated"),
+                                                  ((0, 0, -1), "hierarchy violated")])
+    def test_malformed_multi_index_raises(self, l_values, phrase):
+        with pytest.raises(DomainError, match=phrase):
+            AngularMultiIndex(l_values)
+
+    def test_level_index_outside_range_raises(self):
+        with pytest.raises(DomainError, match="level index 0 outside 1..1"):
+            AngularMultiIndex((1,)).level(0)
 
     def test_dimension_and_l(self):
         idx = AngularMultiIndex((-1, 2, 2))
@@ -518,3 +550,11 @@ class TestTotalWavefunction:
             total_wavefunction(params, state, AngularMultiIndex((0, 2)), (1.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             total_wavefunction(params, state, AngularMultiIndex((0, 1, 1)), (1.0, 0, 0, 0))
+
+    @pytest.mark.parametrize("point, phrase", [((1.0, 0.3), "got 2 values"),
+                                               ((0.0, 0.3, 0.2), "r must be positive"),
+                                               ((-1.0, 0.3, 0.2), "r must be positive")])
+    def test_bad_point_raises(self, point, phrase):
+        state = QuantumState(n=0, l=1, D=3)
+        with pytest.raises(DomainError, match=phrase):
+            total_wavefunction(table_params(), state, AngularMultiIndex((0, 1)), point)
