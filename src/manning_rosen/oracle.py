@@ -2,11 +2,12 @@
 
 Solves  g'' + kappa [E - V_eff(r)] g = 0  as a symmetric tridiagonal
 eigenproblem whose eigenvalues are kappa E; the bound levels are the
-negative ones, found by LAPACK bisection.  Every returned value is an
-eigenvalue of the assembled matrix, so this path shares no algebra with the
-closed-form spectrum and serves as its ground truth, in either centrifugal
-mode.  The closed form only sizes the default grid and says where
-bisection looks.
+negative ones.  Every returned value is an eigenvalue of the assembled
+matrix, bisected to full accuracy by LAPACK's stebz, so this path shares no
+algebra with the closed-form spectrum and serves as its ground truth, in
+either centrifugal mode.  The closed form only sizes the default grid and
+says where to look: it seeds each level, or it bounds the window that
+bisection searches.
 
 The grid is uniform in x = ln r (Langer's substitution r = e^x,
 g = r^(1/2) u).  There the equation reads
@@ -29,16 +30,32 @@ or more.
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
 
-Bisection works on a value window, not an index range.  Asked for levels
-0..k-1 by index, LAPACK first brackets them by Sturm counts over the whole
-Gershgorin interval, about [-1e24, 1e29] on the graded matrix, and that
-search costs more than bisecting the levels themselves.  The kinetic part
-is positive (a second difference with a Robin ratio <= 1 at one end and
-Dirichlet at the other, plus 1/(4 r^2)), so no eigenvalue lies below
-kappa min V_eff: that is the proven lower end of the window.  Its top is
-the midpoint of closed-form levels k-1 and k, or 0 when either is unbound
-or undefined.  A top that misses a level costs one re-solve on
-[lower, 0]; it cannot skip a level or return a wrong one.
+Where the matrix discretises the closed form's own equation (approximated
+mode, or q^2 = 1, where both barriers vanish), closed-form level n lies
+within O(h^2) of the matrix's n-th eigenvalue, so the solve starts there:
+up to three shifted tridiagonal solves with Rayleigh-quotient updates
+(inverse iteration; Parlett, The Symmetric Eigenvalue Problem) give the
+eigenvector and a shift with an eigenvalue close by, and one stebz call
+bisects that short window to the value.  The level is kept only when the
+shift has converged, stebz finds exactly one value in the window and the
+vector has exactly n sign changes, as the discrete Sturm oscillation
+theorem demands of the n-th eigenvector of a tridiagonal matrix with
+negative off-diagonal.  A seed that misses costs a fallback to bisection,
+never a wrong level.
+
+Bisection, for every other channel and after any failed certificate, works
+on a value window, not an index range.  Asked for levels 0..k-1 by index,
+LAPACK first brackets them by Sturm counts over the whole Gershgorin
+interval, about [-1e24, 1e29] on the graded matrix, and that search costs
+more than bisecting the levels themselves.  The kinetic part is positive (a
+second difference with a Robin ratio <= 1 at one end and Dirichlet at the
+other, plus 1/(4 r^2)), so no eigenvalue lies below kappa min V_eff: that
+is the proven lower end of the window.  Its top is the midpoint of
+closed-form levels k-1 and k, or 0 when either is unbound or undefined.  A
+top that misses a level costs one re-solve on [lower, 0]; it cannot skip a
+level or return a wrong one.  In exact mode with q^2 != 1 the closed form
+solves another equation, and its levels can miss the matrix's by more
+than their spacing, so those channels are always bisected.
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
@@ -66,6 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import ConvergenceError, DomainError
 from .model import (CentrifugalMode, PotentialParams, QuantumState, _geometric,
@@ -94,6 +112,11 @@ _ORIGIN_FLOOR = 1e-12
 _ORIGIN_CAP = 1e-3
 # Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
 _BISECTION_TOL = 2.0 * np.finfo(float).tiny
+# Shifted solves per level at most on the seeded path, and the relative
+# half-width below which its certifying bisection window is not narrowed.
+_SEED_SOLVES = 3
+_SEED_WINDOW = 1e-12
+_ULP = float(np.finfo(float).eps)  # the spacing of floats at 1, 2^-52
 # Relative margin that keeps rounding in V_eff from lifting the window's lower end.
 _WINDOW_MARGIN = 1e-9
 # Eigenvector components at or below this fraction of the largest are inverse
@@ -244,16 +267,33 @@ def _eigenvector_nodes(vec: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def _window_top(params: PotentialParams, D: int, l: int, k: int) -> float:
-    """kappa times the midpoint of closed-form levels k-1 and k; 0 when either is unbound."""
+def _closed_levels(params: PotentialParams, D: int, l: int, count: int) -> list[float]:
+    """kappa E_n = -(eps_n / b)^2 of closed-form levels n < count, up to the first unbound.
+
+    Empty when eps is undefined (q = 0, |1 - 2 alpha| < 1).
+    """
+    levels = []
     try:
-        eps = [epsilon_parameter(params, QuantumState(n=n, l=l, D=D)) for n in (k - 1, k)]
-    except DomainError:  # no real shape parameter (q = 0, |1 - 2 alpha| < 1)
-        return 0.0
-    if min(eps) <= 0.0:
-        return 0.0
-    s0, s1 = eps[0] / params.b, eps[1] / params.b
-    return -0.5 * (s0 * s0 + s1 * s1)  # kappa E_n = -eps_n^2 / b^2
+        for n in range(count):
+            eps = epsilon_parameter(params, QuantumState(n=n, l=l, D=D))
+            if eps <= 0.0:
+                break
+            s = eps / params.b
+            levels.append(-s * s)
+    except DomainError:
+        return []
+    return levels
+
+
+def _window_top(params: PotentialParams, D: int, l: int, k: int,
+                levels: list[float] | None = None) -> float:
+    """kappa times the midpoint of closed-form levels k-1 and k; 0 when either is unbound.
+
+    ``levels`` is ``_closed_levels(params, D, l, k + 1)`` when already at hand.
+    """
+    if levels is None:
+        levels = _closed_levels(params, D, l, k + 1)
+    return 0.5 * (levels[k - 1] + levels[k]) if len(levels) > k else 0.0
 
 
 def _eigenpairs(diag: np.ndarray, off: np.ndarray, lower: float, top: float):
@@ -265,9 +305,66 @@ def _eigenpairs(diag: np.ndarray, off: np.ndarray, lower: float, top: float):
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
 
 
-def _bound_levels(params: PotentialParams, D: int, l: int, k: int, grid: LogRadialGrid,
-                  diag: np.ndarray, off: np.ndarray, v_scaled: np.ndarray):
-    """Lowest k negative eigenpairs, bisected only inside a value window.
+def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], floor: float):
+    """Eigenpairs 0..len(seeds)-1 by inverse iteration from ``seeds``, each certified.
+
+    Per level: up to 3 solves of (T - sigma) x = w (LAPACK gtsv), each
+    followed by sigma <- sigma + w.x / x.x, the Rayleigh quotient of x, and
+    w <- x / |x|.  An eigenvalue then lies within 2 / |x| of sigma.  The
+    level has converged when that radius is within the half-width
+    max(1e-12 |sigma|, 2^-52 |w|^T |T| |w|); the second term bounds how far
+    rounding in the solves moves sigma from stebz's value (0.12 of it was
+    the most seen).  stebz then bisects that window to full accuracy.  The
+    level is certified when it has converged, stebz finds exactly one value
+    there and w has exactly n sign changes, as the n-th eigenvector of this
+    matrix must (Sturm oscillation).  The values must also be negative,
+    increasing and resolved by stebz's pivot ``floor``.  Returns the values,
+    the vectors as columns and the solve count, or a string that says why a
+    level failed.
+    """
+    size = len(diag)
+    start = np.full(size, 1.0 / math.sqrt(size))
+    abs_diag, abs_off = np.abs(diag), np.abs(off)
+    values, vectors, solves = [], [], 0
+    for n, shift in enumerate(seeds):
+        w = start
+        for _ in range(_SEED_SOLVES):
+            x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
+            solves += 1
+            norm = float(np.linalg.norm(x))
+            if info or not 0.0 < norm < math.inf:
+                return f"singular shift at level {n}"
+            shift += float(w @ x) / (norm * norm)
+            w = x / norm
+            radius = 2.0 / norm
+            if radius <= _SEED_WINDOW * abs(shift):
+                break
+        a = np.abs(w)
+        rounding = _ULP * float(a @ (abs_diag * a) + 2.0 * (a[:-1] * abs_off) @ a[1:])
+        half = max(_SEED_WINDOW * abs(shift), rounding)
+        if radius > half:
+            return f"level {n} not converged in {_SEED_SOLVES} solves"
+        found, value, _, _, info = dstebz(diag, off, 1, shift - half, shift + half, 0, 0,
+                                          _BISECTION_TOL, "E")
+        if info or found != 1:
+            return f"stebz finds {found} values near level {n}"
+        nodes = _eigenvector_nodes(w)
+        if nodes != n:
+            return f"level {n} has {nodes} nodes"
+        values.append(value[0])
+        vectors.append(w)
+    values = np.array(values)
+    if not (values[-1] < 0.0 and np.all(values[:-1] < values[1:])):
+        return "levels not negative and increasing"
+    if not floor <= _MAX_PIVOT_FLOOR * abs(values[-1]):
+        return f"pivot floor over {_MAX_PIVOT_FLOOR:g} of a level"
+    return values, np.array(vectors).T, solves
+
+
+def _bound_levels(params: PotentialParams, D: int, l: int, k: int, mode: CentrifugalMode,
+                  grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
+                  v_scaled: np.ndarray):
+    """Lowest k negative eigenpairs: seeded from the closed form, else bisected in a window.
 
     LAPACK gets the matrix and the window times 4^m, m = round(log2 b) held
     to |m| <= 511: an exact power of two that leaves them at their size in
@@ -277,14 +374,25 @@ def _bound_levels(params: PotentialParams, D: int, l: int, k: int, grid: LogRadi
     of the shallowest level found raises :class:`ConvergenceError`
     (h r_min / b below about 1e-75, which only an explicit grid reaches).
 
+    Where the matrix discretises the closed form's own equation (approximated
+    mode, or q^2 = 1, where both barriers vanish), all k closed-form levels
+    are bound and k is below the number of unknowns, each level is seeded at
+    its closed-form value (``_seeded_eigenpairs``).  Any level that fails
+    its certificate, a floor over 1e-8 of it included, sends the channel
+    to bisection in the value window of the module docstring, as does every
+    other channel.
+
     Returns the values, their eigenvectors as columns, the window (lower,
-    top] last searched and whether it had to be widened to (lower, 0].
+    top] (the one last searched when bisected), whether it had to be widened
+    to (lower, 0], and how the levels were found, for the log.
     """
     v_min = float(np.min(v_scaled))
     lower = v_min - _WINDOW_MARGIN * abs(v_min)
     if lower >= 0.0:  # the kinetic part is positive: nothing lies below 0
-        return np.empty(0), np.empty((len(diag), 0)), (lower, 0.0), False
-    top = _window_top(params, D, l, k)
+        return (np.empty(0), np.empty((len(diag), 0)), (lower, 0.0), False,
+                "unsolved (kappa V_eff >= 0)")
+    levels = _closed_levels(params, D, l, k + 1)
+    top = _window_top(params, D, l, k, levels)
     if not lower < top:
         top = 0.0
     scale = math.ldexp(1.0, 2 * min(max(round(math.log2(params.b)), -511), 511))
@@ -299,6 +407,20 @@ def _bound_levels(params: PotentialParams, D: int, l: int, k: int, grid: LogRadi
                 f"{_MAX_PIVOT_FLOOR:g} of {what} {levels[-1] / scale:.6g}, on grid {grid}: "
                 "raise r_min")
     judge([lower * scale], "the window's lower end")
+    q = QuantumState(n=0, l=l, D=D).q
+    if mode is not CentrifugalMode.APPROXIMATED and q * q != 1:
+        why = f"{mode.value} mode with q^2 != 1"
+    elif len(levels) < k:
+        why = f"{len(levels)} of {k} closed-form levels bound"
+    elif k >= len(diag):
+        why = f"{len(diag)} unknowns for {k} levels"
+    else:
+        seeded = _seeded_eigenpairs(diag, off, [level * scale for level in levels[:k]], floor)
+        if isinstance(seeded, str):
+            why = seeded
+        else:
+            values, vectors, solves = seeded
+            return values / scale, vectors, (lower, top), False, f"seeded in {solves} solves"
     values, vectors = _eigenpairs(diag, off, lower * scale, top * scale)
     widened = len(values) < k and top < 0.0
     if widened:
@@ -306,7 +428,8 @@ def _bound_levels(params: PotentialParams, D: int, l: int, k: int, grid: LogRadi
     bound = values < 0.0
     values, vectors = values[bound][:k], vectors[:, bound][:, :k]
     judge(values, "level")
-    return values / scale, vectors, (lower, 0.0 if widened else top), widened
+    return (values / scale, vectors, (lower, 0.0 if widened else top), widened,
+            f"bisected ({why})")
 
 
 def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
@@ -329,13 +452,15 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The eigenvalues
-    come from bisection to full relative accuracy inside the value window of
-    the module docstring, widened once to (lower, 0] when it holds fewer
-    than k levels, and the eigenvectors from inverse iteration (LAPACK's
-    stebz and stein), so the i-th returned state has exactly i interior
-    nodes.  The bound levels are the negative ones; when fewer than k exist,
-    the bound subset is returned with ``truncated`` set.
+    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The levels are
+    seeded from the closed form where it solves the same equation, or else
+    bisected inside the value window of the module docstring, widened once
+    to (lower, 0] when it holds fewer than k levels (``_bound_levels``).
+    Either way each eigenvalue is stebz's, to full relative accuracy, and
+    each eigenvector comes from inverse iteration, so the i-th returned
+    state has exactly i interior nodes.  The bound levels are the negative
+    ones; when fewer than k exist, the bound subset is returned with
+    ``truncated`` set.
 
     ``refined`` adds the deferred correction of ``_deferred_correction``,
     which cancels the O(h^2) stencil error.  A level that it moves by more
@@ -348,8 +473,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     closed form, and :class:`ConvergenceError` when bisection cannot
     resolve the levels (``_bound_levels``).
 
-    Each call logs its grid points, r_min and spacing h, window, level count
-    and stage timings at DEBUG level on the ``manning_rosen.oracle`` logger.
+    Each call logs its grid points, r_min and spacing h, window, level
+    count, path (``seeded`` with its solve count, or ``bisected`` with the
+    reason) and stage timings at DEBUG level on the ``manning_rosen.oracle``
+    logger.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -358,7 +485,8 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
-    values, vectors, window, widened = _bound_levels(params, D, l, k, grid, diag, off, v_scaled)
+    values, vectors, window, widened, path = _bound_levels(params, D, l, k, mode, grid,
+                                                           diag, off, v_scaled)
     solved = time.perf_counter()
     k_found = len(values)
     energies = tuple(float(v) / params.kappa for v in values)
@@ -377,10 +505,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
         f"refinement moves a level by {gap:.1e} relative "
         f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
     _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
-               "window (%.6g, %.6g]%s, %d of %d levels; "
+               "window (%.6g, %.6g]%s, %d of %d levels %s; "
                "assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
                D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, window[0], window[1],
-               " widened" if widened else "", k_found, k, assembled - started,
+               " widened" if widened else "", k_found, k, path, assembled - started,
                solved - assembled, time.perf_counter() - solved)
     return OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
                         refined=refined, truncated=k_found < k, warnings=warnings)

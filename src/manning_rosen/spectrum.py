@@ -38,6 +38,9 @@ __all__ = [
 
 _ORBITAL_LETTERS = "spdfgh"
 _LABEL_RE = re.compile(r"^(\d+)([a-z])$")
+# The smallest normal float, sys.float_info.min: an energy below it in size
+# keeps only some of its significant bits.
+_NORMAL_MIN = math.ldexp(1.0, -1022)
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,8 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
     Raises :class:`UnboundStateError` (carrying the computed eps) when the
     state is not bound, which happens for large n or weak coupling, and
     :class:`DomainError` when E is not a finite float (for example b so small
-    that b^2 underflows) or rounds to 0 (b so large that b^2 overflows).
+    that b^2 underflows), is subnormal, keeping only some of its significant
+    bits, or rounds to 0 (b so large that b^2 overflows).
     """
     eps, eta, a = _epsilon(params.A, params.alpha, state.n, state.q)
     if eps <= 0.0:
@@ -101,8 +105,9 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
     denominator = 2.0 * params.mu * params.b * params.b
     # a denominator that underflowed to 0 stands for an infinite |E|
     e_value = -(params.hbar * params.hbar * eps * eps) / denominator if denominator else -math.inf
-    if e_value == 0.0 or not math.isfinite(e_value):
-        what = "rounds to 0" if e_value == 0.0 else "is not a finite float"
+    if not _NORMAL_MIN <= abs(e_value) < math.inf:
+        what = ("rounds to 0" if e_value == 0.0 else "is subnormal" if math.isfinite(e_value)
+                else "is not a finite float")
         raise DomainError(f"energy of {state} {what} for {params}")
     return SpectrumEntry(state=state, energy=e_value, a_param=a, eta=eta, epsilon=eps)
 

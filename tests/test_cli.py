@@ -205,6 +205,15 @@ class TestSpectrumCommand:
         [line] = captured.err.splitlines()
         assert line.startswith("error: ") and phrase in line
 
+    def test_subnormal_energy_exits_2_with_one_error_line(self, capsys):
+        # eps = 0.001 at b = 1e153: E = -5e-313 is subnormal
+        assert main(["spectrum", "--A", "1.002", "--b", "1e153", "--alpha", "0", "--dim", "3",
+                     "--states", "1s", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "is subnormal" in line
+
     def test_config_skips_comments_blank_lines_and_other_commands_keys(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("# the 2p row of the table\n\nsamples=5\nalpha=0.75\n")

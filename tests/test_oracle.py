@@ -1,8 +1,10 @@
 """Finite-difference eigensolver: identities, counting, and convergence."""
 
+import dataclasses
 import logging
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -398,6 +400,121 @@ class TestSolveRadial:
         grid = LogRadialGrid(r_min=2e-73, r_max=2000.0, n_points=4001)
         with pytest.raises(ConvergenceError, match=r"of level -0\.08756\d*, on grid .* r_min"):
             solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=2)
+
+
+def seeding_off(*args):
+    """Stands in for ``_seeded_eigenpairs``, so every channel takes the value-window bisection."""
+    return "seeding off"
+
+
+def oracle_messages(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "manning_rosen.oracle"]
+
+
+class TestSeededEigensolve:
+    def test_every_table_channel_is_seeded(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            for (inv_b, alpha, D, l), n_top in table_channels().items():
+                solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1)
+        messages = oracle_messages(caplog)
+        assert len(messages) == 66
+        assert all(" levels seeded in " in m for m in messages), messages
+
+    def test_debug_log_names_the_path(self, caplog):
+        params = table_params()
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, k=3)
+            solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
+            solve_radial(PotentialParams(A=2.0, alpha=0.0, b=1.0), 3, 0, k=5)
+        seeded, exact, truncated = oracle_messages(caplog)
+        assert re.search(r", 3 of 3 levels seeded in \d+ solves; assembly", seeded)
+        assert ", 3 of 3 levels bisected (exact mode with q^2 != 1); assembly" in exact
+        assert ", 1 of 5 levels bisected (1 of 5 closed-form levels bound); " in truncated
+
+    def test_s_wave_is_seeded_in_both_modes(self, caplog):
+        # q = 1: both barriers vanish, so exact mode solves the closed form's equation
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            exact = solve_radial(params, 3, 0, CentrifugalMode.EXACT, k=2)
+            approx = solve_radial(params, 3, 0, CentrifugalMode.APPROXIMATED, k=2)
+        assert exact == dataclasses.replace(approx, mode=CentrifugalMode.EXACT)
+        assert all(" levels seeded in " in m for m in oracle_messages(caplog))
+
+    def test_wrong_seed_falls_back_to_bisection(self, monkeypatch, caplog):
+        # eps_0 and eps_1 swapped: inverse iteration from level 1's value finds
+        # level 1's vector, whose node count fails level 0's certificate
+        params = table_params()
+        closed = oracle._closed_levels
+
+        def swapped(*args):
+            levels = closed(*args)
+            levels[0], levels[1] = levels[1], levels[0]
+            return levels
+
+        monkeypatch.setattr(oracle, "_closed_levels", swapped)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 2, 1, k=3)
+        [message] = oracle_messages(caplog)
+        assert "3 of 3 levels bisected (level 0 has 1 nodes)" in message
+        monkeypatch.setattr(oracle, "_seeded_eigenpairs", seeding_off)
+        assert result == solve_radial(params, 2, 1, k=3)
+        assert result.node_counts == (0, 1, 2)
+
+    def test_unconverged_level_on_a_coarse_grid_falls_back(self, monkeypatch, caplog):
+        # 41 points: the closed form is too far from the coarse grid's level for
+        # three solves to converge, so the channel is bisected as a whole
+        params = table_params()
+        base = default_grid(params, 2, 1, k=3)
+        grid = LogRadialGrid(r_min=base.r_min, r_max=base.r_max, n_points=41)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 2, 1, grid=grid, k=3)
+        [message] = oracle_messages(caplog)
+        assert "3 of 3 levels bisected (level 0 not converged in 3 solves)" in message
+        monkeypatch.setattr(oracle, "_seeded_eigenpairs", seeding_off)
+        assert result == solve_radial(params, 2, 1, grid=grid, k=3)
+
+    def test_seeded_sweep_matches_bisection(self, monkeypatch):
+        # each drawn approximated-mode channel solved seeded and with the seeded
+        # path off, on one grid; a certificate that fails sends it to bisection
+        rng = random.Random(20261019)
+        seeded = oracle._seeded_eigenpairs
+        certified = []
+
+        def counted(*args):
+            result = seeded(*args)
+            certified.append(not isinstance(result, str))
+            return result
+
+        def solve(params, D, l, grid, path):
+            monkeypatch.setattr(oracle, "_seeded_eigenpairs", path)
+            try:
+                return solve_radial(params, D, l, grid=grid, k=3)
+            except (ConvergenceError, DomainError) as exc:
+                return type(exc)
+
+        for _ in range(400):
+            params = PotentialParams(A=10.0 ** rng.uniform(0.5, 3.0),
+                                     alpha=rng.uniform(-1.0, 2.0),
+                                     b=10.0 ** rng.uniform(-3.0, 4.0))
+            D, l = rng.randint(2, 6), rng.randint(0, 4)
+            try:
+                grid = default_grid(params, D, l, k=3)
+            except DomainError:
+                continue
+            fast = solve(params, D, l, grid, counted)
+            slow = solve(params, D, l, grid, seeding_off)
+            case = (params, D, l)
+            if isinstance(slow, type):
+                assert fast is slow, case
+                continue
+            assert (fast.node_counts, fast.truncated, fast.warnings) == (
+                slow.node_counts, slow.truncated, slow.warnings), case
+            np.testing.assert_allclose(fast.eigenvalues, slow.eigenvalues, rtol=1e-15, atol=0.0,
+                                       err_msg=str(case))
+            np.testing.assert_allclose(fast.refined, slow.refined, rtol=1e-13, atol=0.0,
+                                       err_msg=str(case))
+        assert len(certified) >= 200
+        assert certified.count(False) <= 0.01 * len(certified)
 
 
 # (D, l) of the 2p state at A = 80, alpha = 0.75, solved across the range of b

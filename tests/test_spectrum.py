@@ -56,6 +56,12 @@ class TestEnergy:
         with pytest.raises(DomainError, match="rounds to 0"):
             energy(PotentialParams(A=80.0, alpha=0.75, b=1e154), QuantumState(n=0, l=1, D=2))
 
+    def test_subnormal_energy_raises(self):
+        # eps = 0.001 at b = 1e153: E = -5e-313 is subnormal, so it keeps only part
+        # of its significant bits
+        with pytest.raises(DomainError, match="is subnormal"):
+            energy(PotentialParams(A=1.002, alpha=0.0, b=1e153), QuantumState(n=0, l=0, D=3))
+
     def test_published_2p_value(self):
         entry = energy(table_params(0.025, 0.75), QuantumState(n=0, l=1, D=2))
         assert abs(entry.energy - (-0.241087728)) <= 5e-9
