@@ -282,9 +282,59 @@ def _format_csv(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
+@functools.cache
+def _encoder(indent: str) -> json.JSONEncoder:
+    """json's C encoder, with ``,`` and then ``indent`` between items."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + indent, ": "))
+
+
+# the types json's encoder writes as one token
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _flat(value) -> bool:
+    """Whether ``value`` is a non-empty list or dict of ``_SCALARS`` only."""
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return bool(value) and _SCALARS.issuperset(map(type, value))
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, closing after ``indent``.
+
+    The stdlib indents in pure Python.  Here json's C encoder writes, in one
+    call, each flat list or dict (``_flat``), and all the items of a list or
+    dict whose items are all flat lists or all flat dicts: a newline stands
+    only in a separator, never in an encoded string, so the text splits into
+    items where one closes and the next opens on a new line.
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if _flat(value):
+        text = _encoder(inner).encode(value)
+        return text[0] + inner + text[1:-1] + indent + text[-1]
+    items = sorted(value.items()) if isinstance(value, dict) else None
+    children = value if items is None else [item for _, item in items]
+    kind = isinstance(children[0], dict)
+    if all(_flat(child) and isinstance(child, dict) == kind for child in children):
+        start, end = "{}" if kind else "[]"
+        deeper = inner + "  "
+        texts = [start + deeper + text + inner + end for text in
+                 _encoder(deeper).encode(children)[2:-2].split(end + "," + deeper + start)]
+    else:
+        texts = [_json(child, inner) for child in children]
+    if items is not None:
+        texts = [json.dumps(key) + ": " + text for (key, _), text in zip(items, texts)]
+    brackets = "[]" if items is None else "{}"
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+
+
 def _render(report: Report, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(report.payload, sort_keys=True, indent=2) + "\n"
+        return _json(report.payload) + "\n"
     if report.text is not None:
         return report.text
     if output_format == "csv":

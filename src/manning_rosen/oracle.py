@@ -6,8 +6,8 @@ negative ones.  Every returned value is an eigenvalue of the assembled
 matrix, bisected to full accuracy by LAPACK's stebz, so this path shares no
 algebra with the closed-form spectrum and serves as its ground truth, in
 either centrifugal mode.  The closed form only sizes the default grid and
-says where to look: it seeds each level, or it bounds the window that
-bisection searches.
+says where to look: it seeds each level, directly or through the other
+mode's solve on the same grid.
 
 The grid is uniform in x = ln r (Langer's substitution r = e^x,
 g = r^(1/2) u).  There the equation reads
@@ -30,32 +30,30 @@ or more.
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
 
-Where the matrix discretises the closed form's own equation (approximated
-mode, or q^2 = 1, where both barriers vanish), closed-form level n lies
-within O(h^2) of the matrix's n-th eigenvalue, so the solve starts there:
-up to three shifted tridiagonal solves with Rayleigh-quotient updates
-(inverse iteration; Parlett, The Symmetric Eigenvalue Problem) give the
-eigenvector and a shift with an eigenvalue close by, and one stebz call
-bisects that short window to the value.  The level is kept only when the
-shift has converged, stebz finds exactly one value in the window and the
-vector has exactly n sign changes, as the discrete Sturm oscillation
-theorem demands of the n-th eigenvector of a tridiagonal matrix with
-negative off-diagonal.  A seed that misses costs a fallback to bisection,
-never a wrong level.
-
-Bisection, for every other channel and after any failed certificate, works
-on a value window, not an index range.  Asked for levels 0..k-1 by index,
-LAPACK first brackets them by Sturm counts over the whole Gershgorin
-interval, about [-1e24, 1e29] on the graded matrix, and that search costs
-more than bisecting the levels themselves.  The kinetic part is positive (a
-second difference with a Robin ratio <= 1 at one end and Dirichlet at the
-other, plus 1/(4 r^2)), so no eigenvalue lies below kappa min V_eff: that
-is the proven lower end of the window.  Its top is the midpoint of
-closed-form levels k-1 and k, or 0 when either is unbound or undefined.  A
-top that misses a level costs one re-solve on [lower, 0]; it cannot skip a
-level or return a wrong one.  In exact mode with q^2 != 1 the closed form
-solves another equation, and its levels can miss the matrix's by more
-than their spacing, so those channels are always bisected.
+Every level is seeded near its eigenvalue: up to three shifted tridiagonal
+solves with Rayleigh-quotient updates (inverse iteration; Parlett, The
+Symmetric Eigenvalue Problem) give the eigenvector and a shift with an
+eigenvalue close by, and one stebz call bisects that short window to the
+value.  The level is kept only when the shift has converged, stebz finds
+exactly one value in the window and the vector has exactly n sign changes,
+as the discrete Sturm oscillation theorem demands of the n-th eigenvector
+of a tridiagonal matrix with negative off-diagonal.  Where the matrix
+discretises the closed form's own equation (approximated mode, or q^2 = 1,
+where both barriers vanish), closed-form level n lies within O(h^2) of the
+n-th eigenvalue and seeds it.  Otherwise, in exact mode, the two modes'
+matrices on one grid differ only on the diagonal, by dD = diag_exact -
+diag_approx, so the approximated eigenpairs (lambda_n, w_n) seed it to
+first order: sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse
+iteration started from w_n; exact mode alone solves approximated mode on
+its grid first.  Seeding stops at a seed at or above 0; one stebz count
+then certifies that no other level lies below 0, and the bound subset is
+returned as truncated.  A seed that misses costs a fallback to one stebz
+call on the index range 0..k-1, keeping the negative values, never a wrong
+level; so do channels with no closed form (q = 0 with |1 - 2 alpha| < 1)
+in approximated mode and explicit grids with no more unknowns than levels
+asked.  The kinetic part is positive (a second difference with a Robin
+ratio <= 1 at one end and Dirichlet at the other, plus 1/(4 r^2)), so no
+eigenvalue lies below kappa min V_eff: when that is >= 0, nothing is solved.
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
@@ -67,11 +65,13 @@ costs O(N) per level and converges at order 4, so each channel takes one
 eigensolve.
 
 A channel audit (``audit_channel``) solves each centrifugal mode once, on one
-grid, for the highest level asked.  For q^2 > 1 the exact barrier lies above
-its stand-in, 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2, and can unbind a level that the
-stand-in holds on the same grid.  That level reads None: both solves share
-every discretization choice, so its absence is physics, not a solver failure.
-With no approximated solve to tell the two apart, a missing exact level raises.
+grid, for the highest level asked, approximated mode first, whose eigenpairs
+seed the exact solve.  For q^2 > 1 the exact barrier lies above its stand-in
+(Greene & Aldrich, PRA 14 (1976) 2363), 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2,
+and can unbind a level that the stand-in holds on the same grid.  That level
+reads None: both solves share every discretization choice, so its absence is
+physics, not a solver failure.  With no approximated solve to tell the two
+apart, a missing exact level raises.
 """
 
 import dataclasses
@@ -117,8 +117,8 @@ _BISECTION_TOL = 2.0 * np.finfo(float).tiny
 _SEED_SOLVES = 3
 _SEED_WINDOW = 1e-12
 _ULP = float(np.finfo(float).eps)  # the spacing of floats at 1, 2^-52
-# Relative margin that keeps rounding in V_eff from lifting the window's lower end.
-_WINDOW_MARGIN = 1e-9
+# Relative margin that keeps rounding in V_eff from lifting the spectrum's lower bound.
+_LOWER_MARGIN = 1e-9
 # Eigenvector components at or below this fraction of the largest are inverse
 # iteration's noise floor, which the 1/(4r) in u'' would lift by ~1e11.
 _NOISE_FLOOR = 1e-12
@@ -285,49 +285,33 @@ def _closed_levels(params: PotentialParams, D: int, l: int, count: int) -> list[
     return levels
 
 
-def _window_top(params: PotentialParams, D: int, l: int, k: int,
-                levels: list[float] | None = None) -> float:
-    """kappa times the midpoint of closed-form levels k-1 and k; 0 when either is unbound.
+def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], floor: float,
+                       lower: float, k: int, starts: np.ndarray | None = None):
+    """Eigenpairs 0..k-1 by inverse iteration from ``seeds``, each certified.
 
-    ``levels`` is ``_closed_levels(params, D, l, k + 1)`` when already at hand.
-    """
-    if levels is None:
-        levels = _closed_levels(params, D, l, k + 1)
-    return 0.5 * (levels[k - 1] + levels[k]) if len(levels) > k else 0.0
-
-
-def _eigenpairs(diag: np.ndarray, off: np.ndarray, lower: float, top: float):
-    """Eigenpairs with values in (lower, top], by bisection and inverse iteration."""
-    try:
-        return eigh_tridiagonal(diag, off, select="v", select_range=(lower, top),
-                                lapack_driver="stebz", tol=_BISECTION_TOL)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-
-
-def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], floor: float):
-    """Eigenpairs 0..len(seeds)-1 by inverse iteration from ``seeds``, each certified.
-
-    Per level: up to 3 solves of (T - sigma) x = w (LAPACK gtsv), each
-    followed by sigma <- sigma + w.x / x.x, the Rayleigh quotient of x, and
-    w <- x / |x|.  An eigenvalue then lies within 2 / |x| of sigma.  The
-    level has converged when that radius is within the half-width
-    max(1e-12 |sigma|, 2^-52 |w|^T |T| |w|); the second term bounds how far
-    rounding in the solves moves sigma from stebz's value (0.12 of it was
-    the most seen).  stebz then bisects that window to full accuracy.  The
-    level is certified when it has converged, stebz finds exactly one value
-    there and w has exactly n sign changes, as the n-th eigenvector of this
-    matrix must (Sturm oscillation).  The values must also be negative,
-    increasing and resolved by stebz's pivot ``floor``.  Returns the values,
-    the vectors as columns and the solve count, or a string that says why a
-    level failed.
+    Per level n: up to 3 solves of (T - sigma) x = w (LAPACK gtsv), from
+    w = ``starts[:, n]`` or the flat unit vector, each followed by
+    sigma <- sigma + w.x / x.x, the Rayleigh quotient of x, and w <- x / |x|.
+    An eigenvalue then lies within 2 / |x| of sigma.  The level has
+    converged when that radius is within max(1e-12 |sigma|, 2^-52 |w|^T |T| |w|);
+    the second term bounds how far rounding in the solves moves sigma from
+    stebz's value (0.12 of it was the most seen), and stebz bisects that
+    window.  The level is certified when stebz finds exactly one value there
+    and w has exactly n sign changes, as the n-th eigenvector must (Sturm
+    oscillation); the values must be negative, increasing and resolved by
+    stebz's pivot ``floor``.  A seed at or above 0, or the end of the seeds,
+    stops it: a stebz count on (top of the last window, or ``lower``, 0] must
+    then find nothing.  Returns the values, the vectors as columns and the
+    solve count, or a string that says why a level failed.
     """
     size = len(diag)
-    start = np.full(size, 1.0 / math.sqrt(size))
+    flat = np.full(size, 1.0 / math.sqrt(size))
     abs_diag, abs_off = np.abs(diag), np.abs(off)
-    values, vectors, solves = [], [], 0
-    for n, shift in enumerate(seeds):
-        w = start
+    values, vectors, solves, top = [], [], 0, lower
+    for n, shift in enumerate(seeds[:k]):
+        if not shift < 0.0:
+            break
+        w = flat if starts is None else starts[:, n]
         for _ in range(_SEED_SOLVES):
             x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
             solves += 1
@@ -344,7 +328,8 @@ def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], fl
         half = max(_SEED_WINDOW * abs(shift), rounding)
         if radius > half:
             return f"level {n} not converged in {_SEED_SOLVES} solves"
-        found, value, _, _, info = dstebz(diag, off, 1, shift - half, shift + half, 0, 0,
+        top = shift + half
+        found, value, _, _, info = dstebz(diag, off, 1, shift - half, top, 0, 0,
                                           _BISECTION_TOL, "E")
         if info or found != 1:
             return f"stebz finds {found} values near level {n}"
@@ -353,49 +338,40 @@ def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], fl
             return f"level {n} has {nodes} nodes"
         values.append(value[0])
         vectors.append(w)
+    if len(values) < k:  # a tolerance of float max stops stebz at the count
+        found, _, _, _, info = dstebz(diag, off, 1, top, 0.0, 0, 0, sys.float_info.max, "E")
+        if info or found:
+            return f"stebz finds {found} more levels below 0"
     values = np.array(values)
-    if not (values[-1] < 0.0 and np.all(values[:-1] < values[1:])):
+    if len(values) and not (values[-1] < 0.0 and np.all(values[:-1] < values[1:])):
         return "levels not negative and increasing"
-    if not floor <= _MAX_PIVOT_FLOOR * abs(values[-1]):
+    if len(values) and not floor <= _MAX_PIVOT_FLOOR * abs(values[-1]):
         return f"pivot floor over {_MAX_PIVOT_FLOOR:g} of a level"
-    return values, np.array(vectors).T, solves
+    return values, np.array(vectors).reshape(len(values), size).T, solves
 
 
-def _bound_levels(params: PotentialParams, D: int, l: int, k: int, mode: CentrifugalMode,
-                  grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
-                  v_scaled: np.ndarray):
-    """Lowest k negative eigenpairs: seeded from the closed form, else bisected in a window.
+def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
+                  v_scaled: np.ndarray, seeds: list[float], starts: np.ndarray | None = None):
+    """Lowest k negative eigenpairs: seeded at ``seeds``, else bisected by index.
 
-    LAPACK gets the matrix and the window times 4^m, m = round(log2 b) held
-    to |m| <= 511: an exact power of two that leaves them at their size in
-    s = r / b, and the values come back divided by it.  stebz floors each
-    Sturm pivot at tiny * max off^2 of that matrix, its absolute accuracy: a
-    floor over 1e-8 of the window's lower end (judged before the solve) or
-    of the shallowest level found raises :class:`ConvergenceError`
-    (h r_min / b below about 1e-75, which only an explicit grid reaches).
-
-    Where the matrix discretises the closed form's own equation (approximated
-    mode, or q^2 = 1, where both barriers vanish), all k closed-form levels
-    are bound and k is below the number of unknowns, each level is seeded at
-    its closed-form value (``_seeded_eigenpairs``).  Any level that fails
-    its certificate, a floor over 1e-8 of it included, sends the channel
-    to bisection in the value window of the module docstring, as does every
-    other channel.
-
-    Returns the values, their eigenvectors as columns, the window (lower,
-    top] (the one last searched when bisected), whether it had to be widened
-    to (lower, 0], and how the levels were found, for the log.
+    ``seeds`` (kappa E) are the closed-form levels, or the perturbed
+    approximated levels with their eigenvectors as ``starts``.  A failed
+    certificate of ``_seeded_eigenpairs``, or k at or above the number of
+    unknowns, sends the channel to one index-range stebz call for levels
+    0..k-1, of which the negative ones are kept.  LAPACK gets the matrix and
+    the seeds times 4^m, m = round(log2 b) held to |m| <= 511, an exact
+    power of two that leaves them at their size in s = r / b.  stebz floors
+    each Sturm pivot at tiny * max off^2 of that matrix: a floor over 1e-8 of
+    kappa min V_eff (judged first) or of the shallowest level found raises
+    :class:`ConvergenceError` (h r_min / b below about 1e-75, which only an
+    explicit grid reaches).  Returns the values, their eigenvectors as
+    columns, their node counts and the path taken, for the log.
     """
     v_min = float(np.min(v_scaled))
-    lower = v_min - _WINDOW_MARGIN * abs(v_min)
+    lower = v_min - _LOWER_MARGIN * abs(v_min)
     if lower >= 0.0:  # the kinetic part is positive: nothing lies below 0
-        return (np.empty(0), np.empty((len(diag), 0)), (lower, 0.0), False,
-                "unsolved (kappa V_eff >= 0)")
-    levels = _closed_levels(params, D, l, k + 1)
-    top = _window_top(params, D, l, k, levels)
-    if not lower < top:
-        top = 0.0
-    scale = math.ldexp(1.0, 2 * min(max(round(math.log2(params.b)), -511), 511))
+        return np.empty(0), np.empty((len(diag), 0)), (), "unsolved (kappa V_eff >= 0)"
+    scale = math.ldexp(1.0, 2 * min(max(round(math.log2(b)), -511), 511))
     diag, off = diag * scale, off * scale
     off_max = float(np.max(np.abs(off), initial=1.0))
     floor = np.finfo(float).tiny * off_max * off_max
@@ -406,29 +382,28 @@ def _bound_levels(params: PotentialParams, D: int, l: int, k: int, mode: Centrif
                 f"bisection resolves kappa E only to {floor / scale:.1e}, over "
                 f"{_MAX_PIVOT_FLOOR:g} of {what} {levels[-1] / scale:.6g}, on grid {grid}: "
                 "raise r_min")
-    judge([lower * scale], "the window's lower end")
-    q = QuantumState(n=0, l=l, D=D).q
-    if mode is not CentrifugalMode.APPROXIMATED and q * q != 1:
-        why = f"{mode.value} mode with q^2 != 1"
-    elif len(levels) < k:
-        why = f"{len(levels)} of {k} closed-form levels bound"
-    elif k >= len(diag):
-        why = f"{len(diag)} unknowns for {k} levels"
-    else:
-        seeded = _seeded_eigenpairs(diag, off, [level * scale for level in levels[:k]], floor)
-        if isinstance(seeded, str):
-            why = seeded
-        else:
+    judge([lower * scale], "kappa min V_eff")
+    why = f"{len(diag)} unknowns for {k} levels"
+    if k < len(diag):
+        seeded = _seeded_eigenpairs(diag, off, [seed * scale for seed in seeds], floor,
+                                    lower * scale, k, starts)
+        if not isinstance(seeded, str):
             values, vectors, solves = seeded
-            return values / scale, vectors, (lower, top), False, f"seeded in {solves} solves"
-    values, vectors = _eigenpairs(diag, off, lower * scale, top * scale)
-    widened = len(values) < k and top < 0.0
-    if widened:
-        values, vectors = _eigenpairs(diag, off, lower * scale, 0.0)
+            return (values / scale, vectors, tuple(range(len(values))),
+                    f"seeded{'' if starts is None else ' from approx'} in {solves} solves"
+                    + (", no other level below 0 (stebz count)" if len(values) < k else ""))
+        why = seeded
+    try:
+        values, vectors = eigh_tridiagonal(diag, off, select="i",
+                                           select_range=(0, min(k, len(diag)) - 1),
+                                           lapack_driver="stebz", tol=_BISECTION_TOL)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
     bound = values < 0.0
-    values, vectors = values[bound][:k], vectors[:, bound][:, :k]
+    values, vectors = values[bound], vectors[:, bound]
     judge(values, "level")
-    return (values / scale, vectors, (lower, 0.0 if widened else top), widened,
+    return (values / scale, vectors,
+            tuple(_eigenvector_nodes(vectors[:, i]) for i in range(len(values))),
             f"bisected ({why})")
 
 
@@ -452,15 +427,15 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The levels are
-    seeded from the closed form where it solves the same equation, or else
-    bisected inside the value window of the module docstring, widened once
-    to (lower, 0] when it holds fewer than k levels (``_bound_levels``).
-    Either way each eigenvalue is stebz's, to full relative accuracy, and
-    each eigenvector comes from inverse iteration, so the i-th returned
-    state has exactly i interior nodes.  The bound levels are the negative
-    ones; when fewer than k exist, the bound subset is returned with
-    ``truncated`` set.
+    ``grid`` defaults to ``default_grid(params, D, l, k)``.  Each level is
+    seeded (``_bound_levels``): at its closed-form value in approximated
+    mode or at q^2 = 1, else in exact mode at the first-order shift of the
+    approximated level, which is solved on the same grid first.  A failed
+    certificate sends the channel to one index-range stebz call.  Either way
+    each eigenvalue is stebz's, to full relative accuracy, and each
+    eigenvector comes from inverse iteration, so the i-th returned state has
+    exactly i interior nodes.  The bound levels are the negative ones; when
+    fewer than k exist, the bound subset is returned with ``truncated`` set.
 
     ``refined`` adds the deferred correction of ``_deferred_correction``,
     which cancels the O(h^2) stencil error.  A level that it moves by more
@@ -473,24 +448,45 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     closed form, and :class:`ConvergenceError` when bisection cannot
     resolve the levels (``_bound_levels``).
 
-    Each call logs its grid points, r_min and spacing h, window, level
-    count, path (``seeded`` with its solve count, or ``bisected`` with the
-    reason) and stage timings at DEBUG level on the ``manning_rosen.oracle``
-    logger.
+    Each call logs its grid points, r_min and spacing h, level count, path
+    (``seeded`` with its solve count, ``from approx`` for the perturbed
+    seeds, or ``bisected`` with the reason) and stage timings at DEBUG level
+    on the ``manning_rosen.oracle`` logger; exact mode's approximated
+    eigensolve counts in its eigensolve time.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if grid is None:
         grid = default_grid(params, D, l, k)
+    return _solve(params, D, l, mode, grid, k)[0]
+
+
+def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
+           grid: LogRadialGrid, k: int, approx=None):
+    """``solve_radial`` on ``grid``, and the (diagonal, values, vectors) it solved.
+
+    An exact-mode solve with q^2 != 1 seeds from ``approx``, what this
+    returned for approximated mode on the same grid and k; without it, from
+    the approximated eigenpairs solved here, whose refinement is not checked.
+    """
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
-    values, vectors, window, widened, path = _bound_levels(params, D, l, k, mode, grid,
-                                                           diag, off, v_scaled)
+    seeds, starts = _closed_levels(params, D, l, k), None
+    if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
+        if approx is None:  # the approximated eigenpairs on this grid, unrefined
+            diag_approx, _, v_approx, _ = _tridiagonal(params, D, l,
+                                                       CentrifugalMode.APPROXIMATED, grid)
+            approx = (diag_approx, *_bound_levels(params.b, k, grid, diag_approx, off,
+                                                  v_approx, seeds)[:2])
+        diag_approx, values, starts = approx  # sigma_n from lambda_n, w_n
+        squares = starts * starts
+        seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
+    values, vectors, nodes, path = _bound_levels(params.b, k, grid, diag, off, v_scaled,
+                                                 seeds, starts)
     solved = time.perf_counter()
     k_found = len(values)
     energies = tuple(float(v) / params.kappa for v in values)
-    nodes = tuple(_eigenvector_nodes(vectors[:, i]) for i in range(k_found))
     delta = _deferred_correction(r, grid.spacing, v_scaled, values, vectors)
     refined = tuple(float(v) / params.kappa for v in values + delta)
     if not all(map(math.isfinite, energies + refined)):
@@ -505,13 +501,12 @@ def solve_radial(params: PotentialParams, D: int, l: int,
         f"refinement moves a level by {gap:.1e} relative "
         f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
     _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
-               "window (%.6g, %.6g]%s, %d of %d levels %s; "
-               "assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
-               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, window[0], window[1],
-               " widened" if widened else "", k_found, k, path, assembled - started,
-               solved - assembled, time.perf_counter() - solved)
-    return OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
-                        refined=refined, truncated=k_found < k, warnings=warnings)
+               "%d of %d levels %s; assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
+               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k, path,
+               assembled - started, solved - assembled, time.perf_counter() - solved)
+    result = OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
+                          refined=refined, truncated=k_found < k, warnings=warnings)
+    return result, (diag, values, vectors)
 
 
 @dataclass(frozen=True)
@@ -529,8 +524,9 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
                   grid: LogRadialGrid | None = None) -> list[AuditResult]:
     """Closed form vs. the oracle in ``modes``, one result per level n in ``ns``.
 
-    Solves each mode once, in the order given, for max(ns) + 1 levels on
-    ``grid`` or else the channel's one default grid.  A mode left out, and an
+    Solves each mode once, approximated first, whose eigenpairs seed the
+    exact solve, for max(ns) + 1 levels on ``grid`` or else the channel's
+    one default grid.  A mode left out, and an
     exact level unbound as the module docstring says, read None.  Raises
     :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
     form is unbound or undefined, before any solve; then what
@@ -541,7 +537,9 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
     k = max(ns) + 1
     grid = default_grid(params, D, l, k) if grid is None else grid
-    solves = {mode: solve_radial(params, D, l, mode=mode, grid=grid, k=k) for mode in modes}
+    solves, approx = {}, None
+    for mode in sorted(modes, key=lambda mode: mode is CentrifugalMode.EXACT):
+        solves[mode], approx = _solve(params, D, l, mode, grid, k, approx)
     approx = solves.get(CentrifugalMode.APPROXIMATED)
     held = len(approx.refined) if approx is not None else 0
     audits = []

@@ -13,6 +13,7 @@ import pytest
 import manning_rosen
 from manning_rosen import (PotentialParams, QuantumState, critical_coupling,
                            normalization_quadrature, parse_spectroscopic, radial_wavefunction)
+from manning_rosen import cli
 from manning_rosen.cli import _subparsers, build_parser, main
 from manning_rosen.reference import audit_reference_table
 
@@ -605,8 +606,37 @@ CONTRACT_CASES = {
 }
 
 
+# argv of each subcommand's JSON payload checked against the stdlib's encoder:
+# the contract cases, plus null cells and 1000 samples
+JSON_CASES = {
+    **{command: argv for command, (argv, _) in CONTRACT_CASES.items()},
+    "spectrum-undefined": ["spectrum", "--A", "80", "--b", "40", "--alpha", "0.3", "--dim", "2",
+                           "--states", "1s,2p"],
+    "oracle-unbound": ["oracle", "--inv-b", "0.075", "--A-over-b", "2", "--alpha", "1.5",
+                       "--dim", "4", "--states", "3d,4d,4f", "--mode", "both"],
+    "wavefunction-1000": CONTRACT_CASES["wavefunction"][0][:-1] + ["1000"],
+}
+
+
 class TestOutputContract:
     """Every subcommand renders, writes and exits the same way in every format."""
+
+    @pytest.mark.parametrize("case", sorted(JSON_CASES))
+    def test_json_matches_the_stdlib_indenting_encoder(self, case):
+        args = cli._parse_args(build_parser(), JSON_CASES[case] + ["--format", "json"])
+        report = cli._COMMANDS[args.command](args, args.precision)
+        expected = json.dumps(report.payload, sort_keys=True, indent=2) + "\n"
+        assert cli._render(report, "json") == expected
+        if case in ("spectrum-undefined", "oracle-unbound"):
+            assert ": null" in expected
+
+    @pytest.mark.parametrize("payload", [
+        None, 0, -0.0, "a\u00e9\n]", [], {}, [[]], [{}], {"a": []}, [[1], [2.5, None]],
+        [{"b": 1, "a": "x"}, {"c": float("nan")}], [[1], {"a": 1}], [1, [2, [3, {}]]],
+        {"z": {"y": [float("inf"), True, False]}, "a": [["},\n    ["]]}, ("t", ("u",)),
+    ])
+    def test_json_matches_the_stdlib_on_edge_payloads(self, payload):
+        assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     @pytest.mark.parametrize("command", sorted(CONTRACT_CASES))
@@ -802,6 +832,7 @@ LAZY_ORACLE_SCRIPT = """
 import contextlib, io, sys
 import manning_rosen
 import manning_rosen.cli
+from manning_rosen import cli
 from manning_rosen.cli import _subparsers, build_parser, main
 
 PARAMS = ["--A", "80", "--b", "40", "--alpha", "0.75", "--dim", "2"]

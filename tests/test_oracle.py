@@ -16,8 +16,7 @@ from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, Poten
                            hulthen_energy, parse_spectroscopic, solve_radial, state_label)
 from manning_rosen import oracle
 from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
-                                  _eigenvector_nodes, _grid_origin, _tridiagonal,
-                                  _window_top)
+                                  _eigenvector_nodes, _grid_origin, _tridiagonal)
 from manning_rosen.reference import iter_reference_cells
 
 
@@ -53,8 +52,9 @@ def index_range_solve(params, D, l, mode, grid, k):
 
 
 # (params, D, l, mode) of a 4f channel whose exact barrier lifts the ground state
-# above the closed-form window: the window holds no level and is widened
-WIDENED = (PotentialParams(A=25.77, alpha=1.643, b=12.907), 3, 3, CentrifugalMode.EXACT)
+# above the midpoint of closed-form levels 0 and 1: the closed form seeds no level
+ABOVE_CLOSED_FORM = (PotentialParams(A=25.77, alpha=1.643, b=12.907), 3, 3,
+                     CentrifugalMode.EXACT)
 
 
 def table_channels():
@@ -266,8 +266,8 @@ class TestSolveRadial:
             assert result.warnings == ()
 
     def test_window_matches_index_range_on_table_channels(self):
-        # the value window returns the index range's eigenpairs; the refined
-        # levels agree too, because stein's noise floor is kept out of u''
+        # the seeded solve returns the index range's eigenpairs; the refined
+        # levels agree too, because inverse iteration's noise floor is kept out of u''
         for (inv_b, alpha, D, l), n_top in table_channels().items():
             params = table_params(inv_b, alpha)
             k = n_top + 1
@@ -284,19 +284,22 @@ class TestSolveRadial:
             np.testing.assert_allclose(result.refined, refined,
                                        rtol=1e-13, atol=0.0)
 
-    def test_widened_window_matches_index_range(self):
-        params, D, l, mode = WIDENED
-        result = solve_radial(params, D, l, mode, k=1)
+    def test_level_above_the_closed_form_is_seeded_from_approx(self, caplog):
+        params, D, l, mode = ABOVE_CLOSED_FORM
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, D, l, mode, k=1)
+        assert ", 1 of 1 levels seeded from approx in " in oracle_messages(caplog)[-1]
         diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid)
-        assert sturm_count(diag, off, _window_top(params, D, l, 1)) == 0
+        closed = oracle._closed_levels(params, D, l, 2)
+        assert sturm_count(diag, off, 0.5 * (closed[0] + closed[1])) == 0
         values, _, _ = index_range_solve(params, D, l, mode, result.grid, 1)
         assert result.eigenvalues == pytest.approx([values[0] / params.kappa], rel=1e-15)
         assert result.node_counts == (0,)
         assert not result.truncated
 
     def test_explicit_log_grid_without_shape_parameter(self):
-        # q = 0 with |1 - 2 alpha| < 1: the closed form raises DomainError, so the
-        # window runs up to 0 and the levels are the index range's
+        # q = 0 with |1 - 2 alpha| < 1: the closed form raises DomainError, so
+        # approximated mode is bisected and seeds exact mode's index-range levels
         params = PotentialParams(A=80.0, alpha=0.3, b=40.0)
         grid = LogRadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=4001)
         result = solve_radial(params, 2, 0, CentrifugalMode.EXACT, grid=grid, k=2)
@@ -328,16 +331,29 @@ class TestSolveRadial:
         assert len(result.warnings) == 1
         assert "refinement moves a level" in result.warnings[0]
 
-    def test_debug_log_reports_widened_window(self, caplog):
+    def test_debug_log_reports_the_seeds_of_exact_mode(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
-            solve_radial(*WIDENED, k=1)
+            solve_radial(*ABOVE_CLOSED_FORM, k=1)
             solve_radial(table_params(), 2, 1, k=1)
         records = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
         assert len(records) == 2
         assert all(r.levelno == logging.DEBUG for r in records)
-        assert " widened, 1 of 1 levels" in records[0].getMessage()
-        assert "widened" not in records[1].getMessage()
+        assert " exact: " in records[0].getMessage()
+        assert ", 1 of 1 levels seeded from approx in " in records[0].getMessage()
+        assert ", 1 of 1 levels seeded in " in records[1].getMessage()
+        assert all("window" not in r.getMessage() for r in records)
         assert "eigensolve" in records[1].getMessage()
+
+    def test_exact_mode_alone_does_not_refine_the_approximated_level(self):
+        # q = 0 just above the closed form's critical coupling: the approximated
+        # level lies nearer threshold than the grid resolves, the exact one does not
+        params = PotentialParams(A=0.25 * (1.0 + 1e-7), alpha=0.0, b=40.0)
+        with pytest.raises(ConvergenceError, match="deferred correction lifts"):
+            solve_radial(params, 2, 0, CentrifugalMode.APPROXIMATED)
+        exact = solve_radial(params, 2, 0, CentrifugalMode.EXACT)
+        values, _, _ = index_range_solve(params, 2, 0, CentrifugalMode.EXACT, exact.grid, 1)
+        np.testing.assert_allclose(exact.eigenvalues, values / params.kappa, rtol=1e-15, atol=0.0)
+        assert exact.refined[0] == pytest.approx(-1.39038e-6, rel=1e-5)
 
     def test_debug_log_reports_r_min_and_spacing(self, caplog):
         params = table_params()
@@ -346,7 +362,7 @@ class TestSolveRadial:
             solve_radial(params, 2, 1, k=1)
         [record] = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
         assert (f"{grid.n_points} points from r_min {grid.r_min:.6g} "
-                f"with h {grid.spacing:.6g}, window") in record.getMessage()
+                f"with h {grid.spacing:.6g}, 1 of 1 levels") in record.getMessage()
 
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("manning_rosen").handlers
@@ -393,8 +409,8 @@ class TestSolveRadial:
             solve_radial(params, 2, 1, grid=grid)
 
     def test_pivot_floor_is_judged_against_the_shallowest_level(self):
-        # at r_min = 2e-73 the floor, 3.0e-9 in kappa E, is under 1e-8 of the
-        # window's lower end, -0.475, so bisection runs; but it is over 1e-8 of
+        # at r_min = 2e-73 the floor, 3.0e-9 in kappa E, is under 1e-8 of
+        # kappa min V_eff, -0.475, so the solve runs; but it is over 1e-8 of
         # the 3p level, kappa E = -0.0876
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         grid = LogRadialGrid(r_min=2e-73, r_max=2000.0, n_points=4001)
@@ -403,7 +419,7 @@ class TestSolveRadial:
 
 
 def seeding_off(*args):
-    """Stands in for ``_seeded_eigenpairs``, so every channel takes the value-window bisection."""
+    """Stands in for ``_seeded_eigenpairs``, so every channel takes the index-range bisection."""
     return "seeding off"
 
 
@@ -422,14 +438,19 @@ class TestSeededEigensolve:
 
     def test_debug_log_names_the_path(self, caplog):
         params = table_params()
+        undefined = PotentialParams(A=80.0, alpha=0.3, b=40.0)  # q = 0: no closed form
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, k=3)
             solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
             solve_radial(PotentialParams(A=2.0, alpha=0.0, b=1.0), 3, 0, k=5)
-        seeded, exact, truncated = oracle_messages(caplog)
+            solve_radial(undefined, 2, 0, grid=LogRadialGrid(r_min=4e-11, r_max=2000.0,
+                                                             n_points=4001), k=2)
+        seeded, exact, truncated, bisected = oracle_messages(caplog)
         assert re.search(r", 3 of 3 levels seeded in \d+ solves; assembly", seeded)
-        assert ", 3 of 3 levels bisected (exact mode with q^2 != 1); assembly" in exact
-        assert ", 1 of 5 levels bisected (1 of 5 closed-form levels bound); " in truncated
+        assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves; assembly", exact)
+        assert re.search(r", 1 of 5 levels seeded in \d+ solves, no other level below 0 "
+                         r"\(stebz count\); ", truncated)
+        assert ", 2 of 2 levels bisected (stebz finds 12 more levels below 0); " in bisected
 
     def test_s_wave_is_seeded_in_both_modes(self, caplog):
         # q = 1: both barriers vanish, so exact mode solves the closed form's equation
@@ -476,45 +497,136 @@ class TestSeededEigensolve:
     def test_seeded_sweep_matches_bisection(self, monkeypatch):
         # each drawn approximated-mode channel solved seeded and with the seeded
         # path off, on one grid; a certificate that fails sends it to bisection
-        rng = random.Random(20261019)
-        seeded = oracle._seeded_eigenpairs
-        certified = []
-
-        def counted(*args):
-            result = seeded(*args)
-            certified.append(not isinstance(result, str))
-            return result
-
-        def solve(params, D, l, grid, path):
-            monkeypatch.setattr(oracle, "_seeded_eigenpairs", path)
-            try:
-                return solve_radial(params, D, l, grid=grid, k=3)
-            except (ConvergenceError, DomainError) as exc:
-                return type(exc)
-
-        for _ in range(400):
-            params = PotentialParams(A=10.0 ** rng.uniform(0.5, 3.0),
-                                     alpha=rng.uniform(-1.0, 2.0),
-                                     b=10.0 ** rng.uniform(-3.0, 4.0))
-            D, l = rng.randint(2, 6), rng.randint(0, 4)
-            try:
-                grid = default_grid(params, D, l, k=3)
-            except DomainError:
-                continue
-            fast = solve(params, D, l, grid, counted)
-            slow = solve(params, D, l, grid, seeding_off)
-            case = (params, D, l)
-            if isinstance(slow, type):
-                assert fast is slow, case
-                continue
-            assert (fast.node_counts, fast.truncated, fast.warnings) == (
-                slow.node_counts, slow.truncated, slow.warnings), case
-            np.testing.assert_allclose(fast.eigenvalues, slow.eigenvalues, rtol=1e-15, atol=0.0,
-                                       err_msg=str(case))
-            np.testing.assert_allclose(fast.refined, slow.refined, rtol=1e-13, atol=0.0,
-                                       err_msg=str(case))
+        certified = seeded_sweep(monkeypatch, CentrifugalMode.APPROXIMATED)
         assert len(certified) >= 200
         assert certified.count(False) <= 0.01 * len(certified)
+
+    def test_seeded_exact_sweep_matches_bisection(self, monkeypatch):
+        # the same draws in exact mode where q >= 2, seeded from the approximated
+        # solve on the same grid; the fraction certified is in the message
+        certified = seeded_sweep(monkeypatch, CentrifugalMode.EXACT)
+        fraction = sum(certified) / len(certified)
+        assert len(certified) >= 150
+        assert fraction >= 0.95, f"{fraction:.3f} of {len(certified)} exact solves certified"
+
+    def test_wrong_perturbed_seed_falls_back_to_bisection(self, monkeypatch, caplog):
+        # the first two perturbed seeds swapped: the exact solve must not keep them
+        params = table_params()
+        seeded = oracle._seeded_eigenpairs
+
+        def swapped(diag, off, seeds, floor, lower, k, starts=None):
+            if starts is not None:
+                seeds = [seeds[1], seeds[0], *seeds[2:]]
+            return seeded(diag, off, seeds, floor, lower, k, starts)
+
+        monkeypatch.setattr(oracle, "_seeded_eigenpairs", swapped)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
+        [message] = oracle_messages(caplog)
+        assert ", 3 of 3 levels bisected (level 0 " in message
+        monkeypatch.setattr(oracle, "_seeded_eigenpairs", seeding_off)
+        assert result == solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
+        assert result.node_counts == (0, 1, 2)
+
+    def test_q0_channel_is_seeded_in_exact_mode(self, caplog):
+        # D = 2, l = 0, alpha = 0: the exact barrier -1/(4 r^2) lies below its stand-in
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 2, 0, CentrifugalMode.EXACT, k=1)
+        assert ", 1 of 1 levels seeded from approx in " in oracle_messages(caplog)[-1]
+        values, _, _ = index_range_solve(params, 2, 0, CentrifugalMode.EXACT, result.grid, 1)
+        np.testing.assert_allclose(result.eigenvalues, values / params.kappa,
+                                   rtol=1e-15, atol=0.0)
+
+    def test_exact_mode_matches_index_range_on_table_channels(self, caplog):
+        # every exact level of the 66 channels, alone and in an audit, against the
+        # index range's negative values on the same grid; only the four cells the
+        # exact barrier unbinds go missing
+        truncated = set()
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            for (inv_b, alpha, D, l), n_top in table_channels().items():
+                params, k = table_params(inv_b, alpha), n_top + 1
+                result = solve_radial(params, D, l, CentrifugalMode.EXACT, k=k)
+                values, _, _ = index_range_solve(params, D, l, CentrifugalMode.EXACT,
+                                                 result.grid, k)
+                bound = values[values < 0.0] / params.kappa
+                assert len(result.eigenvalues) == len(bound), (inv_b, alpha, D, l)
+                np.testing.assert_allclose(result.eigenvalues, bound, rtol=1e-15, atol=0.0)
+                assert result.node_counts == tuple(range(len(bound)))
+                audits = audit_channel(params, D, l, list(range(k)))
+                assert [a.e_exact for a in audits[:len(bound)]] == list(result.refined)
+                if result.truncated:
+                    truncated.add((inv_b, alpha, l, len(bound)))
+        assert truncated == {(0.075, 0.75, 3, 0), (0.075, 0.0, 3, 0), (0.075, 1.5, 3, 0),
+                             (0.075, 1.5, 2, 1)}
+        exact = [m for m in oracle_messages(caplog) if " exact: " in m]
+        assert len(exact) == 2 * 66
+        assert sum("bisected" in m for m in exact) <= 4, [m for m in exact if "bisected" in m]
+
+    def test_levels_the_exact_barrier_unbinds_are_counted_not_bisected(self, caplog):
+        # 1/b = 0.075, alpha = 1.5, D = 4: the perturbed seeds of 4d and 4f lie above
+        # 0, and one stebz count shows that no other level lies below 0
+        params = table_params(0.075, 1.5)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            four_d = audit_channel(params, 4, 2, [0, 1])[1]
+            [four_f] = audit_channel(params, 4, 3, [0])
+        assert four_d.e_exact is None and four_f.e_exact is None
+        messages = oracle_messages(caplog)
+        assert not any("bisected" in m for m in messages), messages
+        exact = [m for m in messages if " exact: " in m]
+        assert re.search(r", 1 of 2 levels seeded from approx in \d+ solves, no other level "
+                         r"below 0 \(stebz count\); ", exact[0])
+        assert (", 0 of 1 levels seeded from approx in 0 solves, no other level below 0 "
+                "(stebz count); ") in exact[1]
+
+
+def seeded_sweep(monkeypatch, mode: CentrifugalMode) -> list[bool]:
+    """Drawn k = 3 channels solved in ``mode`` seeded and with seeding off, on one grid.
+
+    Asserts that both give the same levels; exact mode takes only the q >= 2
+    channels.  Returns, per certificate of the mode's own solve, whether it held.
+    """
+    rng = random.Random(20261019)
+    seeded = oracle._seeded_eigenpairs
+    certified = []
+
+    def counted(*args):
+        result = seeded(*args)
+        if mode is CentrifugalMode.APPROXIMATED or args[6] is not None:
+            certified.append(not isinstance(result, str))
+        return result
+
+    def solve(params, D, l, grid, path):
+        monkeypatch.setattr(oracle, "_seeded_eigenpairs", path)
+        try:
+            return solve_radial(params, D, l, mode, grid=grid, k=3)
+        except (ConvergenceError, DomainError) as exc:
+            return type(exc)
+
+    for _ in range(400):
+        params = PotentialParams(A=10.0 ** rng.uniform(0.5, 3.0),
+                                 alpha=rng.uniform(-1.0, 2.0),
+                                 b=10.0 ** rng.uniform(-3.0, 4.0))
+        D, l = rng.randint(2, 6), rng.randint(0, 4)
+        if mode is CentrifugalMode.EXACT and D + 2 * l - 2 < 2:
+            continue
+        try:
+            grid = default_grid(params, D, l, k=3)
+        except DomainError:
+            continue
+        fast = solve(params, D, l, grid, counted)
+        slow = solve(params, D, l, grid, seeding_off)
+        case = (params, D, l)
+        if isinstance(slow, type):
+            assert fast is slow, case
+            continue
+        assert (fast.node_counts, fast.truncated, fast.warnings) == (
+            slow.node_counts, slow.truncated, slow.warnings), case
+        np.testing.assert_allclose(fast.eigenvalues, slow.eigenvalues, rtol=1e-15, atol=0.0,
+                                   err_msg=str(case))
+        np.testing.assert_allclose(fast.refined, slow.refined, rtol=1e-13, atol=0.0,
+                                   err_msg=str(case))
+    return certified
 
 
 # (D, l) of the 2p state at A = 80, alpha = 0.75, solved across the range of b
@@ -594,19 +706,19 @@ class TestApproximationAudit:
 
 @pytest.fixture
 def oracle_calls(monkeypatch):
-    """Counts of ``default_grid`` calls and of ``solve_radial`` calls per mode."""
+    """Counts of ``default_grid`` calls and of solves (``oracle._solve``) per mode."""
     calls = {"default_grid": 0, CentrifugalMode.EXACT: 0, CentrifugalMode.APPROXIMATED: 0}
-    solve, grid = oracle.solve_radial, oracle.default_grid
+    solve, grid = oracle._solve, oracle.default_grid
 
-    def counted_solve(params, D, l, mode=CentrifugalMode.APPROXIMATED, **kwargs):
+    def counted_solve(params, D, l, mode, *args):
         calls[mode] += 1
-        return solve(params, D, l, mode, **kwargs)
+        return solve(params, D, l, mode, *args)
 
     def counted_grid(*args, **kwargs):
         calls["default_grid"] += 1
         return grid(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "solve_radial", counted_solve)
+    monkeypatch.setattr(oracle, "_solve", counted_solve)
     monkeypatch.setattr(oracle, "default_grid", counted_grid)
     return calls
 
@@ -661,7 +773,7 @@ class TestAuditChannel:
                     continue
                 assert audit.e_exact > audit.e_approx
                 # a one-level audit is the same solve as approximation_audit; a level
-                # below the channel's top sits in a wider bisection window, which
+                # below the channel's top may be bisected with another k, which
                 # may end a few ulp away
                 assert audit_channel(params, 4, l, [n])[0] == approximation_audit(params, state)
                 alone = approximation_audit(params, state, grid)
