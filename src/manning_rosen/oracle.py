@@ -35,25 +35,27 @@ solves with Rayleigh-quotient updates (inverse iteration; Parlett, The
 Symmetric Eigenvalue Problem) give the eigenvector and a shift with an
 eigenvalue close by, and one stebz call bisects that short window to the
 value.  The level is kept only when the shift has converged, stebz finds
-exactly one value in the window and the vector has exactly n sign changes,
-as the discrete Sturm oscillation theorem demands of the n-th eigenvector
-of a tridiagonal matrix with negative off-diagonal.  Where the matrix
-discretises the closed form's own equation (approximated mode, or q^2 = 1,
-where both barriers vanish), closed-form level n lies within O(h^2) of the
-n-th eigenvalue and seeds it.  Otherwise, in exact mode, the two modes'
-matrices on one grid differ only on the diagonal, by dD = diag_exact -
-diag_approx, so the approximated eigenpairs (lambda_n, w_n) seed it to
-first order: sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse
-iteration started from w_n; exact mode alone solves approximated mode on
-its grid first.  Seeding stops at a seed at or above 0; one stebz count
-then certifies that no other level lies below 0, and the bound subset is
-returned as truncated.  A seed that misses costs a fallback to one stebz
-call on the index range 0..k-1, keeping the negative values, never a wrong
-level; so do channels with no closed form (q = 0 with |1 - 2 alpha| < 1)
-in approximated mode and explicit grids with no more unknowns than levels
-asked.  The kinetic part is positive (a second difference with a Robin
-ratio <= 1 at one end and Dirichlet at the other, plus 1/(4 r^2)), so no
-eigenvalue lies below kappa min V_eff: when that is >= 0, nothing is solved.
+exactly one value in the window, negative and above the level below, and
+the vector has exactly n sign changes, as the discrete Sturm oscillation
+theorem demands of the n-th eigenvector of a tridiagonal matrix with
+negative off-diagonal.  Where the matrix discretises the closed form's own
+equation (approximated mode, or q^2 = 1, where both barriers vanish),
+closed-form level n lies within O(h^2) of the n-th eigenvalue and seeds it.
+Otherwise, in exact mode, the two modes' matrices on one grid differ only on
+the diagonal, by dD = diag_exact - diag_approx, so the approximated
+eigenpairs (lambda_n, w_n) seed it to first order:
+sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse iteration
+started from w_n; exact mode alone solves approximated mode on its grid
+first.  Seeding stops at a seed at or above 0; one stebz count then
+certifies that no other level lies below 0, and the bound subset is
+returned as truncated.  Where level n fails its certificate, or the count
+finds a level (as in channels with no closed form, q = 0 with
+|1 - 2 alpha| < 1), one stebz call on the index range n..k-1 seeds the
+levels from n on with its negative values, keeping those below n; a level
+that fails after that raises.  The kinetic part is positive (a second difference with
+a Robin ratio <= 1 at one end and Dirichlet at the other, plus 1/(4 r^2)),
+so no eigenvalue lies below kappa min V_eff: when that is >= 0, nothing is
+solved.
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
@@ -82,7 +84,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import ConvergenceError, DomainError
@@ -285,9 +286,14 @@ def _closed_levels(params: PotentialParams, D: int, l: int, count: int) -> list[
     return levels
 
 
-def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], floor: float,
-                       lower: float, k: int, starts: np.ndarray | None = None):
-    """Eigenpairs 0..k-1 by inverse iteration from ``seeds``, each certified.
+def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
+                  v_scaled: np.ndarray, seeds: list[float], starts: np.ndarray | None = None):
+    """Lowest k negative eigenpairs by certified inverse iteration from ``seeds``.
+
+    ``seeds`` (kappa E) are the closed-form levels, or the perturbed
+    approximated levels with their eigenvectors as ``starts``.  LAPACK gets
+    the matrix and the seeds times 4^m, m = round(log2 b) held to |m| <= 511,
+    an exact power of two that leaves them at their size in s = r / b.
 
     Per level n: up to 3 solves of (T - sigma) x = w (LAPACK gtsv), from
     w = ``starts[:, n]`` or the flat unit vector, each followed by
@@ -296,83 +302,31 @@ def _seeded_eigenpairs(diag: np.ndarray, off: np.ndarray, seeds: list[float], fl
     converged when that radius is within max(1e-12 |sigma|, 2^-52 |w|^T |T| |w|);
     the second term bounds how far rounding in the solves moves sigma from
     stebz's value (0.12 of it was the most seen), and stebz bisects that
-    window.  The level is certified when stebz finds exactly one value there
-    and w has exactly n sign changes, as the n-th eigenvector must (Sturm
-    oscillation); the values must be negative, increasing and resolved by
-    stebz's pivot ``floor``.  A seed at or above 0, or the end of the seeds,
-    stops it: a stebz count on (top of the last window, or ``lower``, 0] must
-    then find nothing.  Returns the values, the vectors as columns and the
-    solve count, or a string that says why a level failed.
-    """
-    size = len(diag)
-    flat = np.full(size, 1.0 / math.sqrt(size))
-    abs_diag, abs_off = np.abs(diag), np.abs(off)
-    values, vectors, solves, top = [], [], 0, lower
-    for n, shift in enumerate(seeds[:k]):
-        if not shift < 0.0:
-            break
-        w = flat if starts is None else starts[:, n]
-        for _ in range(_SEED_SOLVES):
-            x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
-            solves += 1
-            norm = float(np.linalg.norm(x))
-            if info or not 0.0 < norm < math.inf:
-                return f"singular shift at level {n}"
-            shift += float(w @ x) / (norm * norm)
-            w = x / norm
-            radius = 2.0 / norm
-            if radius <= _SEED_WINDOW * abs(shift):
-                break
-        a = np.abs(w)
-        rounding = _ULP * float(a @ (abs_diag * a) + 2.0 * (a[:-1] * abs_off) @ a[1:])
-        half = max(_SEED_WINDOW * abs(shift), rounding)
-        if radius > half:
-            return f"level {n} not converged in {_SEED_SOLVES} solves"
-        top = shift + half
-        found, value, _, _, info = dstebz(diag, off, 1, shift - half, top, 0, 0,
-                                          _BISECTION_TOL, "E")
-        if info or found != 1:
-            return f"stebz finds {found} values near level {n}"
-        nodes = _eigenvector_nodes(w)
-        if nodes != n:
-            return f"level {n} has {nodes} nodes"
-        values.append(value[0])
-        vectors.append(w)
-    if len(values) < k:  # a tolerance of float max stops stebz at the count
-        found, _, _, _, info = dstebz(diag, off, 1, top, 0.0, 0, 0, sys.float_info.max, "E")
-        if info or found:
-            return f"stebz finds {found} more levels below 0"
-    values = np.array(values)
-    if len(values) and not (values[-1] < 0.0 and np.all(values[:-1] < values[1:])):
-        return "levels not negative and increasing"
-    if len(values) and not floor <= _MAX_PIVOT_FLOOR * abs(values[-1]):
-        return f"pivot floor over {_MAX_PIVOT_FLOOR:g} of a level"
-    return values, np.array(vectors).reshape(len(values), size).T, solves
-
-
-def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
-                  v_scaled: np.ndarray, seeds: list[float], starts: np.ndarray | None = None):
-    """Lowest k negative eigenpairs: seeded at ``seeds``, else bisected by index.
-
-    ``seeds`` (kappa E) are the closed-form levels, or the perturbed
-    approximated levels with their eigenvectors as ``starts``.  A failed
-    certificate of ``_seeded_eigenpairs``, or k at or above the number of
-    unknowns, sends the channel to one index-range stebz call for levels
-    0..k-1, of which the negative ones are kept.  LAPACK gets the matrix and
-    the seeds times 4^m, m = round(log2 b) held to |m| <= 511, an exact
-    power of two that leaves them at their size in s = r / b.  stebz floors
-    each Sturm pivot at tiny * max off^2 of that matrix: a floor over 1e-8 of
-    kappa min V_eff (judged first) or of the shallowest level found raises
-    :class:`ConvergenceError` (h r_min / b below about 1e-75, which only an
-    explicit grid reaches).  Returns the values, their eigenvectors as
-    columns, their node counts and the path taken, for the log.
+    window.  The level is certified when stebz finds exactly one value there,
+    negative and above level n - 1, and w has exactly n sign changes, as the
+    n-th eigenvector must (Sturm oscillation).  A seed at or above 0, or the
+    end of the seeds, stops it: a stebz count on (kappa min V_eff, 0] must then
+    find only the n levels certified.  Otherwise one stebz call on the index
+    range n..k-1 replaces the seeds from level n on by its negative values,
+    run from the flat vector; a level that fails after that raises
+    :class:`ConvergenceError`.  stebz floors each Sturm pivot at
+    tiny * max off^2 of the scaled matrix: a floor over 1e-8 of
+    kappa min V_eff (judged first) or of the shallowest level bisected or
+    found raises :class:`ConvergenceError` (h r_min / b below about 1e-75,
+    which only an explicit grid reaches).  One unknown is its own eigenpair:
+    LAPACK's gtsv and stebz take no empty off-diagonal.  Returns the values,
+    their eigenvectors as columns and the path taken, for the log.
     """
     v_min = float(np.min(v_scaled))
     lower = v_min - _LOWER_MARGIN * abs(v_min)
     if lower >= 0.0:  # the kinetic part is positive: nothing lies below 0
-        return np.empty(0), np.empty((len(diag), 0)), (), "unsolved (kappa V_eff >= 0)"
+        return np.empty(0), np.empty((len(diag), 0)), "unsolved (kappa V_eff >= 0)"
+    size = len(diag)
+    if size == 1:
+        values = diag[diag < 0.0]
+        return values, np.ones((1, len(values))), "solved (1 unknown)"
     scale = math.ldexp(1.0, 2 * min(max(round(math.log2(b)), -511), 511))
-    diag, off = diag * scale, off * scale
+    diag, off, lower = diag * scale, off * scale, lower * scale
     off_max = float(np.max(np.abs(off), initial=1.0))
     floor = np.finfo(float).tiny * off_max * off_max
 
@@ -382,29 +336,67 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
                 f"bisection resolves kappa E only to {floor / scale:.1e}, over "
                 f"{_MAX_PIVOT_FLOOR:g} of {what} {levels[-1] / scale:.6g}, on grid {grid}: "
                 "raise r_min")
-    judge([lower * scale], "kappa min V_eff")
-    why = f"{len(diag)} unknowns for {k} levels"
-    if k < len(diag):
-        seeded = _seeded_eigenpairs(diag, off, [seed * scale for seed in seeds], floor,
-                                    lower * scale, k, starts)
-        if not isinstance(seeded, str):
-            values, vectors, solves = seeded
-            return (values / scale, vectors, tuple(range(len(values))),
-                    f"seeded{'' if starts is None else ' from approx'} in {solves} solves"
-                    + (", no other level below 0 (stebz count)" if len(values) < k else ""))
-        why = seeded
-    try:
-        values, vectors = eigh_tridiagonal(diag, off, select="i",
-                                           select_range=(0, min(k, len(diag)) - 1),
-                                           lapack_driver="stebz", tol=_BISECTION_TOL)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    bound = values < 0.0
-    values, vectors = values[bound], vectors[:, bound]
+    judge([lower], "kappa min V_eff")
+    path = f"seeded{'' if starts is None else ' from approx'}"
+    seeds, k = [seed * scale for seed in seeds[:k]], min(k, size)
+    flat = np.full(size, 1.0 / math.sqrt(size))
+    abs_diag, abs_off = np.abs(diag), np.abs(off)
+    values, vectors, solves, bisected = [], [], 0, ""
+    while len(values) < k:
+        n = len(values)
+        try:  # a failed certificate raises; the first one sends levels n.. to bisection
+            if n == len(seeds) or not seeds[n] < 0.0:
+                # a tolerance of float max stops stebz at the count
+                found, _, _, _, info = dstebz(diag, off, 1, lower, 0.0, 0, 0,
+                                              sys.float_info.max, "E")
+                if info or found != n:
+                    raise ConvergenceError(f"stebz finds {found - n} more levels below 0")
+                break
+            shift, w = seeds[n], flat if starts is None else starts[:, n]
+            for _ in range(_SEED_SOLVES):
+                x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
+                solves += 1
+                norm = float(np.linalg.norm(x))
+                if info or not 0.0 < norm < math.inf:
+                    raise ConvergenceError(f"singular shift at level {n}")
+                shift += float(w @ x) / (norm * norm)
+                w = x / norm
+                radius = 2.0 / norm
+                if radius <= _SEED_WINDOW * abs(shift):
+                    break
+            a = np.abs(w)
+            rounding = _ULP * float(a @ (abs_diag * a) + 2.0 * (a[:-1] * abs_off) @ a[1:])
+            half = max(_SEED_WINDOW * abs(shift), rounding)
+            if radius > half:
+                raise ConvergenceError(f"level {n} not converged in {_SEED_SOLVES} solves")
+            found, value, _, _, info = dstebz(diag, off, 1, shift - half, shift + half, 0, 0,
+                                              _BISECTION_TOL, "E")
+            if info or found != 1:
+                raise ConvergenceError(f"stebz finds {found} values near level {n}")
+            if not (values[-1] if values else -math.inf) < value[0] < 0.0:
+                raise ConvergenceError(f"level {n} not negative and above level {n - 1}")
+            nodes = _eigenvector_nodes(w)
+            if nodes != n:
+                raise ConvergenceError(f"level {n} has {nodes} nodes")
+        except ConvergenceError as exc:
+            if bisected:
+                raise ConvergenceError(f"the levels that stebz's index range seeds fail their "
+                                       f"certificate: {exc}, on grid {grid}") from None
+            found, value, _, _, info = dstebz(diag, off, 3, 0.0, 0.0, n + 1, k,
+                                              _BISECTION_TOL, "E")
+            if info:  # pragma: no cover - LAPACK failure
+                raise ConvergenceError(f"stebz fails with info {info} on grid {grid}") from None
+            seeds[n:], starts = [v for v in value[:found] if v < 0.0], None
+            judge(values + seeds[n:], "level")
+            bisected = f", bisected from level {n} ({exc})"
+            continue
+        values.append(value[0])
+        vectors.append(w)
     judge(values, "level")
-    return (values / scale, vectors,
-            tuple(_eigenvector_nodes(vectors[:, i]) for i in range(len(values))),
-            f"bisected ({why})")
+    values = np.array(values)
+    return (values / scale, np.array(vectors).reshape(len(values), size).T,
+            f"{path} in {solves} solves{bisected}"
+            + (", no other level below 0 (stebz count)" if len(values) < k else ""))
 
 
 def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
@@ -430,10 +422,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     ``grid`` defaults to ``default_grid(params, D, l, k)``.  Each level is
     seeded (``_bound_levels``): at its closed-form value in approximated
     mode or at q^2 = 1, else in exact mode at the first-order shift of the
-    approximated level, which is solved on the same grid first.  A failed
-    certificate sends the channel to one index-range stebz call.  Either way
-    each eigenvalue is stebz's, to full relative accuracy, and each
-    eigenvector comes from inverse iteration, so the i-th returned state has
+    approximated level, which is solved on the same grid first; from a
+    level whose certificate fails on, at stebz's index-range values.  Each
+    eigenvalue is stebz's, to full relative accuracy, and each eigenvector
+    comes from certified inverse iteration, so the i-th returned state has
     exactly i interior nodes.  The bound levels are the negative ones; when
     fewer than k exist, the bound subset is returned with ``truncated`` set.
 
@@ -446,13 +438,13 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     Raises :class:`DomainError` when an energy kappa E / kappa is not a
     finite float (a subnormal kappa), as ``spectrum.energy`` does for the
     closed form, and :class:`ConvergenceError` when bisection cannot
-    resolve the levels (``_bound_levels``).
+    resolve the levels or a level it seeds fails (``_bound_levels``).
 
     Each call logs its grid points, r_min and spacing h, level count, path
     (``seeded`` with its solve count, ``from approx`` for the perturbed
-    seeds, or ``bisected`` with the reason) and stage timings at DEBUG level
-    on the ``manning_rosen.oracle`` logger; exact mode's approximated
-    eigensolve counts in its eigensolve time.
+    seeds, ``bisected from level`` n with the reason) and stage timings at
+    DEBUG level on the ``manning_rosen.oracle`` logger; exact mode's
+    approximated eigensolve counts in its eigensolve time.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -482,8 +474,7 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
         diag_approx, values, starts = approx  # sigma_n from lambda_n, w_n
         squares = starts * starts
         seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
-    values, vectors, nodes, path = _bound_levels(params.b, k, grid, diag, off, v_scaled,
-                                                 seeds, starts)
+    values, vectors, path = _bound_levels(params.b, k, grid, diag, off, v_scaled, seeds, starts)
     solved = time.perf_counter()
     k_found = len(values)
     energies = tuple(float(v) / params.kappa for v in values)
@@ -504,8 +495,8 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
                "%d of %d levels %s; assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
                D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k, path,
                assembled - started, solved - assembled, time.perf_counter() - solved)
-    result = OracleResult(eigenvalues=energies, node_counts=nodes, grid=grid, mode=mode,
-                          refined=refined, truncated=k_found < k, warnings=warnings)
+    result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
+                          mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
     return result, (diag, values, vectors)
 
 

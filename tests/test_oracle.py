@@ -43,12 +43,16 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
     return count
 
 
+def index_range(diag, off, k):
+    """Lowest k eigenpairs bisected by index over the whole spectrum: SciPy's stebz and stein."""
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                            lapack_driver="stebz", tol=_BISECTION_TOL)
+
+
 def index_range_solve(params, D, l, mode, grid, k):
-    """Lowest k eigenpairs bisected by index over the whole spectrum, with kappa V_eff."""
+    """``index_range`` of the matrix assembled on ``grid``, with kappa V_eff."""
     diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid)
-    values, vectors = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                                       lapack_driver="stebz", tol=_BISECTION_TOL)
-    return values, vectors, v_scaled
+    return (*index_range(diag, off, k), v_scaled)
 
 
 # (params, D, l, mode) of a 4f channel whose exact barrier lifts the ground state
@@ -249,6 +253,21 @@ class TestSolveRadial:
         assert result.truncated
         assert len(result.eigenvalues) == 1
 
+    def test_one_unknown_is_its_own_level(self):
+        # 3 grid points leave one unknown, whose diagonal entry is the one level in
+        # either mode: LAPACK's gtsv and stebz take no empty off-diagonal
+        params = PotentialParams(A=340.8230900351842, alpha=1.9952861917762275,
+                                 b=4896.158175339622)
+        base = default_grid(params, 3, 1, k=3)
+        grid = LogRadialGrid(r_min=base.r_min, r_max=base.r_max, n_points=3)
+        for mode, level in ((CentrifugalMode.APPROXIMATED, -0.00012852167170995392),
+                            (CentrifugalMode.EXACT, -0.00012851819555226328)):
+            result = solve_radial(params, 3, 1, mode, grid=grid, k=3)
+            diag = _tridiagonal(params, 3, 1, mode, grid)[0]
+            assert result.eigenvalues == (level,) == (diag[0] / params.kappa,)
+            assert result.node_counts == (0,)
+            assert result.truncated
+
     def test_resolution_warning_on_coarse_grid(self):
         # 41 points uniform in ln r out to r = 50: the correction moves the level by 2.5e-2
         params = table_params()
@@ -299,7 +318,7 @@ class TestSolveRadial:
 
     def test_explicit_log_grid_without_shape_parameter(self):
         # q = 0 with |1 - 2 alpha| < 1: the closed form raises DomainError, so
-        # approximated mode is bisected and seeds exact mode's index-range levels
+        # bisection seeds approximated mode, whose levels seed exact mode
         params = PotentialParams(A=80.0, alpha=0.3, b=40.0)
         grid = LogRadialGrid(r_min=1e-12 * params.b, r_max=2000.0, n_points=4001)
         result = solve_radial(params, 2, 0, CentrifugalMode.EXACT, grid=grid, k=2)
@@ -418,9 +437,34 @@ class TestSolveRadial:
             solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=2)
 
 
-def seeding_off(*args):
-    """Stands in for ``_seeded_eigenpairs``, so every channel takes the index-range bisection."""
-    return "seeding off"
+def reference_solve(monkeypatch, params, D, l, mode, grid, k):
+    """``solve_radial`` on the negative values of ``index_range``, and their vectors' node counts.
+
+    Its refined levels add ``_deferred_correction`` on stein's vectors; its
+    truncation, warnings and exceptions are ``solve_radial``'s own.
+    """
+    nodes = []
+
+    def index_range_levels(b, k, grid, diag, off, v_scaled, seeds, starts=None):
+        values, vectors = index_range(diag, off, min(k, len(diag)))
+        bound = values < 0.0
+        values, vectors = values[bound], vectors[:, bound]
+        nodes[:] = [_eigenvector_nodes(vectors[:, i]) for i in range(len(values))]
+        return values, vectors, "index range"
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_bound_levels", index_range_levels)
+        return solve_radial(params, D, l, mode, grid=grid, k=k), tuple(nodes)
+
+
+def assert_matches_reference(result, reference, nodes, case=""):
+    """Same node counts, truncation and warnings; values to 1e-15, refined to 1e-13."""
+    assert (result.node_counts, result.truncated, result.warnings) == (
+        nodes, reference.truncated, reference.warnings), case
+    np.testing.assert_allclose(result.eigenvalues, reference.eigenvalues, rtol=1e-15, atol=0.0,
+                               err_msg=str(case))
+    np.testing.assert_allclose(result.refined, reference.refined, rtol=1e-13, atol=0.0,
+                               err_msg=str(case))
 
 
 def oracle_messages(caplog):
@@ -450,7 +494,8 @@ class TestSeededEigensolve:
         assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves; assembly", exact)
         assert re.search(r", 1 of 5 levels seeded in \d+ solves, no other level below 0 "
                          r"\(stebz count\); ", truncated)
-        assert ", 2 of 2 levels bisected (stebz finds 12 more levels below 0); " in bisected
+        assert re.search(r", 2 of 2 levels seeded in \d+ solves, bisected from level 0 "
+                         r"\(stebz finds 12 more levels below 0\); ", bisected)
 
     def test_s_wave_is_seeded_in_both_modes(self, caplog):
         # q = 1: both barriers vanish, so exact mode solves the closed form's equation
@@ -476,57 +521,87 @@ class TestSeededEigensolve:
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 2, 1, k=3)
         [message] = oracle_messages(caplog)
-        assert "3 of 3 levels bisected (level 0 has 1 nodes)" in message
-        monkeypatch.setattr(oracle, "_seeded_eigenpairs", seeding_off)
-        assert result == solve_radial(params, 2, 1, k=3)
+        assert re.search(r"3 of 3 levels seeded in \d+ solves, bisected from level 0 "
+                         r"\(level 0 has 1 nodes\)", message)
+        assert_matches_reference(result, *reference_solve(
+            monkeypatch, params, 2, 1, CentrifugalMode.APPROXIMATED, result.grid, 3))
         assert result.node_counts == (0, 1, 2)
 
     def test_unconverged_level_on_a_coarse_grid_falls_back(self, monkeypatch, caplog):
         # 41 points: the closed form is too far from the coarse grid's level for
-        # three solves to converge, so the channel is bisected as a whole
+        # three solves to converge, so bisection seeds every level
         params = table_params()
         base = default_grid(params, 2, 1, k=3)
         grid = LogRadialGrid(r_min=base.r_min, r_max=base.r_max, n_points=41)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 2, 1, grid=grid, k=3)
         [message] = oracle_messages(caplog)
-        assert "3 of 3 levels bisected (level 0 not converged in 3 solves)" in message
-        monkeypatch.setattr(oracle, "_seeded_eigenpairs", seeding_off)
-        assert result == solve_radial(params, 2, 1, grid=grid, k=3)
+        assert re.search(r"3 of 3 levels seeded in \d+ solves, bisected from level 0 "
+                         r"\(level 0 not converged in 3 solves\)", message)
+        assert_matches_reference(result, *reference_solve(
+            monkeypatch, params, 2, 1, CentrifugalMode.APPROXIMATED, grid, 3))
 
     def test_seeded_sweep_matches_bisection(self, monkeypatch):
-        # each drawn approximated-mode channel solved seeded and with the seeded
-        # path off, on one grid; a certificate that fails sends it to bisection
-        certified = seeded_sweep(monkeypatch, CentrifugalMode.APPROXIMATED)
-        assert len(certified) >= 200
-        assert certified.count(False) <= 0.01 * len(certified)
+        # each drawn approximated-mode channel solved seeded and by the index
+        # range, on one grid; a certificate that fails sends it to bisection
+        paths = solved(seeded_sweep(monkeypatch, CentrifugalMode.APPROXIMATED))
+        assert len(paths) >= 200
+        assert sum("bisected" in path for path in paths) <= 0.01 * len(paths)
 
     def test_seeded_exact_sweep_matches_bisection(self, monkeypatch):
         # the same draws in exact mode where q >= 2, seeded from the approximated
         # solve on the same grid; the fraction certified is in the message
-        certified = seeded_sweep(monkeypatch, CentrifugalMode.EXACT)
-        fraction = sum(certified) / len(certified)
-        assert len(certified) >= 150
-        assert fraction >= 0.95, f"{fraction:.3f} of {len(certified)} exact solves certified"
+        paths = solved(seeded_sweep(monkeypatch, CentrifugalMode.EXACT))
+        fraction = sum("bisected" not in path for path in paths) / len(paths)
+        assert len(paths) >= 150
+        assert fraction >= 0.95, f"{fraction:.3f} of {len(paths)} exact solves certified"
+
+    @pytest.mark.parametrize("mode", list(CentrifugalMode))
+    def test_sweep_seeded_by_bisection_matches_index_range(self, monkeypatch, mode):
+        # the same draws with no seeds: bisection seeds every level of every channel
+        # that binds one, and each level keeps its certificate
+        paths = solved(seeded_sweep(monkeypatch, mode, seeds=False))
+        bisected = sum("bisected from level 0 (stebz finds " in path for path in paths)
+        unbound = paths.count("seeded in 0 solves, no other level below 0 (stebz count)")
+        assert bisected + unbound == len(paths) and bisected >= 250
 
     def test_wrong_perturbed_seed_falls_back_to_bisection(self, monkeypatch, caplog):
         # the first two perturbed seeds swapped: the exact solve must not keep them
         params = table_params()
-        seeded = oracle._seeded_eigenpairs
+        bound_levels = oracle._bound_levels
 
-        def swapped(diag, off, seeds, floor, lower, k, starts=None):
+        def swapped(b, k, grid, diag, off, v_scaled, seeds, starts=None):
             if starts is not None:
                 seeds = [seeds[1], seeds[0], *seeds[2:]]
-            return seeded(diag, off, seeds, floor, lower, k, starts)
+            return bound_levels(b, k, grid, diag, off, v_scaled, seeds, starts)
 
-        monkeypatch.setattr(oracle, "_seeded_eigenpairs", swapped)
+        monkeypatch.setattr(oracle, "_bound_levels", swapped)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
         [message] = oracle_messages(caplog)
-        assert ", 3 of 3 levels bisected (level 0 " in message
-        monkeypatch.setattr(oracle, "_seeded_eigenpairs", seeding_off)
-        assert result == solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
+        assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves, bisected from "
+                         r"level 0 \(level 0 ", message)
+        assert_matches_reference(result, *reference_solve(
+            monkeypatch, params, 2, 1, CentrifugalMode.EXACT, result.grid, 3))
         assert result.node_counts == (0, 1, 2)
+
+    @pytest.mark.parametrize("alpha, why", [(0.75, "level 1 not converged in 3 solves"),
+                                            (0.0, "stebz finds 1 more levels below 0")])
+    def test_levels_below_a_bisected_level_stay_seeded(self, alpha, why, caplog):
+        # 4d, D = 4, 1/b = 0.075: level 1's perturbed seed does not converge
+        # (alpha = 0.75) or lies above 0 while the level is bound (alpha = 0), so
+        # bisection seeds level 1 alone, and level 0 is the one a k = 1 solve certifies
+        params = table_params(0.075, alpha)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 4, 2, CentrifugalMode.EXACT, k=2)
+        assert re.search(rf", 2 of 2 levels seeded from approx in \d+ solves, bisected from "
+                         rf"level 1 \({why}\); ", oracle_messages(caplog)[-1])
+        values, _, _ = index_range_solve(params, 4, 2, CentrifugalMode.EXACT, result.grid, 2)
+        np.testing.assert_allclose(result.eigenvalues, values / params.kappa,
+                                   rtol=1e-15, atol=0.0)
+        assert result.node_counts == (0, 1)
+        alone = solve_radial(params, 4, 2, CentrifugalMode.EXACT, grid=result.grid, k=1)
+        assert alone.eigenvalues[0] == result.eigenvalues[0]
 
     def test_q0_channel_is_seeded_in_exact_mode(self, caplog):
         # D = 2, l = 0, alpha = 0: the exact barrier -1/(4 r^2) lies below its stand-in
@@ -580,28 +655,39 @@ class TestSeededEigensolve:
                 "(stebz count); ") in exact[1]
 
 
-def seeded_sweep(monkeypatch, mode: CentrifugalMode) -> list[bool]:
-    """Drawn k = 3 channels solved in ``mode`` seeded and with seeding off, on one grid.
+def outcome(solve, *args, **kwargs):
+    """What ``solve`` returns, or the type of the oracle error it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except (ConvergenceError, DomainError) as exc:
+        return type(exc)
 
-    Asserts that both give the same levels; exact mode takes only the q >= 2
-    channels.  Returns, per certificate of the mode's own solve, whether it held.
+
+def solved(paths: list[str]) -> list[str]:
+    """The paths of eigensolves that ran: kappa min V_eff below 0."""
+    return [path for path in paths if not path.startswith("unsolved")]
+
+
+def seeded_sweep(monkeypatch, mode: CentrifugalMode, seeds: bool = True) -> list[str]:
+    """Drawn k = 3 channels solved in ``mode`` and by ``reference_solve``, on one grid.
+
+    Asserts that both give the same levels, or raise the same exception type;
+    exact mode takes only the q >= 2 channels.  With ``seeds`` off, every
+    eigensolve gets no seeds, so bisection seeds its levels.  Returns the
+    path of each of the mode's own eigensolves.
     """
     rng = random.Random(20261019)
-    seeded = oracle._seeded_eigenpairs
-    certified = []
+    bound_levels = oracle._bound_levels
+    paths = []
 
-    def counted(*args):
-        result = seeded(*args)
-        if mode is CentrifugalMode.APPROXIMATED or args[6] is not None:
-            certified.append(not isinstance(result, str))
-        return result
-
-    def solve(params, D, l, grid, path):
-        monkeypatch.setattr(oracle, "_seeded_eigenpairs", path)
-        try:
-            return solve_radial(params, D, l, mode, grid=grid, k=3)
-        except (ConvergenceError, DomainError) as exc:
-            return type(exc)
+    def seeded(b, k, grid, diag, off, v_scaled, levels, starts=None):
+        own = mode is CentrifugalMode.APPROXIMATED or starts is not None
+        if not seeds:
+            levels, starts = [], None
+        values, vectors, path = bound_levels(b, k, grid, diag, off, v_scaled, levels, starts)
+        if own:
+            paths.append(path)
+        return values, vectors, path
 
     for _ in range(400):
         params = PotentialParams(A=10.0 ** rng.uniform(0.5, 3.0),
@@ -614,19 +700,16 @@ def seeded_sweep(monkeypatch, mode: CentrifugalMode) -> list[bool]:
             grid = default_grid(params, D, l, k=3)
         except DomainError:
             continue
-        fast = solve(params, D, l, grid, counted)
-        slow = solve(params, D, l, grid, seeding_off)
         case = (params, D, l)
-        if isinstance(slow, type):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_bound_levels", seeded)
+            fast = outcome(solve_radial, params, D, l, mode, grid=grid, k=3)
+        slow = outcome(reference_solve, monkeypatch, params, D, l, mode, grid, 3)
+        if isinstance(fast, type) or isinstance(slow, type):
             assert fast is slow, case
             continue
-        assert (fast.node_counts, fast.truncated, fast.warnings) == (
-            slow.node_counts, slow.truncated, slow.warnings), case
-        np.testing.assert_allclose(fast.eigenvalues, slow.eigenvalues, rtol=1e-15, atol=0.0,
-                                   err_msg=str(case))
-        np.testing.assert_allclose(fast.refined, slow.refined, rtol=1e-13, atol=0.0,
-                                   err_msg=str(case))
-    return certified
+        assert_matches_reference(fast, *slow, case)
+    return paths
 
 
 # (D, l) of the 2p state at A = 80, alpha = 0.75, solved across the range of b
