@@ -307,7 +307,9 @@ class TestSolveRadial:
         params, D, l, mode = ABOVE_CLOSED_FORM
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, D, l, mode, k=1)
-        assert ", 1 of 1 levels seeded from approx in " in oracle_messages(caplog)[-1]
+        message = oracle_messages(caplog)[-1]
+        assert ", 1 of 1 levels seeded from approx in " in message
+        assert "bisected" not in message
         diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid)
         closed = oracle._closed_levels(params, D, l, 2)
         assert sturm_count(diag, off, 0.5 * (closed[0] + closed[1])) == 0
@@ -360,6 +362,7 @@ class TestSolveRadial:
         assert " exact: " in records[0].getMessage()
         assert ", 1 of 1 levels seeded from approx in " in records[0].getMessage()
         assert ", 1 of 1 levels seeded in " in records[1].getMessage()
+        assert all("bisected" not in r.getMessage() for r in records)
         assert all("window" not in r.getMessage() for r in records)
         assert "eigensolve" in records[1].getMessage()
 
@@ -478,7 +481,7 @@ class TestSeededEigensolve:
                 solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1)
         messages = oracle_messages(caplog)
         assert len(messages) == 66
-        assert all(" levels seeded in " in m for m in messages), messages
+        assert all(" levels seeded in " in m and "bisected" not in m for m in messages), messages
 
     def test_debug_log_names_the_path(self, caplog):
         params = table_params()
@@ -504,7 +507,8 @@ class TestSeededEigensolve:
             exact = solve_radial(params, 3, 0, CentrifugalMode.EXACT, k=2)
             approx = solve_radial(params, 3, 0, CentrifugalMode.APPROXIMATED, k=2)
         assert exact == dataclasses.replace(approx, mode=CentrifugalMode.EXACT)
-        assert all(" levels seeded in " in m for m in oracle_messages(caplog))
+        assert all(" levels seeded in " in m and "bisected" not in m
+                   for m in oracle_messages(caplog))
 
     def test_wrong_seed_falls_back_to_bisection(self, monkeypatch, caplog):
         # eps_0 and eps_1 swapped: inverse iteration from level 1's value finds
@@ -608,7 +612,9 @@ class TestSeededEigensolve:
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 2, 0, CentrifugalMode.EXACT, k=1)
-        assert ", 1 of 1 levels seeded from approx in " in oracle_messages(caplog)[-1]
+        message = oracle_messages(caplog)[-1]
+        assert ", 1 of 1 levels seeded from approx in " in message
+        assert "bisected" not in message
         values, _, _ = index_range_solve(params, 2, 0, CentrifugalMode.EXACT, result.grid, 1)
         np.testing.assert_allclose(result.eigenvalues, values / params.kappa,
                                    rtol=1e-15, atol=0.0)
