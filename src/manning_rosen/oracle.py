@@ -40,7 +40,9 @@ the vector has exactly n sign changes, as the discrete Sturm oscillation
 theorem demands of the n-th eigenvector of a tridiagonal matrix with
 negative off-diagonal.  Where the matrix discretises the closed form's own
 equation (approximated mode, or q^2 = 1, where both barriers vanish),
-closed-form level n lies within O(h^2) of the n-th eigenvalue and seeds it.
+closed-form level n, kappa E_n = -(eps_n / b)^2 of each level that
+``spectrum.bound_states`` lists, lies within O(h^2) of the n-th eigenvalue
+and seeds it; where that raises :class:`DomainError`, nothing seeds.
 Otherwise, in exact mode, the two modes' matrices on one grid differ only on
 the diagonal, by dD = diag_exact - diag_approx, so the approximated
 eigenpairs (lambda_n, w_n) seed it to first order:
@@ -89,7 +91,7 @@ from scipy.linalg.lapack import dgtsv, dstebz
 from .errors import ConvergenceError, DomainError
 from .model import (CentrifugalMode, PotentialParams, QuantumState, _geometric,
                     effective_potential)
-from .spectrum import bound_states, epsilon_parameter, shape_parameter
+from .spectrum import bound_states, shape_parameter
 from .spectrum import energy as _closed_energy
 
 __all__ = [
@@ -268,36 +270,22 @@ def _eigenvector_nodes(vec: np.ndarray) -> int:
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
 
-def _closed_levels(params: PotentialParams, D: int, l: int, count: int) -> list[float]:
-    """kappa E_n = -(eps_n / b)^2 of closed-form levels n < count, up to the first unbound.
-
-    Empty when eps is undefined (q = 0, |1 - 2 alpha| < 1).
-    """
-    levels = []
-    try:
-        for n in range(count):
-            eps = epsilon_parameter(params, QuantumState(n=n, l=l, D=D))
-            if eps <= 0.0:
-                break
-            s = eps / params.b
-            levels.append(-s * s)
-    except DomainError:
-        return []
-    return levels
-
-
 def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
                   v_scaled: np.ndarray, seeds: list[float], starts: np.ndarray | None = None):
     """Lowest k negative eigenpairs by certified inverse iteration from ``seeds``.
 
-    ``seeds`` (kappa E) are the closed-form levels, or the perturbed
-    approximated levels with their eigenvectors as ``starts``.  LAPACK gets
-    the matrix and the seeds times 4^m, m = round(log2 b) held to |m| <= 511,
-    an exact power of two that leaves them at their size in s = r / b.
+    ``seeds`` (kappa E) are the closed-form levels of
+    ``spectrum.bound_states``, or the perturbed approximated levels with
+    their eigenvectors as ``starts``.  LAPACK gets the matrix and the seeds
+    times 4^m, m = round(log2 b) held to |m| <= 511, an exact power of two
+    that leaves them at their size in s = r / b.
 
     Per level n: up to 3 solves of (T - sigma) x = w (LAPACK gtsv), from
     w = ``starts[:, n]`` or the flat unit vector, each followed by
     sigma <- sigma + w.x / x.x, the Rayleigh quotient of x, and w <- x / |x|.
+    A solve that meets an exact zero pivot (gtsv's info > 0; a sigma that is
+    an eigenvalue to working precision, as stebz's can be) moves sigma down
+    by 1e-12 / 4 of itself and solves once more, one more solve in the count.
     An eigenvalue then lies within 2 / |x| of sigma.  The level has
     converged when that radius is within max(1e-12 |sigma|, 2^-52 |w|^T |T| |w|);
     the second term bounds how far rounding in the solves moves sigma from
@@ -355,6 +343,10 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
             shift, w = seeds[n], flat if starts is None else starts[:, n]
             for _ in range(_SEED_SOLVES):
                 x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
+                if info > 0:  # an exact zero pivot: shift is the eigenvalue to working precision
+                    shift -= 0.25 * _SEED_WINDOW * abs(shift)
+                    x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
+                    solves += 1
                 solves += 1
                 norm = float(np.linalg.norm(x))
                 if info or not 0.0 < norm < math.inf:
@@ -420,14 +412,15 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     """Lowest k bound eigenvalues of the discretized radial equation.
 
     ``grid`` defaults to ``default_grid(params, D, l, k)``.  Each level is
-    seeded (``_bound_levels``): at its closed-form value in approximated
-    mode or at q^2 = 1, else in exact mode at the first-order shift of the
-    approximated level, which is solved on the same grid first; from a
-    level whose certificate fails on, at stebz's index-range values.  Each
-    eigenvalue is stebz's, to full relative accuracy, and each eigenvector
-    comes from certified inverse iteration, so the i-th returned state has
-    exactly i interior nodes.  The bound levels are the negative ones; when
-    fewer than k exist, the bound subset is returned with ``truncated`` set.
+    seeded (``_bound_levels``): at its closed-form value from
+    ``spectrum.bound_states`` in approximated mode or at q^2 = 1, else in
+    exact mode at the first-order shift of the approximated level, which is
+    solved on the same grid first; from a level whose certificate fails on,
+    at stebz's index-range values.  Each eigenvalue is stebz's, to full
+    relative accuracy, and each eigenvector comes from certified inverse
+    iteration, so the i-th returned state has exactly i interior nodes.  The
+    bound levels are the negative ones; when fewer than k exist, the bound
+    subset is returned with ``truncated`` set.
 
     ``refined`` adds the deferred correction of ``_deferred_correction``,
     which cancels the O(h^2) stencil error.  A level that it moves by more
@@ -457,14 +450,19 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
            grid: LogRadialGrid, k: int, approx=None):
     """``solve_radial`` on ``grid``, and the (diagonal, values, vectors) it solved.
 
-    An exact-mode solve with q^2 != 1 seeds from ``approx``, what this
-    returned for approximated mode on the same grid and k; without it, from
-    the approximated eigenpairs solved here, whose refinement is not checked.
+    Seeds from the closed-form levels, except that an exact-mode solve with
+    q^2 != 1 seeds from ``approx``, what this returned for approximated mode
+    on the same grid and k; without it, from the approximated eigenpairs
+    solved here, whose refinement is not checked.
     """
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
-    seeds, starts = _closed_levels(params, D, l, k), None
+    try:  # kappa E_n = -(eps_n / b)^2 of the bound closed-form levels n < k
+        scaled = [entry.epsilon / params.b for entry in bound_states(params, D, l, k - 1)]
+    except DomainError:  # eps undefined (q = 0, |1 - 2 alpha| < 1) or E not a normal float
+        scaled = []
+    seeds, starts = [-s * s for s in scaled], None
     if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
         if approx is None:  # the approximated eigenpairs on this grid, unrefined
             diag_approx, _, v_approx, _ = _tridiagonal(params, D, l,

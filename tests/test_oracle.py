@@ -12,9 +12,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, PotentialParams,
                            QuantumState, UnboundStateError, approximation_audit,
-                           audit_channel, default_grid, effective_potential, energy,
+                           audit_channel, bound_states, default_grid, effective_potential, energy,
                            hulthen_energy, parse_spectroscopic, solve_radial, state_label)
 from manning_rosen import oracle
+from manning_rosen.cli import main
 from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
                                   _eigenvector_nodes, _grid_origin, _tridiagonal)
 from manning_rosen.reference import iter_reference_cells
@@ -311,7 +312,7 @@ class TestSolveRadial:
         assert ", 1 of 1 levels seeded from approx in " in message
         assert "bisected" not in message
         diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid)
-        closed = oracle._closed_levels(params, D, l, 2)
+        closed = [-(entry.epsilon / params.b) ** 2 for entry in bound_states(params, D, l, 1)]
         assert sturm_count(diag, off, 0.5 * (closed[0] + closed[1])) == 0
         values, _, _ = index_range_solve(params, D, l, mode, result.grid, 1)
         assert result.eigenvalues == pytest.approx([values[0] / params.kappa], rel=1e-15)
@@ -474,6 +475,25 @@ def oracle_messages(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "manning_rosen.oracle"]
 
 
+# (params, D, l, grid) of a k = 6 channel whose index-range seed of level 2 is the
+# eigenvalue to working precision, so gtsv meets an exact zero pivot there
+ZERO_PIVOT = (PotentialParams(A=165.0638269404963, alpha=-3.1110882206291945,
+                              b=5440541.195234135), 5, 5,
+              LogRadialGrid(r_min=0.25588951042744684, r_max=11634345.840628399, n_points=120))
+
+
+def singular_gtsv(monkeypatch, calls: int | float):
+    """Make the oracle's first ``calls`` gtsv solves report a zero pivot (info = 1)."""
+    gtsv, made = oracle.dgtsv, []
+
+    def reported(*args, **kwargs):
+        made.append(None)
+        solution = gtsv(*args, **kwargs)
+        return (*solution[:4], 1) if len(made) <= calls else solution
+
+    monkeypatch.setattr(oracle, "dgtsv", reported)
+
+
 class TestSeededEigensolve:
     def test_every_table_channel_is_seeded(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
@@ -514,14 +534,13 @@ class TestSeededEigensolve:
         # eps_0 and eps_1 swapped: inverse iteration from level 1's value finds
         # level 1's vector, whose node count fails level 0's certificate
         params = table_params()
-        closed = oracle._closed_levels
+        bound_levels = oracle._bound_levels
 
-        def swapped(*args):
-            levels = closed(*args)
-            levels[0], levels[1] = levels[1], levels[0]
-            return levels
+        def swapped(b, k, grid, diag, off, v_scaled, seeds, starts=None):
+            seeds = [seeds[1], seeds[0], *seeds[2:]]
+            return bound_levels(b, k, grid, diag, off, v_scaled, seeds, starts)
 
-        monkeypatch.setattr(oracle, "_closed_levels", swapped)
+        monkeypatch.setattr(oracle, "_bound_levels", swapped)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 2, 1, k=3)
         [message] = oracle_messages(caplog)
@@ -544,6 +563,63 @@ class TestSeededEigensolve:
                          r"\(level 0 not converged in 3 solves\)", message)
         assert_matches_reference(result, *reference_solve(
             monkeypatch, params, 2, 1, CentrifugalMode.APPROXIMATED, grid, 3))
+
+    def test_zero_pivot_moves_the_shift(self, monkeypatch):
+        # the shift moves down by 1e-12 / 4 of itself and is solved once more
+        params, D, l, grid = ZERO_PIVOT
+        result = solve_radial(params, D, l, grid=grid, k=6)
+        assert_matches_reference(result, *reference_solve(
+            monkeypatch, params, D, l, CentrifugalMode.APPROXIMATED, grid, 6))
+        assert result.node_counts == (0, 1, 2)
+        assert result.truncated and len(result.warnings) == 1
+
+    def test_zero_pivot_request_prints_both_modes(self, capsys):
+        # 41 points: bisection seeds approximated levels 0 and 1, and level 1's seed
+        # is its value to working precision; the rows are those the oracle printed
+        # when bisection gave the values outright
+        rc = main(["oracle", "--inv-b", "0.075", "--A-over-b", "2", "--alpha", "1.5",
+                   "--dim", "4", "--states", "3d,4d", "--mode", "both",
+                   "--r-max", "66.66666666666667", "--n-points", "41"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "label  n  l  D  closed        exact         approx        rel_err_approx  "
+            "rel_err_exact\n"
+            "3d     0  2  4  -0.010947973  -0.009655625  -0.011567064  5.352e-02       "
+            "1.338e-01\n"
+            "4d     1  2  4  -0.001204122  -0.000344637  -0.001936971  3.783e-01       "
+            "2.494e+00\n")
+
+    def test_zero_pivot_leaves_a_missing_level_missing(self, capsys):
+        # 11 points hold one bound level: the request fails on the level it lacks
+        rc = main(["oracle", "--inv-b", "0.025", "--A-over-b", "2", "--alpha", "1.5",
+                   "--dim", "2", "--states", "3d,4d,5d,6d", "--mode", "approx",
+                   "--r-max", "200", "--n-points", "11"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: oracle found only 1 bound levels")
+        assert captured.out == ""
+
+    def test_one_reported_zero_pivot_costs_one_solve(self, monkeypatch, caplog):
+        # the first gtsv solve reports a zero pivot: the moved shift is solved once
+        # more, the level stays seeded and its value is stebz's again
+        params = table_params()
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            plain = solve_radial(params, 2, 1, k=3)
+            singular_gtsv(monkeypatch, 1)
+            moved = solve_radial(params, 2, 1, k=3)
+        solves = [int(re.search(r"3 of 3 levels seeded in (\d+) solves; ", m).group(1))
+                  for m in oracle_messages(caplog)]
+        assert solves[1] == solves[0] + 1
+        np.testing.assert_allclose(moved.eigenvalues, plain.eigenvalues, rtol=1e-15, atol=0.0)
+        assert (moved.node_counts, moved.truncated, moved.warnings) == (
+            plain.node_counts, plain.truncated, plain.warnings)
+
+    def test_shift_singular_after_the_move_raises(self, monkeypatch):
+        # every solve reports a zero pivot: the level fails, and so does the index
+        # range's seed for it
+        singular_gtsv(monkeypatch, math.inf)
+        with pytest.raises(ConvergenceError, match="certificate: singular shift at level 0"):
+            solve_radial(table_params(), 2, 1, k=3)
 
     def test_seeded_sweep_matches_bisection(self, monkeypatch):
         # each drawn approximated-mode channel solved seeded and by the index
