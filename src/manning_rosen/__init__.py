@@ -3,7 +3,9 @@
 Closed-form spectra and normalized wavefunctions, cross-validated by an
 independent finite-difference eigensolver of the radial equation.  The
 eigensolver (``oracle``, the one module that needs SciPy) is imported on
-first use of one of its names.
+first use of one of its names.  It loads the two LAPACK routines it calls
+straight from SciPy's ``_flapack`` extension, without ``scipy.linalg``,
+whose package init takes longer than a table group of oracle solves.
 """
 
 from .errors import (ConvergenceError, DomainError, LabelError, NoMinimumError,

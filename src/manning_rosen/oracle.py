@@ -48,16 +48,16 @@ the diagonal, by dD = diag_exact - diag_approx, so the approximated
 eigenpairs (lambda_n, w_n) seed it to first order:
 sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse iteration
 started from w_n; exact mode alone solves approximated mode on its grid
-first.  Seeding stops at a seed at or above 0; one stebz count then
-certifies that no other level lies below 0, and the bound subset is
-returned as truncated.  Where level n fails its certificate, or the count
-finds a level (as in channels with no closed form, q = 0 with
-|1 - 2 alpha| < 1), one stebz call on the index range n..k-1 seeds the
-levels from n on with its negative values, keeping those below n; a level
-that fails after that raises.  The kinetic part is positive (a second difference with
-a Robin ratio <= 1 at one end and Dirichlet at the other, plus 1/(4 r^2)),
-so no eigenvalue lies below kappa min V_eff: when that is >= 0, nothing is
-solved.
+first, and has no seeds where that solve fails.  Seeding stops at a seed
+at or above 0; one stebz count then certifies that no other level lies
+below 0, and the bound subset is returned as truncated.  Where level n
+fails its certificate, or the count finds a level (as in channels with no
+closed form, q = 0 with |1 - 2 alpha| < 1), one stebz call on the index
+range n..k-1 seeds the levels from n on with its negative values, keeping
+those below n; a level that fails after that raises.  The kinetic part is
+positive (a second difference with a Robin ratio <= 1 at one end and
+Dirichlet at the other, plus 1/(4 r^2)), so no eigenvalue lies below
+kappa min V_eff: when that is >= 0, nothing is solved.
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
@@ -76,23 +76,55 @@ and can unbind a level that the stand-in holds on the same grid.  That level
 reads None: both solves share every discretization choice, so its absence is
 physics, not a solver failure.  With no approximated solve to tell the two
 apart, a missing exact level raises.
+
+LAPACK's gtsv and stebz come straight from SciPy's ``_flapack`` extension,
+loaded from its file (``_lapack``): importing this module does not run
+``scipy.linalg``'s package init, which takes longer than a table group of
+oracle solves.
 """
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dstebz
+import scipy
 
 from .errors import ConvergenceError, DomainError
 from .model import (CentrifugalMode, PotentialParams, QuantumState, _geometric,
                     effective_potential)
 from .spectrum import bound_states, shape_parameter
 from .spectrum import energy as _closed_energy
+
+
+def _lapack():
+    """LAPACK's dgtsv and dstebz from SciPy's ``_flapack`` extension.
+
+    The extension is loaded from its file in ``scipy/linalg``, which skips
+    ``scipy.linalg``'s package init and the array-API layer that it imports
+    (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``, ``numpy.random``).
+    These are the routines ``scipy.linalg.lapack`` exports, so a later
+    ``import scipy.linalg`` holds the same ones.  An install with no
+    ``_flapack`` file there (an editable build, a renamed module) takes them
+    from ``scipy.linalg.lapack``.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        from scipy.linalg.lapack import dgtsv, dstebz
+        return dgtsv, dstebz
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dgtsv, flapack.dstebz
+
+
+dgtsv, dstebz = _lapack()
 
 __all__ = [
     "LogRadialGrid",
@@ -415,12 +447,12 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     seeded (``_bound_levels``): at its closed-form value from
     ``spectrum.bound_states`` in approximated mode or at q^2 = 1, else in
     exact mode at the first-order shift of the approximated level, which is
-    solved on the same grid first; from a level whose certificate fails on,
-    at stebz's index-range values.  Each eigenvalue is stebz's, to full
-    relative accuracy, and each eigenvector comes from certified inverse
-    iteration, so the i-th returned state has exactly i interior nodes.  The
-    bound levels are the negative ones; when fewer than k exist, the bound
-    subset is returned with ``truncated`` set.
+    solved on the same grid first (no seed where that solve fails); from a
+    level whose certificate fails on, at stebz's index-range values.  Each
+    eigenvalue is stebz's, to full relative accuracy, and each eigenvector
+    comes from certified inverse iteration, so the i-th returned state has
+    exactly i interior nodes.  The bound levels are the negative ones; when
+    fewer than k exist, the bound subset is returned with ``truncated`` set.
 
     ``refined`` adds the deferred correction of ``_deferred_correction``,
     which cancels the O(h^2) stencil error.  A level that it moves by more
@@ -428,10 +460,11 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     E >= 0, a level nearer threshold than the grid resolves, raises
     :class:`ConvergenceError`.
 
-    Raises :class:`DomainError` when an energy kappa E / kappa is not a
-    finite float (a subnormal kappa), as ``spectrum.energy`` does for the
-    closed form, and :class:`ConvergenceError` when bisection cannot
-    resolve the levels or a level it seeds fails (``_bound_levels``).
+    Raises :class:`DomainError` when an energy or refined energy
+    kappa E / kappa is not a normal float (infinite, subnormal or rounded
+    to 0), as ``spectrum.energy`` does for the closed form, and
+    :class:`ConvergenceError` when bisection cannot resolve the levels or a
+    level it seeds fails (``_bound_levels``).
 
     Each call logs its grid points, r_min and spacing h, level count, path
     (``seeded`` with its solve count, ``from approx`` for the perturbed
@@ -446,40 +479,59 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     return _solve(params, D, l, mode, grid, k)[0]
 
 
+def _closed_seeds(params: PotentialParams, D: int, l: int, k: int) -> list[float]:
+    """kappa E_n = -(eps_n / b)^2 of the bound closed-form levels n < k.
+
+    Empty where ``bound_states`` raises :class:`DomainError`: eps undefined
+    (q = 0, |1 - 2 alpha| < 1) or E not a normal float.
+    """
+    try:
+        scaled = [entry.epsilon / params.b for entry in bound_states(params, D, l, k - 1)]
+    except DomainError:
+        return []
+    return [-s * s for s in scaled]
+
+
 def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
            grid: LogRadialGrid, k: int, approx=None):
     """``solve_radial`` on ``grid``, and the (diagonal, values, vectors) it solved.
 
     Seeds from the closed-form levels, except that an exact-mode solve with
     q^2 != 1 seeds from ``approx``, what this returned for approximated mode
-    on the same grid and k; without it, from the approximated eigenpairs
-    solved here, whose refinement is not checked.
+    on the same grid and k, and computes no closed-form seeds.  Without
+    ``approx`` it seeds from the approximated eigenpairs solved here, whose
+    refinement is not checked; where that solve raises
+    :class:`ConvergenceError`, it has no seeds, and bisection seeds it.
     """
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
-    try:  # kappa E_n = -(eps_n / b)^2 of the bound closed-form levels n < k
-        scaled = [entry.epsilon / params.b for entry in bound_states(params, D, l, k - 1)]
-    except DomainError:  # eps undefined (q = 0, |1 - 2 alpha| < 1) or E not a normal float
-        scaled = []
-    seeds, starts = [-s * s for s in scaled], None
+    seeds, starts = [], None
     if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
         if approx is None:  # the approximated eigenpairs on this grid, unrefined
             diag_approx, _, v_approx, _ = _tridiagonal(params, D, l,
                                                        CentrifugalMode.APPROXIMATED, grid)
-            approx = (diag_approx, *_bound_levels(params.b, k, grid, diag_approx, off,
-                                                  v_approx, seeds)[:2])
-        diag_approx, values, starts = approx  # sigma_n from lambda_n, w_n
-        squares = starts * starts
-        seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
+            closed = _closed_seeds(params, D, l, k)
+            try:
+                approx = (diag_approx, *_bound_levels(params.b, k, grid, diag_approx, off,
+                                                      v_approx, closed)[:2])
+            except ConvergenceError:  # no seeds: bisection seeds the exact levels
+                pass
+        if approx is not None:
+            diag_approx, values, starts = approx  # sigma_n from lambda_n, w_n
+            squares = starts * starts
+            seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
+    else:
+        seeds = _closed_seeds(params, D, l, k)
     values, vectors, path = _bound_levels(params.b, k, grid, diag, off, v_scaled, seeds, starts)
     solved = time.perf_counter()
     k_found = len(values)
     energies = tuple(float(v) / params.kappa for v in values)
     delta = _deferred_correction(r, grid.spacing, v_scaled, values, vectors)
     refined = tuple(float(v) / params.kappa for v in values + delta)
-    if not all(map(math.isfinite, energies + refined)):
-        raise DomainError(f"oracle energies kappa E / kappa are not finite floats for {params}")
+    if not all(sys.float_info.min <= abs(e) < math.inf for e in energies + refined):
+        raise DomainError(f"oracle energies kappa E / kappa are not normal floats (finite, "
+                          f"not subnormal, not 0) for {params}")
     for n, e in enumerate(refined):
         if e >= 0.0:
             raise ConvergenceError(

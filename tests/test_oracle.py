@@ -3,8 +3,12 @@
 import dataclasses
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +429,16 @@ class TestSolveRadial:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
             solve_radial(PotentialParams(A=80.0, alpha=0.75, b=40.0, **scale), 2, 1, grid=grid)
 
+    def test_subnormal_energy_raises_domain_error(self):
+        # b = 1e149, mu = 1e10: kappa E / kappa of the 1s level is about -5e-309, a
+        # subnormal float; spectrum.energy refuses the same state
+        params = PotentialParams(A=3.0, alpha=0.0, b=1e149, mu=1e10)
+        grid = LogRadialGrid(r_min=1e137, r_max=5e150, n_points=4001)
+        with pytest.raises(DomainError):
+            energy(params, QuantumState(n=0, l=0, D=3))
+        with pytest.raises(DomainError, match="not normal floats"):
+            solve_radial(params, 3, 0, grid=grid)
+
     def test_alpha_out_of_float_range_on_an_explicit_grid_raises_domain_error(self):
         params = PotentialParams(A=80.0, alpha=1e200, b=40.0)
         grid = LogRadialGrid(r_min=1e-10, r_max=2000.0, n_points=401)
@@ -480,6 +494,14 @@ def oracle_messages(caplog):
 ZERO_PIVOT = (PotentialParams(A=165.0638269404963, alpha=-3.1110882206291945,
                               b=5440541.195234135), 5, 5,
               LogRadialGrid(r_min=0.25588951042744684, r_max=11634345.840628399, n_points=120))
+
+
+# (params, D, l, grid) of a k = 6 exact-mode channel whose approximated levels fail
+# their certificate on the same grid, while the exact ones bisected alone hold 4
+FAILED_PRESOLVE = (PotentialParams(A=585.9518708450365, alpha=3.074236621153304,
+                                   b=0.0003666394338066915), 8, 6,
+                   LogRadialGrid(r_min=6.636711172153545e-18, r_max=0.1090741622594671,
+                                 n_points=44))
 
 
 def singular_gtsv(monkeypatch, calls: int | float):
@@ -620,6 +642,28 @@ class TestSeededEigensolve:
         singular_gtsv(monkeypatch, math.inf)
         with pytest.raises(ConvergenceError, match="certificate: singular shift at level 0"):
             solve_radial(table_params(), 2, 1, k=3)
+
+    def test_exact_mode_survives_a_failed_approximated_presolve(self, monkeypatch, caplog):
+        # 44 points, k = 6: the approximated solve that would seed exact mode fails
+        # level 4's certificate, so the exact levels are seeded by bisection alone
+        params, D, l, grid = FAILED_PRESOLVE
+        with pytest.raises(ConvergenceError, match="level 4 has 3 nodes"):
+            solve_radial(params, D, l, grid=grid, k=6)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, D, l, CentrifugalMode.EXACT, grid=grid, k=6)
+        [message] = oracle_messages(caplog)
+        assert re.search(r" exact: .*, 4 of 6 levels seeded in \d+ solves, bisected from "
+                         r"level 0 \(stebz finds 4 more levels below 0\)", message)
+        assert_matches_reference(result, *reference_solve(
+            monkeypatch, params, D, l, CentrifugalMode.EXACT, grid, 6))
+        assert result.node_counts == (0, 1, 2, 3) and result.truncated
+
+    def test_audit_asking_for_the_failed_approximated_levels_raises(self):
+        params, D, l, grid = FAILED_PRESOLVE
+        for modes in ((CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED),
+                      (CentrifugalMode.APPROXIMATED,)):
+            with pytest.raises(ConvergenceError, match="level 4 has 3 nodes"):
+                audit_channel(params, D, l, [5], modes=modes, grid=grid)
 
     def test_seeded_sweep_matches_bisection(self, monkeypatch):
         # each drawn approximated-mode channel solved seeded and by the index
@@ -924,6 +968,22 @@ class TestAuditChannel:
         assert oracle_calls == {"default_grid": 0, CentrifugalMode.EXACT: 0,
                                 CentrifugalMode.APPROXIMATED: 0}
 
+    def test_exact_solve_given_approx_computes_no_closed_form_seeds(self, monkeypatch):
+        # q = 2 (2p, D = 2): the exact solve seeds from the approximated eigenpairs,
+        # so of the two solves only the approximated one asks the closed form
+        params = table_params()
+        grid = default_grid(params, 2, 1, k=3)
+        plain = audit_channel(params, 2, 1, [0, 1, 2], grid=grid)
+        calls, states = [], oracle.bound_states
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return states(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "bound_states", counted)
+        assert audit_channel(params, 2, 1, [0, 1, 2], grid=grid) == plain
+        assert calls == [(params, 2, 1, 2)]
+
     @pytest.mark.parametrize("alpha, unbound", [(0.75, {"4f"}), (0.0, {"4f"}),
                                                 (1.5, {"4d", "4f"})])
     def test_level_unbound_by_the_exact_barrier_reads_none(self, alpha, unbound):
@@ -947,3 +1007,63 @@ class TestAuditChannel:
                 assert alone.e_approx == pytest.approx(audit.e_approx, rel=1e-15, abs=0.0)
                 if n == max(ns):
                     assert alone == audit
+
+
+def run_fresh(script: str) -> str:
+    """Stdout of ``script`` run in a new interpreter that imports this package."""
+    source = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# solves(): reprs of the table's 2p D = 2 channel solved in both modes, k = 3
+TABLE_2P_SOLVES = """
+from manning_rosen import CentrifugalMode, PotentialParams, solve_radial
+def solves():
+    params = PotentialParams(A=80.0, alpha=0.75, b=40.0)
+    return [repr(solve_radial(params, 2, 1, mode, k=3)) for mode in CentrifugalMode]
+"""
+
+
+def table_2p_solves() -> list[str]:
+    """``solves()`` of ``TABLE_2P_SOLVES`` in this process."""
+    namespace = {}
+    exec(TABLE_2P_SOLVES, namespace)
+    return namespace["solves"]()
+
+
+class TestLapackLoading:
+    def test_the_oracle_leaves_scipy_linalg_unloaded(self):
+        script = TABLE_2P_SOLVES + "import sys\nsolves()\nprint('scipy.linalg' in sys.modules)\n"
+        assert run_fresh(script) == "False\n"
+
+    def test_a_later_scipy_linalg_import_changes_no_result(self):
+        script = TABLE_2P_SOLVES + (
+            "first = solves()\n"
+            "import scipy.linalg\nfrom manning_rosen import oracle\n"
+            "print(scipy.linalg.lapack.dgtsv is oracle.dgtsv, "
+            "scipy.linalg.lapack.dstebz is oracle.dstebz, solves() == first)\n"
+            "print(*first, sep='\\n')\n")
+        assert run_fresh(script).splitlines() == ["True True True", *table_2p_solves()]
+
+    def test_fallback_without_a_flapack_file_gives_the_same_results(self):
+        # the oracle's lookup of scipy/linalg/_flapack finds nothing, so it takes
+        # the routines from scipy.linalg.lapack, whose own import finds the file
+        script = (
+            "import importlib.machinery, sys\n"
+            "finder = importlib.machinery.PathFinder\n"
+            "find_spec, missed = finder.find_spec, []\n"
+            "def first_misses(name, path=None, target=None):\n"
+            "    if name == 'scipy.linalg._flapack' and not missed:\n"
+            "        missed.append(name)\n"
+            "        return None\n"
+            "    return find_spec(name, path, target)\n"
+            "finder.find_spec = first_misses\n"
+            "from manning_rosen import oracle\n"
+            "print(missed, 'scipy.linalg' in sys.modules)\n"
+            + TABLE_2P_SOLVES + "print(*solves(), sep='\\n')\n")
+        assert run_fresh(script).splitlines() == ["['scipy.linalg._flapack'] True",
+                                                  *table_2p_solves()]
