@@ -30,15 +30,12 @@ or more.
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
 
-Every level is seeded near its eigenvalue: up to three shifted tridiagonal
-solves with Rayleigh-quotient updates (inverse iteration; Parlett, The
-Symmetric Eigenvalue Problem) give the eigenvector and a shift with an
-eigenvalue close by, and one stebz call bisects that short window to the
-value.  The level is kept only when the shift has converged, stebz finds
-exactly one value in the window, negative and above the level below, and
-the vector has exactly n sign changes, as the discrete Sturm oscillation
-theorem demands of the n-th eigenvector of a tridiagonal matrix with
-negative off-diagonal.  Where the matrix discretises the closed form's own
+Every level is seeded near its eigenvalue and certified (``_bound_levels``):
+inverse iteration from the seed (Parlett, The Symmetric Eigenvalue Problem)
+gives the eigenvector and a shift, one stebz call bisects a short window
+around the shift to the value, and the level is kept only where that value
+and the vector's sign changes are those of level n (the discrete Sturm
+oscillation theorem).  Where the matrix discretises the closed form's own
 equation (approximated mode, or q^2 = 1, where both barriers vanish),
 closed-form level n, kappa E_n = -(eps_n / b)^2 of each level that
 ``spectrum.bound_states`` lists, lies within O(h^2) of the n-th eigenvalue
@@ -47,17 +44,17 @@ Otherwise, in exact mode, the two modes' matrices on one grid differ only on
 the diagonal, by dD = diag_exact - diag_approx, so the approximated
 eigenpairs (lambda_n, w_n) seed it to first order:
 sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse iteration
-started from w_n; exact mode alone solves approximated mode on its grid
-first, and has no seeds where that solve fails.  Seeding stops at a seed
-at or above 0; one stebz count then certifies that no other level lies
-below 0, and the bound subset is returned as truncated.  Where level n
-fails its certificate, or the count finds a level (as in channels with no
-closed form, q = 0 with |1 - 2 alpha| < 1), one stebz call on the index
-range n..k-1 seeds the levels from n on with its negative values, keeping
-those below n; a level that fails after that raises.  The kinetic part is
-positive (a second difference with a Robin ratio <= 1 at one end and
-Dirichlet at the other, plus 1/(4 r^2)), so no eigenvalue lies below
-kappa min V_eff: when that is >= 0, nothing is solved.
+started from w_n.  Those eigenpairs always come from an approximated-mode
+solve on the same grid, the one ``audit_channel`` makes or else one made for
+the exact solve; where that solve raises, exact mode has no seeds.  Seeding
+stops at a seed at or above 0, where one stebz count certifies that no other
+level lies below 0, and the bound subset is returned as truncated.  From a
+level that fails its certificate on, or where the count finds a level (as in
+channels with no closed form, q = 0 with |1 - 2 alpha| < 1), stebz's index
+range seeds the levels instead.  The kinetic part is positive (a second
+difference with a Robin ratio <= 1 at one end and Dirichlet at the other,
+plus 1/(4 r^2)), so no eigenvalue lies below kappa min V_eff: when that is
+>= 0, nothing is solved.
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
@@ -444,11 +441,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     """Lowest k bound eigenvalues of the discretized radial equation.
 
     ``grid`` defaults to ``default_grid(params, D, l, k)``.  Each level is
-    seeded (``_bound_levels``): at its closed-form value from
-    ``spectrum.bound_states`` in approximated mode or at q^2 = 1, else in
-    exact mode at the first-order shift of the approximated level, which is
-    solved on the same grid first (no seed where that solve fails); from a
-    level whose certificate fails on, at stebz's index-range values.  Each
+    seeded as the module docstring says: at its closed-form value in
+    approximated mode or at q^2 = 1, else in exact mode at the first-order
+    shift of the level that the approximated ``solve_radial`` on the same
+    grid and k returns; and certified as ``_bound_levels`` says.  Each
     eigenvalue is stebz's, to full relative accuracy, and each eigenvector
     comes from certified inverse iteration, so the i-th returned state has
     exactly i interior nodes.  The bound levels are the negative ones; when
@@ -468,9 +464,11 @@ def solve_radial(params: PotentialParams, D: int, l: int,
 
     Each call logs its grid points, r_min and spacing h, level count, path
     (``seeded`` with its solve count, ``from approx`` for the perturbed
-    seeds, ``bisected from level`` n with the reason) and stage timings at
-    DEBUG level on the ``manning_rosen.oracle`` logger; exact mode's
-    approximated eigensolve counts in its eigensolve time.
+    seeds, ``bisected from level`` n with the reason, ``no approximated
+    seeds`` with what the approximated solve raised) and stage timings at
+    DEBUG level on the ``manning_rosen.oracle`` logger.  An exact-mode call
+    with q^2 != 1 logs the approximated solve that seeds it on a line of its
+    own first, and counts that solve in its eigensolve time.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -479,50 +477,36 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     return _solve(params, D, l, mode, grid, k)[0]
 
 
-def _closed_seeds(params: PotentialParams, D: int, l: int, k: int) -> list[float]:
-    """kappa E_n = -(eps_n / b)^2 of the bound closed-form levels n < k.
-
-    Empty where ``bound_states`` raises :class:`DomainError`: eps undefined
-    (q = 0, |1 - 2 alpha| < 1) or E not a normal float.
-    """
-    try:
-        scaled = [entry.epsilon / params.b for entry in bound_states(params, D, l, k - 1)]
-    except DomainError:
-        return []
-    return [-s * s for s in scaled]
-
-
 def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
            grid: LogRadialGrid, k: int, approx=None):
     """``solve_radial`` on ``grid``, and the (diagonal, values, vectors) it solved.
 
     Seeds from the closed-form levels, except that an exact-mode solve with
-    q^2 != 1 seeds from ``approx``, what this returned for approximated mode
+    q^2 != 1 seeds from ``approx``, what this returns for approximated mode
     on the same grid and k, and computes no closed-form seeds.  Without
-    ``approx`` it seeds from the approximated eigenpairs solved here, whose
-    refinement is not checked; where that solve raises
-    :class:`ConvergenceError`, it has no seeds, and bisection seeds it.
+    ``approx`` it makes that approximated solve itself; where that raises
+    :class:`ConvergenceError` or :class:`DomainError`, it has no seeds, and
+    bisection seeds it.
     """
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
     assembled = time.perf_counter()
-    seeds, starts = [], None
+    seeds, starts, unseeded = [], None, ""
     if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
-        if approx is None:  # the approximated eigenpairs on this grid, unrefined
-            diag_approx, _, v_approx, _ = _tridiagonal(params, D, l,
-                                                       CentrifugalMode.APPROXIMATED, grid)
-            closed = _closed_seeds(params, D, l, k)
-            try:
-                approx = (diag_approx, *_bound_levels(params.b, k, grid, diag_approx, off,
-                                                      v_approx, closed)[:2])
-            except ConvergenceError:  # no seeds: bisection seeds the exact levels
-                pass
-        if approx is not None:
-            diag_approx, values, starts = approx  # sigma_n from lambda_n, w_n
+        try:  # sigma_n from the approximated lambda_n, w_n on this grid
+            diag_approx, values, starts = approx or _solve(
+                params, D, l, CentrifugalMode.APPROXIMATED, grid, k)[1]
+        except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
+            unseeded = f", no approximated seeds ({exc})"
+        else:
             squares = starts * starts
             seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
     else:
-        seeds = _closed_seeds(params, D, l, k)
+        try:  # eps undefined (q = 0, |1 - 2 alpha| < 1) or E not normal: no seeds
+            scaled = [entry.epsilon / params.b for entry in bound_states(params, D, l, k - 1)]
+            seeds = [-s * s for s in scaled]
+        except DomainError:
+            pass
     values, vectors, path = _bound_levels(params.b, k, grid, diag, off, v_scaled, seeds, starts)
     solved = time.perf_counter()
     k_found = len(values)
@@ -543,7 +527,8 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
         f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
     _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
                "%d of %d levels %s; assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
-               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k, path,
+               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k,
+               path + unseeded,
                assembled - started, solved - assembled, time.perf_counter() - solved)
     result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
                           mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
@@ -569,12 +554,14 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     exact solve, for max(ns) + 1 levels on ``grid`` or else the channel's
     one default grid.  A mode left out, and an
     exact level unbound as the module docstring says, read None.  Raises
-    :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
-    form is unbound or undefined, before any solve; then what
-    ``solve_radial`` raises, and :class:`ConvergenceError` for any other
-    level that a solve lacks.  The closed-form energies come from
-    ``spectrum.energy``, one call per n.
+    :class:`DomainError` for an empty ``ns``, and :class:`UnboundStateError`
+    or :class:`DomainError` for an n whose closed form is unbound or
+    undefined, both before any solve; then what ``solve_radial`` raises, and
+    :class:`ConvergenceError` for any other level that a solve lacks.  The
+    closed-form energies come from ``spectrum.energy``, one call per n.
     """
+    if not ns:
+        raise DomainError("need at least one level n, got none")
     closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
     k = max(ns) + 1
     grid = default_grid(params, D, l, k) if grid is None else grid

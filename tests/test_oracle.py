@@ -313,6 +313,7 @@ class TestSolveRadial:
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, D, l, mode, k=1)
         message = oracle_messages(caplog)[-1]
+        assert "D=3 l=3 exact: " in message
         assert ", 1 of 1 levels seeded from approx in " in message
         assert "bisected" not in message
         diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid)
@@ -362,22 +363,28 @@ class TestSolveRadial:
             solve_radial(*ABOVE_CLOSED_FORM, k=1)
             solve_radial(table_params(), 2, 1, k=1)
         records = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
-        assert len(records) == 2
+        assert len(records) == 3  # the exact solve logs the approximated one that seeds it
         assert all(r.levelno == logging.DEBUG for r in records)
-        assert " exact: " in records[0].getMessage()
-        assert ", 1 of 1 levels seeded from approx in " in records[0].getMessage()
-        assert ", 1 of 1 levels seeded in " in records[1].getMessage()
+        [exact] = [r for r in records if " exact: " in r.getMessage()]
+        assert exact is records[1]
+        assert " approx: " in records[0].getMessage()
+        assert ", 1 of 1 levels seeded from approx in " in exact.getMessage()
+        assert ", 1 of 1 levels seeded in " in records[2].getMessage()
         assert all("bisected" not in r.getMessage() for r in records)
         assert all("window" not in r.getMessage() for r in records)
-        assert "eigensolve" in records[1].getMessage()
+        assert "eigensolve" in records[2].getMessage()
 
-    def test_exact_mode_alone_does_not_refine_the_approximated_level(self):
+    def test_exact_mode_alone_survives_the_approximated_refinement_failure(self, caplog):
         # q = 0 just above the closed form's critical coupling: the approximated
         # level lies nearer threshold than the grid resolves, the exact one does not
         params = PotentialParams(A=0.25 * (1.0 + 1e-7), alpha=0.0, b=40.0)
         with pytest.raises(ConvergenceError, match="deferred correction lifts"):
             solve_radial(params, 2, 0, CentrifugalMode.APPROXIMATED)
-        exact = solve_radial(params, 2, 0, CentrifugalMode.EXACT)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            exact = solve_radial(params, 2, 0, CentrifugalMode.EXACT)
+        [message] = [m for m in oracle_messages(caplog) if " exact: " in m]
+        assert re.search(r", no approximated seeds \(the deferred correction lifts bound level "
+                         r"n = 0 to .* >= 0 on grid .*\); assembly", message)
         values, _, _ = index_range_solve(params, 2, 0, CentrifugalMode.EXACT, exact.grid, 1)
         np.testing.assert_allclose(exact.eigenvalues, values / params.kappa, rtol=1e-15, atol=0.0)
         assert exact.refined[0] == pytest.approx(-1.39038e-6, rel=1e-5)
@@ -534,7 +541,9 @@ class TestSeededEigensolve:
             solve_radial(PotentialParams(A=2.0, alpha=0.0, b=1.0), 3, 0, k=5)
             solve_radial(undefined, 2, 0, grid=LogRadialGrid(r_min=4e-11, r_max=2000.0,
                                                              n_points=4001), k=2)
-        seeded, exact, truncated, bisected = oracle_messages(caplog)
+        seeded, seeding, exact, truncated, bisected = oracle_messages(caplog)
+        # the exact solve logs the approximated solve that seeds it first
+        assert seeding.split("; ")[0] == seeded.split("; ")[0] and " exact: " in exact
         assert re.search(r", 3 of 3 levels seeded in \d+ solves; assembly", seeded)
         assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves; assembly", exact)
         assert re.search(r", 1 of 5 levels seeded in \d+ solves, no other level below 0 "
@@ -651,9 +660,12 @@ class TestSeededEigensolve:
             solve_radial(params, D, l, grid=grid, k=6)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, D, l, CentrifugalMode.EXACT, grid=grid, k=6)
-        [message] = oracle_messages(caplog)
+        [message] = oracle_messages(caplog)  # the approximated solve raises before its line
         assert re.search(r" exact: .*, 4 of 6 levels seeded in \d+ solves, bisected from "
                          r"level 0 \(stebz finds 4 more levels below 0\)", message)
+        assert re.search(r", no approximated seeds \(the levels that stebz's index range seeds "
+                         r"fail their certificate: level 4 has 3 nodes, on grid .*\); assembly",
+                         message)
         assert_matches_reference(result, *reference_solve(
             monkeypatch, params, D, l, CentrifugalMode.EXACT, grid, 6))
         assert result.node_counts == (0, 1, 2, 3) and result.truncated
@@ -702,7 +714,7 @@ class TestSeededEigensolve:
         monkeypatch.setattr(oracle, "_bound_levels", swapped)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 2, 1, CentrifugalMode.EXACT, k=3)
-        [message] = oracle_messages(caplog)
+        [message] = [m for m in oracle_messages(caplog) if " exact: " in m]
         assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves, bisected from "
                          r"level 0 \(level 0 ", message)
         assert_matches_reference(result, *reference_solve(
@@ -718,8 +730,10 @@ class TestSeededEigensolve:
         params = table_params(0.075, alpha)
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             result = solve_radial(params, 4, 2, CentrifugalMode.EXACT, k=2)
+        message = oracle_messages(caplog)[-1]
+        assert "D=4 l=2 exact: " in message
         assert re.search(rf", 2 of 2 levels seeded from approx in \d+ solves, bisected from "
-                         rf"level 1 \({why}\); ", oracle_messages(caplog)[-1])
+                         rf"level 1 \({why}\); ", message)
         values, _, _ = index_range_solve(params, 4, 2, CentrifugalMode.EXACT, result.grid, 2)
         np.testing.assert_allclose(result.eigenvalues, values / params.kappa,
                                    rtol=1e-15, atol=0.0)
@@ -742,10 +756,12 @@ class TestSeededEigensolve:
     def test_exact_mode_matches_index_range_on_table_channels(self, caplog):
         # every exact level of the 66 channels, alone and in an audit, against the
         # index range's negative values on the same grid; only the four cells the
-        # exact barrier unbinds go missing
-        truncated = set()
+        # exact barrier unbinds go missing, and every exact level is seeded from
+        # approx but those of 4d at D = 4, 1/b = 0.075, alpha = 0 and 0.75
+        truncated, bisected = set(), []
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             for (inv_b, alpha, D, l), n_top in table_channels().items():
+                logged = len(caplog.records)
                 params, k = table_params(inv_b, alpha), n_top + 1
                 result = solve_radial(params, D, l, CentrifugalMode.EXACT, k=k)
                 values, _, _ = index_range_solve(params, D, l, CentrifugalMode.EXACT,
@@ -758,11 +774,15 @@ class TestSeededEigensolve:
                 assert [a.e_exact for a in audits[:len(bound)]] == list(result.refined)
                 if result.truncated:
                     truncated.add((inv_b, alpha, l, len(bound)))
+                bisected += [(inv_b, alpha, D, l) for r in caplog.records[logged:]
+                             if " exact: " in r.getMessage() and "bisected" in r.getMessage()]
         assert truncated == {(0.075, 0.75, 3, 0), (0.075, 0.0, 3, 0), (0.075, 1.5, 3, 0),
                              (0.075, 1.5, 2, 1)}
         exact = [m for m in oracle_messages(caplog) if " exact: " in m]
         assert len(exact) == 2 * 66
-        assert sum("bisected" in m for m in exact) <= 4, [m for m in exact if "bisected" in m]
+        assert all(" levels seeded from approx in " in m for m in exact), exact
+        # once in the solve and once in the audit
+        assert sorted(bisected) == [(0.075, 0.0, 4, 2)] * 2 + [(0.075, 0.75, 4, 2)] * 2
 
     def test_levels_the_exact_barrier_unbinds_are_counted_not_bisected(self, caplog):
         # 1/b = 0.075, alpha = 1.5, D = 4: the perturbed seeds of 4d and 4f lie above
@@ -965,6 +985,12 @@ class TestAuditChannel:
     def test_unbound_level_raises_before_any_solve(self, oracle_calls):
         with pytest.raises(UnboundStateError):
             audit_channel(PotentialParams(A=1.0, alpha=0.0, b=1.0), 3, 0, [0, 4])
+        assert oracle_calls == {"default_grid": 0, CentrifugalMode.EXACT: 0,
+                                CentrifugalMode.APPROXIMATED: 0}
+
+    def test_no_levels_raises_before_any_solve(self, oracle_calls):
+        with pytest.raises(DomainError, match="need at least one level n"):
+            audit_channel(table_params(), 2, 1, [])
         assert oracle_calls == {"default_grid": 0, CentrifugalMode.EXACT: 0,
                                 CentrifugalMode.APPROXIMATED: 0}
 
