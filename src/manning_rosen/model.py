@@ -92,11 +92,6 @@ class QuantumState:
         return self.D + 2 * self.l - 2
 
 
-def _screening_ratio(x):
-    """w = exp(-x)/(1 - exp(-x)), stable down to x ~ 1e-12 via expm1."""
-    return np.exp(-x) / (-np.expm1(-x))
-
-
 def _as_positive_radius(r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0):
@@ -124,17 +119,37 @@ def _maybe_scalar(value, template):
     return value
 
 
+def _screening(params: PotentialParams, radius):
+    """exp(-x) and expm1(-x) at x = r/b, the two terms that V and the stand-in are built from."""
+    x = radius / params.b
+    return np.exp(-x), np.expm1(-x)
+
+
+def _potential(params: PotentialParams, decay, decay_m1):
+    """V from ``_screening``'s pair: w = exp(-x)/(1 - exp(-x)), stable down to x ~ 1e-12."""
+    w = decay / -decay_m1
+    scale = 1.0 / (params.kappa * params.b * params.b)
+    return -scale * (params.A * w - params.alpha_product * w * w)
+
+
+def _barrier(params: PotentialParams, prefactor: float, mode: CentrifugalMode,
+             radius_squared, decay, decay_m1):
+    """kappa times the centrifugal barrier, prefactor C(r), from r^2 and ``_screening``'s pair."""
+    if mode is CentrifugalMode.EXACT:
+        return prefactor / radius_squared
+    if mode is CentrifugalMode.APPROXIMATED:
+        inv_b2 = 1.0 / (params.b * params.b)
+        return prefactor * inv_b2 * decay / decay_m1 ** 2
+    raise DomainError(f"unknown centrifugal mode: {mode!r}")
+
+
 def potential_value(params: PotentialParams, r):
     """Potential energy V(r) in the units set by ``params``.
 
     V(r) = -(1/(kappa b^2)) [A w - alpha(alpha-1) w^2] with
     w = exp(-r/b)/(1-exp(-r/b)).
     """
-    x = _as_positive_radius(r) / params.b
-    w = _screening_ratio(x)
-    scale = 1.0 / (params.kappa * params.b * params.b)
-    value = -scale * (params.A * w - params.alpha_product * w * w)
-    return _maybe_scalar(value, r)
+    return _maybe_scalar(_potential(params, *_screening(params, _as_positive_radius(r))), r)
 
 
 def _minimum_coefficient(params: PotentialParams, failure: str) -> float:
@@ -183,13 +198,7 @@ def effective_potential(params: PotentialParams, state: QuantumState, r,
     (APPROXIMATED), which makes the l != 0 equation solvable in closed form.
     """
     radius = _as_positive_radius(r)
-    prefactor = (state.q * state.q - 1.0) / 4.0
-    if mode is CentrifugalMode.EXACT:
-        barrier = prefactor / (radius * radius)
-    elif mode is CentrifugalMode.APPROXIMATED:
-        x = radius / params.b
-        inv_b2 = 1.0 / (params.b * params.b)
-        barrier = prefactor * inv_b2 * np.exp(-x) / np.expm1(-x) ** 2
-    else:
-        raise DomainError(f"unknown centrifugal mode: {mode!r}")
-    return _maybe_scalar(potential_value(params, radius) + barrier / params.kappa, r)
+    screening = _screening(params, radius)
+    barrier = _barrier(params, (state.q * state.q - 1.0) / 4.0, mode, radius * radius,
+                       *screening)
+    return _maybe_scalar(_potential(params, *screening) + barrier / params.kappa, r)

@@ -65,9 +65,13 @@ boundary term, because u ~ e^(nu x) as x -> -inf and u = 0 at r_max.  It
 costs O(N) per level and converges at order 4, so each channel takes one
 eigensolve.
 
-A channel audit (``audit_channel``) solves each centrifugal mode once, on one
-grid, for the highest level asked, approximated mode first, whose eigenpairs
-seed the exact solve.  For q^2 > 1 the exact barrier lies above its stand-in
+A channel audit (``audit_channel``) assembles what the two modes' matrices
+share once per grid (``_channel_parts``: the nodes, V, the kinetic diagonal
+and the off-diagonal), so each mode adds only its barrier and Robin entry.
+It then solves each mode asked once, for the highest level asked,
+approximated mode first, whose eigenpairs seed the exact solve; at q^2 = 1
+the two matrices and seeds are the same, so that one solve serves both
+modes.  For q^2 > 1 the exact barrier lies above its stand-in
 (Greene & Aldrich, PRA 14 (1976) 2363), 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2,
 and can unbind a level that the stand-in holds on the same grid.  That level
 reads None: both solves share every discretization choice, so its absence is
@@ -94,8 +98,8 @@ import numpy as np
 import scipy
 
 from .errors import ConvergenceError, DomainError
-from .model import (CentrifugalMode, PotentialParams, QuantumState, _geometric,
-                    effective_potential)
+from .model import (CentrifugalMode, PotentialParams, QuantumState, _barrier, _geometric,
+                    _potential, _screening)
 from .spectrum import bound_states, shape_parameter
 from .spectrum import energy as _closed_energy
 
@@ -266,37 +270,64 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
                          n_points=_LOG_GRID_POINTS - steps)
 
 
+@dataclass(frozen=True)
+class _ChannelParts:
+    """What both centrifugal modes' matrices share on one grid (``_channel_parts``)."""
+
+    r: np.ndarray  # the interior nodes
+    r_squared: np.ndarray
+    screening: tuple[np.ndarray, np.ndarray]  # exp(-r/b), expm1(-r/b)
+    potential: np.ndarray  # kappa V, as V at unit kappa
+    kinetic: np.ndarray  # (2/h^2 + 1/4)/r^2, the kinetic diagonal but at the Robin end
+    off: np.ndarray
+
+
+def _channel_parts(params: PotentialParams, grid: LogRadialGrid) -> _ChannelParts:
+    """The mode-independent arrays of ``_tridiagonal`` on ``grid``, computed once."""
+    r = grid.points()[1:-1]
+    h = grid.spacing
+    unit_kappa = dataclasses.replace(params, mu=0.5, hbar=1.0)
+    r_squared = r * r
+    screening = _screening(unit_kappa, r)
+    return _ChannelParts(r=r, r_squared=r_squared, screening=screening,
+                         potential=_potential(unit_kappa, *screening),
+                         kinetic=(2.0 / (h * h) + 0.25) / r_squared,
+                         off=-1.0 / (h * h * r[:-1] * r[1:]))
+
+
 def _tridiagonal(params: PotentialParams, D: int, l: int,
-                 mode: CentrifugalMode, grid: LogRadialGrid):
+                 mode: CentrifugalMode, grid: LogRadialGrid, parts: _ChannelParts | None = None):
     """Diagonal and off-diagonal of the scaled radial operator on ``grid``.
 
     Built on the interior nodes; eigenvalues are kappa * E.  Also returns
     kappa V_eff on those nodes, which depends only on A, alpha and b: it is
     V_eff in the units where kappa = 1, so no factor 1/kappa can overflow;
-    and the nodes themselves, for the deferred correction.
+    and the nodes themselves, for the deferred correction.  ``parts``, the
+    ``_channel_parts`` of ``params`` and ``grid``, saves computing them: only
+    the mode's barrier and the Robin entry are added, with the arithmetic of
+    ``effective_potential``, so either way every entry has the same bits.
     """
-    r = grid.points()[1:-1]
-    h = grid.spacing
-    state = QuantumState(n=0, l=l, D=D)
-    unit_kappa = dataclasses.replace(params, mu=0.5, hbar=1.0)
-    v_scaled = effective_potential(unit_kappa, state, r, mode)
+    if parts is None:
+        parts = _channel_parts(params, grid)
+    r, r_squared, h = parts.r, parts.r_squared, grid.spacing
+    q = QuantumState(n=0, l=l, D=D).q
+    v_scaled = parts.potential + _barrier(params, (q * q - 1.0) / 4.0, mode, r_squared,
+                                          *parts.screening)
     # Robin end: u ~ e^(nu x) below the first node, nu^2 = 1/4 + r^2 kappa V_eff
     # there.  Clamped at 0: for q = 0, alpha = 0 the limit is exactly 0 and the
     # first node reads it about A r / b too low.
-    nu = math.sqrt(max(0.25 + float(r[0] * r[0] * v_scaled[0]), 0.0))
-    t_diag = np.full(len(r), 2.0 / (h * h))
-    t_diag[0] -= math.exp(-nu * h) / (h * h)
-    diag = (t_diag + 0.25) / (r * r) + v_scaled
+    nu = math.sqrt(max(0.25 + float(r_squared[0] * v_scaled[0]), 0.0))
+    diag = parts.kinetic + v_scaled
+    diag[0] = (2.0 / (h * h) - math.exp(-nu * h) / (h * h) + 0.25) / r_squared[0] + v_scaled[0]
     if not np.all(np.isfinite(diag)):
         raise DomainError(f"kappa V_eff is not a finite float on grid {grid} for {params}")
-    off = -1.0 / (h * h * r[:-1] * r[1:])
-    return diag, off, v_scaled, r
+    return diag, parts.off, v_scaled, r
 
 
 def _eigenvector_nodes(vec: np.ndarray) -> int:
-    significant = np.abs(vec) > 1e-9 * np.max(np.abs(vec))
-    signs = np.sign(vec[significant])
-    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+    magnitude = np.abs(vec)
+    positive = vec[magnitude > 1e-9 * np.max(magnitude)] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: np.ndarray,
@@ -344,7 +375,8 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
         return values, np.ones((1, len(values))), "solved (1 unknown)"
     scale = math.ldexp(1.0, 2 * min(max(round(math.log2(b)), -511), 511))
     diag, off, lower = diag * scale, off * scale, lower * scale
-    off_max = float(np.max(np.abs(off), initial=1.0))
+    abs_diag, abs_off = np.abs(diag), np.abs(off)
+    off_max = float(np.max(abs_off, initial=1.0))
     floor = np.finfo(float).tiny * off_max * off_max
 
     def judge(levels, what: str):  # levels at LAPACK's scale, the last the shallowest
@@ -357,7 +389,6 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
     path = f"seeded{'' if starts is None else ' from approx'}"
     seeds, k = [seed * scale for seed in seeds[:k]], min(k, size)
     flat = np.full(size, 1.0 / math.sqrt(size))
-    abs_diag, abs_off = np.abs(diag), np.abs(off)
     values, vectors, solves, bisected = [], [], 0, ""
     while len(values) < k:
         n = len(values)
@@ -377,7 +408,7 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
                     x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
                     solves += 1
                 solves += 1
-                norm = float(np.linalg.norm(x))
+                norm = math.sqrt(float(x @ x))
                 if info or not 0.0 < norm < math.inf:
                     raise ConvergenceError(f"singular shift at level {n}")
                 shift += float(w @ x) / (norm * norm)
@@ -478,7 +509,7 @@ def solve_radial(params: PotentialParams, D: int, l: int,
 
 
 def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
-           grid: LogRadialGrid, k: int, approx=None):
+           grid: LogRadialGrid, k: int, approx=None, parts: _ChannelParts | None = None):
     """``solve_radial`` on ``grid``, and the (diagonal, values, vectors) it solved.
 
     Seeds from the closed-form levels, except that an exact-mode solve with
@@ -486,16 +517,19 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
     on the same grid and k, and computes no closed-form seeds.  Without
     ``approx`` it makes that approximated solve itself; where that raises
     :class:`ConvergenceError` or :class:`DomainError`, it has no seeds, and
-    bisection seeds it.
+    bisection seeds it.  ``parts`` are the grid's ``_channel_parts``, made
+    here when not given and shared with that approximated solve.
     """
     started = time.perf_counter()
-    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid)
+    if parts is None:
+        parts = _channel_parts(params, grid)
+    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
     assembled = time.perf_counter()
     seeds, starts, unseeded = [], None, ""
     if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
         try:  # sigma_n from the approximated lambda_n, w_n on this grid
             diag_approx, values, starts = approx or _solve(
-                params, D, l, CentrifugalMode.APPROXIMATED, grid, k)[1]
+                params, D, l, CentrifugalMode.APPROXIMATED, grid, k, None, parts)[1]
         except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
             unseeded = f", no approximated seeds ({exc})"
         else:
@@ -545,29 +579,56 @@ class AuditResult:
     rel_errors: tuple[float | None, float | None]  # (closed vs approx, closed vs exact)
 
 
+def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[CentrifugalMode],
+                 grid: LogRadialGrid, k: int) -> dict[CentrifugalMode, OracleResult]:
+    """``solve_radial`` on ``grid`` in each of ``modes``, from one ``_channel_parts``.
+
+    ``modes`` lists each mode once, approximated first: its eigenpairs seed
+    the exact solve.  At q^2 = 1 the two matrices and their seeds are the
+    same, so the exact result is the approximated one in exact mode, logged
+    as such, and no second solve runs.
+    """
+    parts, q = _channel_parts(params, grid), QuantumState(n=0, l=l, D=D).q
+    solves, approx = {}, None
+    for mode in modes:
+        if mode is CentrifugalMode.EXACT and q * q == 1 and approx is not None:
+            solves[mode] = dataclasses.replace(solves[CentrifugalMode.APPROXIMATED], mode=mode)
+            _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
+                       "%d of %d levels from the approx solve, not solved again "
+                       "(q^2 = 1: the same matrix and seeds)", D, l, mode.value,
+                       grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k)
+        else:
+            solves[mode], approx = _solve(params, D, l, mode, grid, k, approx, parts)
+    return solves
+
+
 def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
                   modes=(CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED),
                   grid: LogRadialGrid | None = None) -> list[AuditResult]:
     """Closed form vs. the oracle in ``modes``, one result per level n in ``ns``.
 
-    Solves each mode once, approximated first, whose eigenpairs seed the
-    exact solve, for max(ns) + 1 levels on ``grid`` or else the channel's
-    one default grid.  A mode left out, and an
-    exact level unbound as the module docstring says, read None.  Raises
-    :class:`DomainError` for an empty ``ns``, and :class:`UnboundStateError`
-    or :class:`DomainError` for an n whose closed form is unbound or
-    undefined, both before any solve; then what ``solve_radial`` raises, and
-    :class:`ConvergenceError` for any other level that a solve lacks.  The
-    closed-form energies come from ``spectrum.energy``, one call per n.
+    Assembles the parts both modes share once, on ``grid`` or else the
+    channel's one default grid, then solves each mode asked once for
+    max(ns) + 1 levels, approximated first, whose eigenpairs seed the exact
+    solve; at q^2 = 1, where the two matrices are the same, the
+    approximated solve is the only one.  A mode left out, and an exact level
+    unbound as the module docstring says, read None.  Raises
+    :class:`DomainError` for an empty ``ns`` or ``modes``, and
+    :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
+    form is unbound or undefined, all before any solve; then what
+    ``solve_radial`` raises, and :class:`ConvergenceError` for any other
+    level that a solve lacks.  The closed-form energies come from
+    ``spectrum.energy``, one call per n.
     """
     if not ns:
         raise DomainError("need at least one level n, got none")
+    modes = sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT)
+    if not modes:
+        raise DomainError("need at least one centrifugal mode, got none")
     closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
     k = max(ns) + 1
     grid = default_grid(params, D, l, k) if grid is None else grid
-    solves, approx = {}, None
-    for mode in sorted(modes, key=lambda mode: mode is CentrifugalMode.EXACT):
-        solves[mode], approx = _solve(params, D, l, mode, grid, k, approx)
+    solves = _solve_modes(params, D, l, modes, grid, k)
     approx = solves.get(CentrifugalMode.APPROXIMATED)
     held = len(approx.refined) if approx is not None else 0
     audits = []
@@ -589,9 +650,11 @@ def approximation_audit(params: PotentialParams, state: QuantumState,
     barrier, the oracle energy with the short-range replacement, and both
     relative differences.  The approximated oracle solves the same equation
     as the closed form, so that pair agrees to solver accuracy; the exact
-    pair measures the physical quality of the replacement.  Raises as
-    ``audit_channel`` does, and :class:`ConvergenceError` where the exact
-    barrier unbinds the level.
+    pair measures the physical quality of the replacement.  Both modes come
+    from ``audit_channel``: one assembly of their shared parts on the grid,
+    and one solve per mode, or one in all at q^2 = 1, where the exact pair
+    is the approximated one.  Raises as ``audit_channel`` does, and
+    :class:`ConvergenceError` where the exact barrier unbinds the level.
     """
     [audit] = audit_channel(params, state.D, state.l, [state.n], grid=grid)
     if audit.e_exact is None:

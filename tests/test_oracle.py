@@ -677,26 +677,28 @@ class TestSeededEigensolve:
             with pytest.raises(ConvergenceError, match="level 4 has 3 nodes"):
                 audit_channel(params, D, l, [5], modes=modes, grid=grid)
 
-    def test_seeded_sweep_matches_bisection(self, monkeypatch):
+    def test_seeded_sweep_matches_bisection(self, monkeypatch, reference_outcomes):
         # each drawn approximated-mode channel solved seeded and by the index
         # range, on one grid; a certificate that fails sends it to bisection
-        paths = solved(seeded_sweep(monkeypatch, CentrifugalMode.APPROXIMATED))
+        paths = solved(seeded_sweep(monkeypatch, reference_outcomes,
+                                    CentrifugalMode.APPROXIMATED))
         assert len(paths) >= 200
         assert sum("bisected" in path for path in paths) <= 0.01 * len(paths)
 
-    def test_seeded_exact_sweep_matches_bisection(self, monkeypatch):
+    def test_seeded_exact_sweep_matches_bisection(self, monkeypatch, reference_outcomes):
         # the same draws in exact mode where q >= 2, seeded from the approximated
         # solve on the same grid; the fraction certified is in the message
-        paths = solved(seeded_sweep(monkeypatch, CentrifugalMode.EXACT))
+        paths = solved(seeded_sweep(monkeypatch, reference_outcomes, CentrifugalMode.EXACT))
         fraction = sum("bisected" not in path for path in paths) / len(paths)
         assert len(paths) >= 150
         assert fraction >= 0.95, f"{fraction:.3f} of {len(paths)} exact solves certified"
 
     @pytest.mark.parametrize("mode", list(CentrifugalMode))
-    def test_sweep_seeded_by_bisection_matches_index_range(self, monkeypatch, mode):
+    def test_sweep_seeded_by_bisection_matches_index_range(self, monkeypatch, reference_outcomes,
+                                                            mode):
         # the same draws with no seeds: bisection seeds every level of every channel
         # that binds one, and each level keeps its certificate
-        paths = solved(seeded_sweep(monkeypatch, mode, seeds=False))
+        paths = solved(seeded_sweep(monkeypatch, reference_outcomes, mode, seeds=False))
         bisected = sum("bisected from level 0 (stebz finds " in path for path in paths)
         unbound = paths.count("seeded in 0 solves, no other level below 0 (stebz count)")
         assert bisected + unbound == len(paths) and bisected >= 250
@@ -814,13 +816,22 @@ def solved(paths: list[str]) -> list[str]:
     return [path for path in paths if not path.startswith("unsolved")]
 
 
-def seeded_sweep(monkeypatch, mode: CentrifugalMode, seeds: bool = True) -> list[str]:
+@pytest.fixture(scope="module")
+def reference_outcomes():
+    """Outcomes of ``reference_solve`` by (params, D, l, mode, grid, k), which the
+    seeded and the unseeded sweeps of a mode share."""
+    return {}
+
+
+def seeded_sweep(monkeypatch, outcomes: dict, mode: CentrifugalMode,
+                 seeds: bool = True) -> list[str]:
     """Drawn k = 3 channels solved in ``mode`` and by ``reference_solve``, on one grid.
 
     Asserts that both give the same levels, or raise the same exception type;
     exact mode takes only the q >= 2 channels.  With ``seeds`` off, every
     eigensolve gets no seeds, so bisection seeds its levels.  Returns the
-    path of each of the mode's own eigensolves.
+    path of each of the mode's own eigensolves.  Each reference outcome is
+    computed once, in ``outcomes``.
     """
     rng = random.Random(20261019)
     bound_levels = oracle._bound_levels
@@ -850,7 +861,10 @@ def seeded_sweep(monkeypatch, mode: CentrifugalMode, seeds: bool = True) -> list
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "_bound_levels", seeded)
             fast = outcome(solve_radial, params, D, l, mode, grid=grid, k=3)
-        slow = outcome(reference_solve, monkeypatch, params, D, l, mode, grid, 3)
+        key = (params, D, l, mode, grid, 3)
+        if key not in outcomes:
+            outcomes[key] = outcome(reference_solve, monkeypatch, *key)
+        slow = outcomes[key]
         if isinstance(fast, type) or isinstance(slow, type):
             assert fast is slow, case
             continue
@@ -994,6 +1008,52 @@ class TestAuditChannel:
         assert oracle_calls == {"default_grid": 0, CentrifugalMode.EXACT: 0,
                                 CentrifugalMode.APPROXIMATED: 0}
 
+    def test_no_modes_raises_before_any_closed_form_or_grid(self, oracle_calls, monkeypatch):
+        # n = 4 is unbound, so a closed form computed first would raise UnboundStateError
+        closed, closed_energy = [], oracle._closed_energy
+
+        def counted(*args):
+            closed.append(args)
+            return closed_energy(*args)
+
+        monkeypatch.setattr(oracle, "_closed_energy", counted)
+        with pytest.raises(DomainError, match="need at least one centrifugal mode"):
+            audit_channel(PotentialParams(A=1.0, alpha=0.0, b=1.0), 3, 0, [4], modes=())
+        assert closed == []
+        assert oracle_calls == {"default_grid": 0, CentrifugalMode.EXACT: 0,
+                                CentrifugalMode.APPROXIMATED: 0}
+
+    def test_a_repeated_mode_is_solved_once(self, oracle_calls):
+        # an exact-only audit makes one exact solve and the approximated one that seeds it
+        params = table_params()
+        once = audit_channel(params, 2, 1, [0, 1], modes=(CentrifugalMode.EXACT,))
+        assert oracle_calls == {"default_grid": 1, CentrifugalMode.EXACT: 1,
+                                CentrifugalMode.APPROXIMATED: 1}
+        assert audit_channel(params, 2, 1, [0, 1], modes=(CentrifugalMode.EXACT,) * 2) == once
+        assert oracle_calls == {"default_grid": 2, CentrifugalMode.EXACT: 2,
+                                CentrifugalMode.APPROXIMATED: 2}
+
+    def test_s_wave_audit_makes_one_solve(self, oracle_calls, caplog):
+        # q = 1 (D = 3, l = 0): both barriers vanish, so the two modes share the
+        # matrix and the seeds, and the approximated solve is the exact one
+        params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            audits = audit_channel(params, 3, 0, [0, 1])
+        assert oracle_calls == {"default_grid": 1, CentrifugalMode.EXACT: 0,
+                                CentrifugalMode.APPROXIMATED: 1}
+        assert [a.e_exact for a in audits] == [a.e_approx for a in audits]
+        approx_line, exact_line = oracle_messages(caplog)
+        assert " approx: " in approx_line and "levels seeded in" in approx_line
+        assert re.search(r"^solve_radial D=3 l=0 exact: \d+ points from r_min .*, 2 of 2 levels "
+                         r"from the approx solve, not solved again \(q\^2 = 1: ", exact_line)
+        grid = default_grid(params, 3, 0, k=2)
+        solves = oracle._solve_modes(params, 3, 0, [CentrifugalMode.APPROXIMATED,
+                                                    CentrifugalMode.EXACT], grid, 2)
+        exact, approx = solves[CentrifugalMode.EXACT], solves[CentrifugalMode.APPROXIMATED]
+        assert exact.mode is CentrifugalMode.EXACT and approx.mode is CentrifugalMode.APPROXIMATED
+        assert (exact.eigenvalues, exact.refined) == (approx.eigenvalues, approx.refined)
+        assert exact == solve_radial(params, 3, 0, CentrifugalMode.EXACT, grid=grid, k=2)
+
     def test_exact_solve_given_approx_computes_no_closed_form_seeds(self, monkeypatch):
         # q = 2 (2p, D = 2): the exact solve seeds from the approximated eigenpairs,
         # so of the two solves only the approximated one asks the closed form
@@ -1033,6 +1093,126 @@ class TestAuditChannel:
                 assert alone.e_approx == pytest.approx(audit.e_approx, rel=1e-15, abs=0.0)
                 if n == max(ns):
                     assert alone == audit
+
+
+def assembled(params, D, l, mode, grid):
+    """``_tridiagonal``'s arrays written out from ``effective_potential`` at unit kappa."""
+    r, h = grid.points()[1:-1], grid.spacing
+    v_scaled = effective_potential(dataclasses.replace(params, mu=0.5, hbar=1.0),
+                                   QuantumState(n=0, l=l, D=D), r, mode)
+    nu = math.sqrt(max(0.25 + float(r[0] * r[0] * v_scaled[0]), 0.0))
+    t_diag = np.full(len(r), 2.0 / (h * h))
+    t_diag[0] -= math.exp(-nu * h) / (h * h)
+    return (t_diag + 0.25) / (r * r) + v_scaled, -1.0 / (h * h * r[:-1] * r[1:]), v_scaled, r
+
+
+def audit_and_solves(monkeypatch, params, D, l, ns, grid):
+    """What ``audit_channel`` in both modes returns or raises, and the results it read."""
+    read, solve_modes = {}, oracle._solve_modes
+
+    def recorded(*args):
+        solves = solve_modes(*args)
+        read.update(solves)
+        return solves
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_solve_modes", recorded)
+        return outcome(audit_channel, params, D, l, ns, grid=grid), read
+
+
+def assert_audit_matches_solves(monkeypatch, params, D, l, ns, grid, case=""):
+    """``audit_channel`` in both modes against one ``solve_radial`` per mode on ``grid``.
+
+    The result of each mode that the audit reads equals the separate solve's
+    (values, refined values, node counts, truncation, warnings), and each
+    audit value is a refined level, or None where the exact solve lacks it.
+    An audit that raises raises what the first failing solve raises,
+    approximated mode first, or else :class:`ConvergenceError` for a level
+    that the approximated solve lacks.  Returns the audit's outcome.
+    """
+    audit, read = audit_and_solves(monkeypatch, params, D, l, ns, grid)
+    alone = {mode: outcome(solve_radial, params, D, l, mode, grid=grid, k=max(ns) + 1)
+             for mode in (CentrifugalMode.APPROXIMATED, CentrifugalMode.EXACT)}
+    if isinstance(audit, type):
+        failed = [result for result in alone.values() if isinstance(result, type)]
+        assert audit is (failed[0] if failed else ConvergenceError), case
+        return audit
+    assert read == alone, case
+    approx, exact = (alone[mode].refined
+                     for mode in (CentrifugalMode.APPROXIMATED, CentrifugalMode.EXACT))
+    assert [(a.e_approx, a.e_exact) for a in audit] == [
+        (approx[n], exact[n] if n < len(exact) else None) for n in ns], case
+    return audit
+
+
+# (params, D, l, grid) of a channel whose explicit grid holds one unknown
+ONE_UNKNOWN = (PotentialParams(A=80.0, alpha=0.75, b=40.0), 2, 1,
+               LogRadialGrid(r_min=1.0, r_max=100.0, n_points=3))
+
+
+class TestSharedAssembly:
+    @pytest.mark.parametrize("params, D, l, grid", [
+        (table_params(), 2, 1, None),
+        (PotentialParams(A=80.0, alpha=0.0, b=40.0), 3, 0, None),
+        (PotentialParams(A=80.0, alpha=0.0, b=40.0), 2, 0, None),
+        (PotentialParams(A=80.0, alpha=0.3, b=40.0), 2, 0,
+         LogRadialGrid(r_min=4e-11, r_max=2000.0, n_points=4001)),
+        ZERO_PIVOT, FAILED_PRESOLVE, ONE_UNKNOWN,
+    ], ids=["q2", "q1", "q0", "q0-no-closed-form", "zero-pivot", "failed-presolve",
+            "one-unknown"])
+    def test_tridiagonal_has_the_same_bits_with_shared_parts(self, params, D, l, grid):
+        grid = grid or default_grid(params, D, l, k=2)
+        parts = oracle._channel_parts(params, grid)
+        for mode in CentrifugalMode:
+            shared = _tridiagonal(params, D, l, mode, grid, parts)
+            alone = _tridiagonal(params, D, l, mode, grid)
+            expected = assembled(params, D, l, mode, grid)
+            for arrays in (alone, expected):
+                assert [a.tobytes() for a in shared] == [a.tobytes() for a in arrays], mode
+
+    def test_audit_matches_solve_radial_on_table_channels(self, monkeypatch):
+        for (inv_b, alpha, D, l), n_top in table_channels().items():
+            params, case = table_params(inv_b, alpha), (inv_b, alpha, D, l)
+            grid = default_grid(params, D, l, k=n_top + 1)
+            audit = assert_audit_matches_solves(monkeypatch, params, D, l,
+                                                list(range(n_top + 1)), grid, case)
+            assert not isinstance(audit, type), case
+
+    def test_audit_matches_solve_radial_on_drawn_channels(self, monkeypatch):
+        # q = 0, q = 1 (one solve) and q >= 2, on default and explicit grids, and
+        # the fixed explicit grids that meet a zero pivot, fail the approximated
+        # certificate and hold one unknown
+        rng = random.Random(20261020)
+        cases = []
+        for _ in range(300):
+            params = PotentialParams(A=10.0 ** rng.uniform(0.5, 3.0),
+                                     alpha=rng.uniform(-1.0, 2.0),
+                                     b=10.0 ** rng.uniform(-3.0, 4.0))
+            D, l = rng.choice([(2, 0), (3, 0), (3, 0), (2, 1), (4, 1), (5, 2), (6, 3)])
+            try:
+                grid = default_grid(params, D, l, k=3)
+            except DomainError:
+                continue
+            if rng.random() < 0.3:
+                grid = LogRadialGrid(r_min=grid.r_min, r_max=grid.r_max,
+                                     n_points=rng.choice([41, 401]))
+            cases.append((params, D, l, grid))
+        raised, q_values = 0, set()
+        for params, D, l, grid in cases + [ZERO_PIVOT, FAILED_PRESOLVE, ONE_UNKNOWN]:
+            try:
+                ns = [entry.state.n for entry in bound_states(params, D, l, n_max=5)]
+            except DomainError:  # no closed form: no audit
+                continue
+            if not ns:
+                continue
+            ns = sorted(rng.sample(ns, rng.randint(1, len(ns))))
+            audit = assert_audit_matches_solves(monkeypatch, params, D, l, ns, grid,
+                                                (params, D, l, grid, ns))
+            if isinstance(audit, type):
+                raised += 1
+            else:
+                q_values.add(min(D + 2 * l - 2, 2))
+        assert q_values == {0, 1, 2} and raised >= 1
 
 
 def run_fresh(script: str) -> str:
