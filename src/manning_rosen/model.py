@@ -94,7 +94,7 @@ class QuantumState:
 
 def _as_positive_radius(r):
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
+    if not np.all(arr > 0.0):  # NaN fails too
         raise DomainError("r must be positive; the potential is undefined at r <= 0")
     return arr
 
@@ -119,6 +119,18 @@ def _maybe_scalar(value, template):
     return value
 
 
+def _over_b_squared(numerator: float, denominator: float, params: PotentialParams) -> float:
+    """numerator / denominator, a denominator holding b^2; :class:`DomainError` where it is 0.
+
+    b^2 underflows to 0 for b below about 1e-162, and a Python float
+    division by 0 raises :class:`ZeroDivisionError`.
+    """
+    if denominator == 0.0:
+        raise DomainError(f"a denominator holding b^2 underflows to 0 for {params}: "
+                          "b is too small")
+    return numerator / denominator
+
+
 def _screening(params: PotentialParams, radius):
     """exp(-x) and expm1(-x) at x = r/b, the two terms that V and the stand-in are built from."""
     x = radius / params.b
@@ -128,7 +140,7 @@ def _screening(params: PotentialParams, radius):
 def _potential(params: PotentialParams, decay, decay_m1):
     """V from ``_screening``'s pair: w = exp(-x)/(1 - exp(-x)), stable down to x ~ 1e-12."""
     w = decay / -decay_m1
-    scale = 1.0 / (params.kappa * params.b * params.b)
+    scale = _over_b_squared(1.0, params.kappa * params.b * params.b, params)
     return -scale * (params.A * w - params.alpha_product * w * w)
 
 
@@ -138,7 +150,7 @@ def _barrier(params: PotentialParams, prefactor: float, mode: CentrifugalMode,
     if mode is CentrifugalMode.EXACT:
         return prefactor / radius_squared
     if mode is CentrifugalMode.APPROXIMATED:
-        inv_b2 = 1.0 / (params.b * params.b)
+        inv_b2 = _over_b_squared(1.0, params.b * params.b, params)
         return prefactor * inv_b2 * decay / decay_m1 ** 2
     raise DomainError(f"unknown centrifugal mode: {mode!r}")
 
@@ -173,7 +185,8 @@ def potential_minimum(params: PotentialParams) -> tuple[float, float]:
     """
     coef = _minimum_coefficient(params, "no interior minimum in validated regime")
     r0 = params.b * math.log1p(2.0 * coef / params.A)
-    v_min = -params.A * params.A / (4.0 * params.kappa * params.b * params.b * coef)
+    v_min = _over_b_squared(-params.A * params.A,
+                            4.0 * params.kappa * params.b * params.b * coef, params)
     return r0, v_min
 
 
@@ -186,7 +199,7 @@ def potential_curvature(params: PotentialParams) -> float:
     coef = _minimum_coefficient(params, "curvature at the minimum is undefined")
     num = params.A * params.A * (params.A + 2.0 * coef) ** 2
     den = 8.0 * params.b**4 * coef**3
-    return num / (params.kappa * den)
+    return _over_b_squared(num, params.kappa * den, params)
 
 
 def effective_potential(params: PotentialParams, state: QuantumState, r,

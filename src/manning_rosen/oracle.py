@@ -45,8 +45,9 @@ the diagonal, by dD = diag_exact - diag_approx, so the approximated
 eigenpairs (lambda_n, w_n) seed it to first order:
 sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse iteration
 started from w_n.  Those eigenpairs always come from an approximated-mode
-solve on the same grid, the one ``audit_channel`` makes or else one made for
-the exact solve; where that solve raises, exact mode has no seeds.  Seeding
+solve on the same grid, which ``_solve_modes``, the one sequencer of the
+oracle's solves, runs first: the one asked for, or else one it makes for the
+exact solve's seeds; where that one raises, exact mode has no seeds.  Seeding
 stops at a seed at or above 0, where one stebz count certifies that no other
 level lies below 0, and the bound subset is returned as truncated.  From a
 level that fails its certificate on, or where the count finds a level (as in
@@ -65,18 +66,19 @@ boundary term, because u ~ e^(nu x) as x -> -inf and u = 0 at r_max.  It
 costs O(N) per level and converges at order 4, so each channel takes one
 eigensolve.
 
-A channel audit (``audit_channel``) assembles what the two modes' matrices
-share once per grid (``_channel_parts``: the nodes, V, the kinetic diagonal
-and the off-diagonal), so each mode adds only its barrier and Robin entry.
-It then solves each mode asked once, for the highest level asked,
-approximated mode first, whose eigenpairs seed the exact solve; at q^2 = 1
-the two matrices and seeds are the same, so that one solve serves both
-modes.  For q^2 > 1 the exact barrier lies above its stand-in
-(Greene & Aldrich, PRA 14 (1976) 2363), 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2,
-and can unbind a level that the stand-in holds on the same grid.  That level
-reads None: both solves share every discretization choice, so its absence is
-physics, not a solver failure.  With no approximated solve to tell the two
-apart, a missing exact level raises.
+A channel audit (``audit_channel``), like ``solve_radial``, solves through
+``_solve_modes``.  It assembles what the two modes' matrices share once per
+grid (``_channel_parts``: the nodes, V, the kinetic diagonal and the
+off-diagonal), so each mode adds only its barrier and Robin entry, and
+solves each mode asked once, for the highest level asked, approximated mode
+first, whose eigenpairs seed the exact solve; at q^2 = 1 the two matrices
+and seeds are the same, so that one solve serves both modes.  For q^2 > 1
+the exact barrier lies above its stand-in (Greene & Aldrich, PRA 14
+(1976) 2363), 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2, and can unbind a level
+that the stand-in holds on the same grid.  That level reads None: both
+solves share every discretization choice, so its absence is physics, not a
+solver failure.  With no approximated solve to tell the two apart, a
+missing exact level raises.
 
 LAPACK's gtsv and stebz come straight from SciPy's ``_flapack`` extension,
 loaded from its file (``_lapack``): importing this module does not run
@@ -296,19 +298,18 @@ def _channel_parts(params: PotentialParams, grid: LogRadialGrid) -> _ChannelPart
 
 
 def _tridiagonal(params: PotentialParams, D: int, l: int,
-                 mode: CentrifugalMode, grid: LogRadialGrid, parts: _ChannelParts | None = None):
+                 mode: CentrifugalMode, grid: LogRadialGrid, parts: _ChannelParts):
     """Diagonal and off-diagonal of the scaled radial operator on ``grid``.
 
     Built on the interior nodes; eigenvalues are kappa * E.  Also returns
     kappa V_eff on those nodes, which depends only on A, alpha and b: it is
     V_eff in the units where kappa = 1, so no factor 1/kappa can overflow;
-    and the nodes themselves, for the deferred correction.  ``parts``, the
-    ``_channel_parts`` of ``params`` and ``grid``, saves computing them: only
-    the mode's barrier and the Robin entry are added, with the arithmetic of
-    ``effective_potential``, so either way every entry has the same bits.
+    and the nodes themselves, for the deferred correction.  ``parts`` are the
+    ``_channel_parts`` of ``params`` and ``grid``, which ``_solve_modes``, the
+    one sequencer of the solves, makes once for every mode; only the mode's
+    barrier and the Robin entry are added here, with the arithmetic of
+    ``effective_potential``.
     """
-    if parts is None:
-        parts = _channel_parts(params, grid)
     r, r_squared, h = parts.r, parts.r_squared, grid.spacing
     q = QuantumState(n=0, l=l, D=D).q
     v_scaled = parts.potential + _barrier(params, (q * q - 1.0) / 4.0, mode, r_squared,
@@ -471,11 +472,13 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    ``grid`` defaults to ``default_grid(params, D, l, k)``.  Each level is
-    seeded as the module docstring says: at its closed-form value in
-    approximated mode or at q^2 = 1, else in exact mode at the first-order
-    shift of the level that the approximated ``solve_radial`` on the same
-    grid and k returns; and certified as ``_bound_levels`` says.  Each
+    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The solve runs
+    through ``_solve_modes``, the one sequencer of the oracle's solves, as
+    ``audit_channel``'s do.  Each level is seeded as the module docstring
+    says: at its closed-form value in approximated mode or at q^2 = 1, else
+    in exact mode at the first-order shift of the level that the
+    approximated ``solve_radial`` on the same grid and k returns; and
+    certified as ``_bound_levels`` says.  Each
     eigenvalue is stebz's, to full relative accuracy, and each eigenvector
     comes from certified inverse iteration, so the i-th returned state has
     exactly i interior nodes.  The bound levels are the negative ones; when
@@ -499,40 +502,36 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     seeds`` with what the approximated solve raised) and stage timings at
     DEBUG level on the ``manning_rosen.oracle`` logger.  An exact-mode call
     with q^2 != 1 logs the approximated solve that seeds it on a line of its
-    own first, and counts that solve in its eigensolve time.
+    own first.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     if grid is None:
         grid = default_grid(params, D, l, k)
-    return _solve(params, D, l, mode, grid, k)[0]
+    return _solve_modes(params, D, l, [mode], grid, k)[mode]
 
 
 def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
-           grid: LogRadialGrid, k: int, approx=None, parts: _ChannelParts | None = None):
-    """``solve_radial`` on ``grid``, and the (diagonal, values, vectors) it solved.
+           grid: LogRadialGrid, k: int, approx, parts: _ChannelParts):
+    """One mode solved on ``grid`` from ``parts``, and the (diagonal, values, vectors) it solved.
 
-    Seeds from the closed-form levels, except that an exact-mode solve with
-    q^2 != 1 seeds from ``approx``, what this returns for approximated mode
-    on the same grid and k, and computes no closed-form seeds.  Without
-    ``approx`` it makes that approximated solve itself; where that raises
-    :class:`ConvergenceError` or :class:`DomainError`, it has no seeds, and
-    bisection seeds it.  ``parts`` are the grid's ``_channel_parts``, made
-    here when not given and shared with that approximated solve.
+    ``_solve_modes``, the one sequencer of the solves, calls it and hands it
+    ``approx``.  Seeds from the closed-form levels, except that an exact-mode
+    solve with q^2 != 1 seeds from ``approx``: what this returned for
+    approximated mode on the same grid and k, and then computes no
+    closed-form seeds; or the :class:`ConvergenceError` or
+    :class:`DomainError` that approximated solve raised, and then has no
+    seeds, so bisection seeds it.
     """
     started = time.perf_counter()
-    if parts is None:
-        parts = _channel_parts(params, grid)
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
     assembled = time.perf_counter()
     seeds, starts, unseeded = [], None, ""
     if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
-        try:  # sigma_n from the approximated lambda_n, w_n on this grid
-            diag_approx, values, starts = approx or _solve(
-                params, D, l, CentrifugalMode.APPROXIMATED, grid, k, None, parts)[1]
-        except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
-            unseeded = f", no approximated seeds ({exc})"
-        else:
+        if isinstance(approx, Exception):  # bisection seeds the exact levels
+            unseeded = f", no approximated seeds ({approx})"
+        else:  # sigma_n from the approximated lambda_n, w_n on this grid
+            diag_approx, values, starts = approx
             squares = starts * starts
             seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
     else:
@@ -583,22 +582,34 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
                  grid: LogRadialGrid, k: int) -> dict[CentrifugalMode, OracleResult]:
     """``solve_radial`` on ``grid`` in each of ``modes``, from one ``_channel_parts``.
 
-    ``modes`` lists each mode once, approximated first: its eigenpairs seed
-    the exact solve.  At q^2 = 1 the two matrices and their seeds are the
-    same, so the exact result is the approximated one in exact mode, logged
-    as such, and no second solve runs.
+    The one sequencer of the oracle's solves: ``solve_radial`` and
+    ``audit_channel`` reach ``_solve`` only through it.  It solves each mode
+    in ``modes`` once, approximated first, and decides where each exact
+    solve gets its seeds.  At q^2 = 1 the two matrices and their seeds are
+    the same, so after an approximated solve the exact result is that one in
+    exact mode, logged as such, and no second solve runs.  For q^2 != 1 the
+    approximated eigenpairs seed the exact solve; exact mode asked alone
+    gets them from an approximated solve made for its seeds alone, and where
+    that raises :class:`ConvergenceError` or :class:`DomainError`, from
+    bisection.
     """
     parts, q = _channel_parts(params, grid), QuantumState(n=0, l=l, D=D).q
     solves, approx = {}, None
-    for mode in modes:
-        if mode is CentrifugalMode.EXACT and q * q == 1 and approx is not None:
+    for mode in sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT):
+        if mode is CentrifugalMode.EXACT and approx is not None and q * q == 1:
             solves[mode] = dataclasses.replace(solves[CentrifugalMode.APPROXIMATED], mode=mode)
             _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
                        "%d of %d levels from the approx solve, not solved again "
                        "(q^2 = 1: the same matrix and seeds)", D, l, mode.value,
                        grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k)
-        else:
-            solves[mode], approx = _solve(params, D, l, mode, grid, k, approx, parts)
+            continue
+        if mode is CentrifugalMode.EXACT and approx is None and q * q != 1:
+            try:  # exact mode alone: an approximated solve on this grid seeds it
+                approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, grid, k, None,
+                                parts)[1]
+            except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
+                approx = exc
+        solves[mode], approx = _solve(params, D, l, mode, grid, k, approx, parts)
     return solves
 
 
@@ -607,8 +618,9 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
                   grid: LogRadialGrid | None = None) -> list[AuditResult]:
     """Closed form vs. the oracle in ``modes``, one result per level n in ``ns``.
 
-    Assembles the parts both modes share once, on ``grid`` or else the
-    channel's one default grid, then solves each mode asked once for
+    Solves through ``_solve_modes``, the one sequencer of the oracle's
+    solves, on ``grid`` or else the channel's one default grid: one assembly
+    of the parts both modes share, then each mode asked once for
     max(ns) + 1 levels, approximated first, whose eigenpairs seed the exact
     solve; at q^2 = 1, where the two matrices are the same, the
     approximated solve is the only one.  A mode left out, and an exact level
@@ -622,7 +634,6 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     """
     if not ns:
         raise DomainError("need at least one level n, got none")
-    modes = sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT)
     if not modes:
         raise DomainError("need at least one centrifugal mode, got none")
     closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]

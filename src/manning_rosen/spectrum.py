@@ -105,11 +105,17 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
     denominator = 2.0 * params.mu * params.b * params.b
     # a denominator that underflowed to 0 stands for an infinite |E|
     e_value = -(params.hbar * params.hbar * eps * eps) / denominator if denominator else -math.inf
+    return SpectrumEntry(state=state, energy=_normal_energy(e_value, state, params), a_param=a,
+                         eta=eta, epsilon=eps)
+
+
+def _normal_energy(e_value: float, state: QuantumState, params: PotentialParams) -> float:
+    """``e_value``, or :class:`DomainError` where it is not a normal float."""
     if not _NORMAL_MIN <= abs(e_value) < math.inf:
         what = ("rounds to 0" if e_value == 0.0 else "is subnormal" if math.isfinite(e_value)
                 else "is not a finite float")
         raise DomainError(f"energy of {state} {what} for {params}")
-    return SpectrumEntry(state=state, energy=e_value, a_param=a, eta=eta, epsilon=eps)
+    return e_value
 
 
 def bound_states(params: PotentialParams, D: int, l: int,
@@ -171,8 +177,11 @@ def hulthen_energy(state: QuantumState, A: float, b: float,
 
     E = -hbar^2 [4A - M^2]^2 / (32 mu b^2 M^2) with M = 2n + D + 2l - 1;
     bound only when 4A > M^2.  Identical to ``energy`` at alpha in {0, 1},
-    where eta = (D + 2l - 3)/2.
+    where eta = (D + 2l - 3)/2, and raises :class:`DomainError` where it
+    does: for A, b, mu or hbar that ``PotentialParams`` refuses, and for an E
+    that is not a normal float.
     """
+    params = PotentialParams(A=A, alpha=0.0, b=b, mu=mu, hbar=hbar)
     m_sum = 2 * state.n + state.D + 2 * state.l - 1
     eps = (4.0 * A - m_sum * m_sum) / (4.0 * m_sum)
     if eps <= 0.0:
@@ -180,9 +189,11 @@ def hulthen_energy(state: QuantumState, A: float, b: float,
             f"state {state} is not bound for A={A} (needs 4A > {m_sum}^2)",
             epsilon=eps,
         )
-    return -(hbar * hbar * (4.0 * A - m_sum * m_sum) ** 2) / (
-        32.0 * mu * b * b * m_sum * m_sum
-    )
+    denominator = 32.0 * mu * b * b * m_sum * m_sum
+    # a denominator that underflowed to 0 stands for an infinite |E|
+    e_value = (-(hbar * hbar * (4.0 * A - m_sum * m_sum) ** 2) / denominator if denominator
+               else -math.inf)
+    return _normal_energy(e_value, state, params)
 
 
 def screened_coulomb_coupling(Z: float, delta: float,

@@ -82,7 +82,7 @@ class RadialSolution:
     def g_of_z(self, z):
         """g evaluated at z = exp(-r/b); scalar or array."""
         zs = np.asarray(z, dtype=float)
-        if np.any((zs < 0.0) | (zs > 1.0)):
+        if not np.all((zs >= 0.0) & (zs <= 1.0)):  # NaN fails too
             raise DomainError("z = exp(-r/b) must lie in [0, 1]")
         with np.errstate(divide="ignore"):  # s = inf at z = 0
             return self._g_of_s(-np.log(zs))
@@ -409,7 +409,7 @@ def total_wavefunction(params: PotentialParams, state: QuantumState,
     if len(point) != state.D:
         raise DomainError(f"need (r, theta_1..theta_{state.D - 1}), got {len(point)} values")
     r = float(point[0])
-    if r <= 0.0:
+    if not r > 0.0:  # NaN fails too
         raise DomainError("r must be positive")
     if radial is None:
         radial = radial_wavefunction(params, state)

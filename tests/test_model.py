@@ -61,6 +61,16 @@ class TestPotentialValue:
         with pytest.raises(DomainError):
             potential_value(params, -1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda params: potential_value(params, math.nan),
+        lambda params: potential_value(params, np.array([1.0, math.nan])),
+        lambda params: effective_potential(params, QuantumState(n=0, l=1, D=2), math.nan),
+    ], ids=["potential-scalar", "potential-array", "effective-potential"])
+    def test_rejects_nan_radius(self, call):
+        # NaN <= 0 is False: a check written as "reject r <= 0" lets NaN through
+        with pytest.raises(DomainError, match="r must be positive"):
+            call(PotentialParams(A=2.0, alpha=0.5, b=1.0))
+
     def test_array_input(self):
         params = PotentialParams(A=80.0, alpha=0.75, b=40.0)
         r = np.array([0.1, 1.0, 10.0])
@@ -239,6 +249,21 @@ class TestEffectivePotential:
             if previous is not None:
                 assert rel < previous
             previous = rel
+
+
+class TestTinyScreeningLength:
+    # b = 1e-300: b^2 underflows to 0, where energy() raises DomainError
+    @pytest.mark.parametrize("call", [
+        lambda params: potential_value(params, 1.0),
+        lambda params: effective_potential(params, QuantumState(n=0, l=1, D=2), 1.0),
+        lambda params: effective_potential(params, QuantumState(n=0, l=1, D=2), 1.0,
+                                           CentrifugalMode.APPROXIMATED),
+        potential_minimum,
+        potential_curvature,
+    ], ids=["potential", "effective-exact", "effective-approx", "minimum", "curvature"])
+    def test_underflowing_b_squared_raises_domain_error(self, call):
+        with pytest.raises(DomainError, match="b\\^2 underflows to 0"):
+            call(PotentialParams(A=80.0, alpha=1.5, b=1e-300))
 
 
 class TestParams:

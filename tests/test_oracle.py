@@ -20,8 +20,9 @@ from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, Poten
                            hulthen_energy, parse_spectroscopic, solve_radial, state_label)
 from manning_rosen import oracle
 from manning_rosen.cli import main
-from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _deferred_correction,
-                                  _eigenvector_nodes, _grid_origin, _tridiagonal)
+from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _channel_parts,
+                                  _deferred_correction, _eigenvector_nodes, _grid_origin,
+                                  _tridiagonal)
 from manning_rosen.reference import iter_reference_cells
 
 
@@ -56,7 +57,7 @@ def index_range(diag, off, k):
 
 def index_range_solve(params, D, l, mode, grid, k):
     """``index_range`` of the matrix assembled on ``grid``, with kappa V_eff."""
-    diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid)
+    diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid, _channel_parts(params, grid))
     return (*index_range(diag, off, k), v_scaled)
 
 
@@ -228,7 +229,8 @@ class TestSolveRadial:
         params = PotentialParams(A=80.0, alpha=0.0, b=40.0)
         grid = default_grid(params, 3, 1, k=6)
         result = solve_radial(params, 3, 1, CentrifugalMode.APPROXIMATED, grid=grid, k=6)
-        diag, off, _, _ = _tridiagonal(params, 3, 1, CentrifugalMode.APPROXIMATED, grid)
+        diag, off, _, _ = _tridiagonal(params, 3, 1, CentrifugalMode.APPROXIMATED, grid,
+                                       _channel_parts(params, grid))
         rng = random.Random(7)
         eigs = result.eigenvalues
         for _ in range(5):
@@ -268,7 +270,7 @@ class TestSolveRadial:
         for mode, level in ((CentrifugalMode.APPROXIMATED, -0.00012852167170995392),
                             (CentrifugalMode.EXACT, -0.00012851819555226328)):
             result = solve_radial(params, 3, 1, mode, grid=grid, k=3)
-            diag = _tridiagonal(params, 3, 1, mode, grid)[0]
+            diag = _tridiagonal(params, 3, 1, mode, grid, _channel_parts(params, grid))[0]
             assert result.eigenvalues == (level,) == (diag[0] / params.kappa,)
             assert result.node_counts == (0,)
             assert result.truncated
@@ -316,7 +318,8 @@ class TestSolveRadial:
         assert "D=3 l=3 exact: " in message
         assert ", 1 of 1 levels seeded from approx in " in message
         assert "bisected" not in message
-        diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid)
+        diag, off, _, _ = _tridiagonal(params, D, l, mode, result.grid,
+                                       _channel_parts(params, result.grid))
         closed = [-(entry.epsilon / params.b) ** 2 for entry in bound_states(params, D, l, 1)]
         assert sturm_count(diag, off, 0.5 * (closed[0] + closed[1])) == 0
         values, _, _ = index_range_solve(params, D, l, mode, result.grid, 1)
@@ -494,6 +497,12 @@ def assert_matches_reference(result, reference, nodes, case=""):
 
 def oracle_messages(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "manning_rosen.oracle"]
+
+
+def untimed_messages(caplog):
+    """``oracle_messages`` with the stage timings that end each solve's line cut off."""
+    return [re.sub(r"; assembly [\d.]+ s, eigensolve [\d.]+ s, refinement [\d.]+ s$", "", m)
+            for m in oracle_messages(caplog)]
 
 
 # (params, D, l, grid) of a k = 6 channel whose index-range seed of level 2 is the
@@ -906,6 +915,13 @@ class TestScreeningLengthRange:
         with pytest.raises(DomainError):
             audit_channel(p_channel_params(b), *P_CHANNEL, [0])
 
+    @pytest.mark.parametrize("mode", list(CentrifugalMode))
+    def test_underflowing_b_squared_on_an_explicit_grid_raises_domain_error(self, mode):
+        # b = 1e-300: b^2 underflows to 0 in V, which both modes assemble
+        grid = LogRadialGrid(r_min=1e-12, r_max=1e5, n_points=3)
+        with pytest.raises(DomainError, match="b\\^2 underflows to 0"):
+            solve_radial(p_channel_params(1e-300), *P_CHANNEL, mode, grid=grid)
+
 
 class TestApproximationAudit:
     def test_approximated_mode_is_solver_exact(self):
@@ -1106,8 +1122,9 @@ def assembled(params, D, l, mode, grid):
     return (t_diag + 0.25) / (r * r) + v_scaled, -1.0 / (h * h * r[:-1] * r[1:]), v_scaled, r
 
 
-def audit_and_solves(monkeypatch, params, D, l, ns, grid):
-    """What ``audit_channel`` in both modes returns or raises, and the results it read."""
+def audit_and_solves(monkeypatch, params, D, l, ns, grid,
+                     modes=(CentrifugalMode.EXACT, CentrifugalMode.APPROXIMATED)):
+    """What ``audit_channel`` in ``modes`` returns or raises, and the results it read."""
     read, solve_modes = {}, oracle._solve_modes
 
     def recorded(*args):
@@ -1117,7 +1134,7 @@ def audit_and_solves(monkeypatch, params, D, l, ns, grid):
 
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_solve_modes", recorded)
-        return outcome(audit_channel, params, D, l, ns, grid=grid), read
+        return outcome(audit_channel, params, D, l, ns, modes, grid), read
 
 
 def assert_audit_matches_solves(monkeypatch, params, D, l, ns, grid, case=""):
@@ -1162,10 +1179,10 @@ class TestSharedAssembly:
             "one-unknown"])
     def test_tridiagonal_has_the_same_bits_with_shared_parts(self, params, D, l, grid):
         grid = grid or default_grid(params, D, l, k=2)
-        parts = oracle._channel_parts(params, grid)
+        parts = _channel_parts(params, grid)
         for mode in CentrifugalMode:
             shared = _tridiagonal(params, D, l, mode, grid, parts)
-            alone = _tridiagonal(params, D, l, mode, grid)
+            alone = _tridiagonal(params, D, l, mode, grid, _channel_parts(params, grid))
             expected = assembled(params, D, l, mode, grid)
             for arrays in (alone, expected):
                 assert [a.tobytes() for a in shared] == [a.tobytes() for a in arrays], mode
@@ -1213,6 +1230,49 @@ class TestSharedAssembly:
             else:
                 q_values.add(min(D + 2 * l - 2, 2))
         assert q_values == {0, 1, 2} and raised >= 1
+
+
+class TestOneSequencer:
+    @pytest.mark.parametrize("params, D, l, grid, k", [
+        (*FAILED_PRESOLVE, 6),
+        (table_params(), 2, 1, default_grid(table_params(), 2, 1, k=3), 3),
+    ], ids=["failed-presolve", "table-2p-D2"])
+    def test_exact_only_audit_reads_the_exact_solve(self, monkeypatch, caplog,
+                                                    params, D, l, grid, k):
+        # both reach _solve through _solve_modes: the approximated solve made for the
+        # seeds (which raises and is caught on FAILED_PRESOLVE), then the exact one
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            audit, read = audit_and_solves(monkeypatch, params, D, l, list(range(k)), grid,
+                                           (CentrifugalMode.EXACT,))
+            audit_lines = untimed_messages(caplog)
+            caplog.clear()
+            alone = solve_radial(params, D, l, CentrifugalMode.EXACT, grid=grid, k=k)
+            alone_lines = untimed_messages(caplog)
+        assert read == {CentrifugalMode.EXACT: alone}
+        assert audit_lines == alone_lines
+        if alone.truncated:  # FAILED_PRESOLVE: 4 of 6 levels, the approximated line missing
+            assert audit is ConvergenceError
+            [line] = alone_lines
+            assert ", no approximated seeds (" in line
+        else:
+            assert [a.e_exact for a in audit] == list(alone.refined)
+            seeding, exact = alone_lines
+            assert " approx: " in seeding and " levels seeded from approx in " in exact
+
+    def test_exact_only_solve_survives_a_domain_error_in_its_seed_solve(self):
+        # r/b = 1e-170 at the first node: expm1(-r/b)^2 underflows to 0, so the
+        # approximated matrix is not finite while the exact one is; the seed solve's
+        # DomainError is caught, and exact mode raises its own error, the pivot floor's
+        params = PotentialParams(A=80.0, alpha=0.0, b=1e20)
+        grid = LogRadialGrid(r_min=1e-150, r_max=5e21, n_points=401)
+        exact = (CentrifugalMode.EXACT,)
+        with np.errstate(divide="ignore", over="ignore"):
+            with pytest.raises(DomainError, match="kappa V_eff is not a finite float"):
+                solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, grid=grid)
+            for solve in (lambda: solve_radial(params, 2, 1, *exact, grid=grid),
+                          lambda: audit_channel(params, 2, 1, [0], exact, grid)):
+                with pytest.raises(ConvergenceError, match="resolves kappa E only to inf"):
+                    solve()
 
 
 def run_fresh(script: str) -> str:

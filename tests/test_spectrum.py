@@ -171,6 +171,20 @@ class TestHulthenAndCoulomb:
         with pytest.raises(UnboundStateError):
             hulthen_energy(QuantumState(n=3, l=0, D=3), A=2.0, b=1.0)
 
+    @pytest.mark.parametrize("b, phrase", [
+        (0.0, "must all be positive"), (-40.0, "must all be positive"),
+        (math.nan, "must all be finite"), (math.inf, "must all be finite"),
+        (1e-300, "is not a finite float"),  # b^2 underflows to 0, as in energy()
+        (1e160, "rounds to 0"),
+    ])
+    def test_bad_screening_length_raises_domain_error(self, b, phrase):
+        state = QuantumState(n=0, l=1, D=2)
+        with pytest.raises(DomainError, match=phrase):
+            hulthen_energy(state, A=80.0, b=b)
+        if math.isfinite(b) and b > 0.0:
+            with pytest.raises(DomainError, match=phrase):
+                energy(PotentialParams(A=80.0, alpha=0.0, b=b), state)
+
     def test_screened_coulomb_recovers_hydrogen(self):
         A, b = screened_coulomb_coupling(Z=1.0, delta=1e-4)
         assert b == pytest.approx(1e4)

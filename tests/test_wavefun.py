@@ -321,6 +321,18 @@ class TestRadialSolution:
         with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
             solution.g_of_z(1.5)
 
+    @pytest.mark.parametrize("call, phrase", [
+        (lambda solution: solution.g_of_z(math.nan), r"must lie in \[0, 1\]"),
+        (lambda solution: solution.g_of_z(np.array([0.5, math.nan])), r"must lie in \[0, 1\]"),
+        (lambda solution: solution.g_of_r(math.nan), "r must be positive"),
+        (lambda solution: solution.g_of_r(np.array([1.0, math.nan])), "r must be positive"),
+    ], ids=["g_of_z", "g_of_z-array", "g_of_r", "g_of_r-array"])
+    def test_nan_argument_raises(self, call, phrase):
+        # NaN fails every comparison, so a range check must ask for the good values
+        solution = radial_wavefunction(table_params(), QuantumState(n=0, l=1, D=2))
+        with pytest.raises(DomainError, match=phrase):
+            call(solution)
+
     def test_sampling_from_the_decay_cutoff_raises(self):
         solution = radial_wavefunction(table_params(), QuantumState(n=0, l=1, D=2))
         with pytest.raises(DomainError, match="bad sampling range"):
@@ -553,7 +565,8 @@ class TestTotalWavefunction:
 
     @pytest.mark.parametrize("point, phrase", [((1.0, 0.3), "got 2 values"),
                                                ((0.0, 0.3, 0.2), "r must be positive"),
-                                               ((-1.0, 0.3, 0.2), "r must be positive")])
+                                               ((-1.0, 0.3, 0.2), "r must be positive"),
+                                               ((math.nan, 0.3, 0.2), "r must be positive")])
     def test_bad_point_raises(self, point, phrase):
         state = QuantumState(n=0, l=1, D=3)
         with pytest.raises(DomainError, match=phrase):
