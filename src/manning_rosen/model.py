@@ -194,12 +194,19 @@ def potential_curvature(params: PotentialParams) -> float:
     """Second derivative of V at its minimum (force constant).
 
     V''(r0) = (1/kappa) A^2 [A + 2 alpha(alpha-1)]^2 / (8 b^4 alpha^3 (alpha-1)^3).
-    Same validity domain as ``potential_minimum``.
+    Same validity domain as ``potential_minimum``; raises :class:`DomainError`
+    where V'' is not a finite positive float (an overflow or an underflow).
     """
     coef = _minimum_coefficient(params, "curvature at the minimum is undefined")
-    num = params.A * params.A * (params.A + 2.0 * coef) ** 2
-    den = 8.0 * params.b**4 * coef**3
-    return _over_b_squared(num, params.kappa * den, params)
+    try:  # a float ** raises OverflowError where * gives inf
+        num = params.A * params.A * (params.A + 2.0 * coef) ** 2
+        den = 8.0 * params.b**4 * coef**3
+    except OverflowError:  # inf / inf: no float holds the curvature
+        num = den = math.inf
+    curvature = _over_b_squared(num, params.kappa * den, params)
+    if not 0.0 < curvature < math.inf:  # nan fails too
+        raise DomainError(f"curvature at the minimum is not a finite positive float for {params}")
+    return curvature
 
 
 def effective_potential(params: PotentialParams, state: QuantumState, r,

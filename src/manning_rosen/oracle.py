@@ -29,6 +29,9 @@ or more.
 
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
+A default solve runs on two grids with the default grid's ends
+(``_grid_pair``): a fine grid of spacing about 3h and a coarse grid of every
+other fine node, spacing about 6h.
 
 Every level is seeded near its eigenvalue and certified (``_bound_levels``):
 inverse iteration from the seed (Parlett, The Symmetric Eigenvalue Problem)
@@ -63,8 +66,18 @@ lambda_h = lambda - (h^2/12) int (u'')^2 dx / int r^2 u^2 dx.  That error
 is removed by a deferred correction from the eigenvector already in hand:
 u'' comes from the equation itself, and the integration by parts leaves no
 boundary term, because u ~ e^(nu x) as x -> -inf and u = 0 at r_max.  It
-costs O(N) per level and converges at order 4, so each channel takes one
-eigensolve.
+costs O(N) per level and leaves an O(h^4) error in the corrected level R.
+On an explicit grid that R is the refined level.  A default solve removes
+the h^4 term too, by Richardson extrapolation over its two grids:
+E = (16 R_fine - R_coarse) / 15, which converges at order 6 (Pryce,
+Numerical Solution of Sturm-Liouville Problems, 1993; Paine, de Hoog &
+Anderssen, Computing 26 (1981) 123).  The coarse solve costs far less than
+a second one: its arrays are sliced from the fine grid's, and each coarse
+level is seeded from its certified fine eigenpair at 4 lambda - 3 R, with
+the fine eigenvector at the shared nodes as the start of inverse
+iteration, and certified as every level is (``_two_grid``).
+e_n = |E_n - R_fine,n| / |E_n| estimates the fine grid's own error, which
+E_n's lies well below; above 2e-6 it warns (``solve_radial``).
 
 A channel audit (``audit_channel``), like ``solve_radial``, solves through
 ``_solve_modes``.  It assembles what the two modes' matrices share once per
@@ -160,8 +173,13 @@ _LOWER_MARGIN = 1e-9
 # Eigenvector components at or below this fraction of the largest are inverse
 # iteration's noise floor, which the 1/(4r) in u'' would lift by ~1e11.
 _NOISE_FLOOR = 1e-12
-# Relative move of a level under refinement above which the base grid is too coarse.
+# Relative move of a level under refinement above which an explicit grid is too coarse.
 _MAX_REFINEMENT_GAP = 1e-3
+# Default spacings per step of a default solve's coarse grid; its fine grid takes half.
+_COARSE_STEPS = 6
+# Two-grid error estimate e_n = |E_n - R_n| / |E_n| above which a default solve warns
+# (``solve_radial``): about the largest e_n that leaves E_n within 1e-8.
+_MAX_TWO_GRID_ERROR = 2e-6
 # Largest pivot floor of stebz, relative to the shallowest level, that still resolves it.
 _MAX_PIVOT_FLOOR = 1e-8
 # Natural logs of the largest and the smallest normal float.
@@ -248,7 +266,8 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
 
     The grid is uniform in x = ln r with spacing h = ln(r_max / r_0) / 4000,
     the spacing of 4001 points from the ``_grid_origin`` r_0 of explicit
-    grids.  Near the origin every state of the channel goes like
+    grids.  It sets the spacing of a default solve, which runs on the fine
+    and coarse grids of ``_grid_pair`` with its ends, at about 3h and 6h.  Near the origin every state of the channel goes like
     u ~ e^(nu x), nu^2 = q^2/4 + alpha(alpha - 1) in either centrifugal
     mode, so its weight below r is about (r / b)^(2 nu + 1).  The grid
     starts a whole number of steps above r_0, at the node nearest
@@ -284,17 +303,46 @@ class _ChannelParts:
     off: np.ndarray
 
 
+def _with_kinetic(grid: LogRadialGrid, r: np.ndarray, r_squared: np.ndarray,
+                  screening: tuple[np.ndarray, np.ndarray], potential: np.ndarray) -> _ChannelParts:
+    """``_ChannelParts`` from the node arrays, adding the two that hold ``grid``'s spacing."""
+    h = grid.spacing
+    return _ChannelParts(r=r, r_squared=r_squared, screening=screening, potential=potential,
+                         kinetic=(2.0 / (h * h) + 0.25) / r_squared,
+                         off=-1.0 / (h * h * r[:-1] * r[1:]))
+
+
 def _channel_parts(params: PotentialParams, grid: LogRadialGrid) -> _ChannelParts:
     """The mode-independent arrays of ``_tridiagonal`` on ``grid``, computed once."""
     r = grid.points()[1:-1]
-    h = grid.spacing
     unit_kappa = dataclasses.replace(params, mu=0.5, hbar=1.0)
-    r_squared = r * r
     screening = _screening(unit_kappa, r)
-    return _ChannelParts(r=r, r_squared=r_squared, screening=screening,
-                         potential=_potential(unit_kappa, *screening),
-                         kinetic=(2.0 / (h * h) + 0.25) / r_squared,
-                         off=-1.0 / (h * h * r[:-1] * r[1:]))
+    return _with_kinetic(grid, r, r * r, screening, _potential(unit_kappa, *screening))
+
+
+def _coarse_parts(parts: _ChannelParts, coarse: LogRadialGrid) -> _ChannelParts:
+    """``_channel_parts`` on ``coarse``, whose nodes are every other node of the fine grid's.
+
+    The coarse interior nodes are the fine grid's odd interior nodes, so the
+    nodes, r^2, the screening pair and V are sliced out of the fine ``parts``;
+    only the kinetic diagonal and the off-diagonal are built anew.
+    """
+    return _with_kinetic(coarse, parts.r[1::2], parts.r_squared[1::2],
+                         (parts.screening[0][1::2], parts.screening[1][1::2]),
+                         parts.potential[1::2])
+
+
+def _grid_pair(grid: LogRadialGrid) -> tuple[LogRadialGrid, LogRadialGrid]:
+    """The fine and the coarse grid that a default solve on ``grid`` runs on.
+
+    Both keep ``grid``'s ends.  The coarse grid has M points, with
+    M - 1 = round((N - 1) / 6) for ``grid``'s N, so its spacing is about 6h;
+    the fine grid has 2M - 1, spacing about 3h, and every other fine node is
+    a coarse one.
+    """
+    m = round((grid.n_points - 1) / _COARSE_STEPS) + 1
+    return (LogRadialGrid(r_min=grid.r_min, r_max=grid.r_max, n_points=2 * m - 1),
+            LogRadialGrid(r_min=grid.r_min, r_max=grid.r_max, n_points=m))
 
 
 def _tridiagonal(params: PotentialParams, D: int, l: int,
@@ -312,8 +360,9 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     """
     r, r_squared, h = parts.r, parts.r_squared, grid.spacing
     q = QuantumState(n=0, l=l, D=D).q
-    v_scaled = parts.potential + _barrier(params, (q * q - 1.0) / 4.0, mode, r_squared,
-                                          *parts.screening)
+    with np.errstate(divide="ignore"):  # an infinite barrier fails the finiteness check below
+        barrier = _barrier(params, (q * q - 1.0) / 4.0, mode, r_squared, *parts.screening)
+    v_scaled = parts.potential + barrier
     # Robin end: u ~ e^(nu x) below the first node, nu^2 = 1/4 + r^2 kappa V_eff
     # there.  Clamped at 0: for q = 0, alpha = 0 the limit is exactly 0 and the
     # first node reads it about A r / b too low.
@@ -375,7 +424,8 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
         values = diag[diag < 0.0]
         return values, np.ones((1, len(values))), "solved (1 unknown)"
     scale = math.ldexp(1.0, 2 * min(max(round(math.log2(b)), -511), 511))
-    diag, off, lower = diag * scale, off * scale, lower * scale
+    with np.errstate(over="ignore"):  # an infinite entry fails the pivot-floor judgement
+        diag, off, lower = diag * scale, off * scale, lower * scale
     abs_diag, abs_off = np.abs(diag), np.abs(off)
     off_max = float(np.max(abs_off, initial=1.0))
     floor = np.finfo(float).tiny * off_max * off_max
@@ -472,23 +522,35 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    ``grid`` defaults to ``default_grid(params, D, l, k)``.  The solve runs
-    through ``_solve_modes``, the one sequencer of the oracle's solves, as
-    ``audit_channel``'s do.  Each level is seeded as the module docstring
-    says: at its closed-form value in approximated mode or at q^2 = 1, else
-    in exact mode at the first-order shift of the level that the
-    approximated ``solve_radial`` on the same grid and k returns; and
-    certified as ``_bound_levels`` says.  Each
-    eigenvalue is stebz's, to full relative accuracy, and each eigenvector
-    comes from certified inverse iteration, so the i-th returned state has
-    exactly i interior nodes.  The bound levels are the negative ones; when
+    The solve runs through ``_solve_modes``, the one sequencer of the
+    oracle's solves, as ``audit_channel``'s do.  Each level is seeded as the
+    module docstring says: at its closed-form value in approximated mode or
+    at q^2 = 1, else in exact mode at the first-order shift of the level
+    that the approximated ``solve_radial`` on the same grid and k returns;
+    and certified as ``_bound_levels`` says.  Each eigenvalue is stebz's, to
+    full relative accuracy, and each eigenvector comes from certified
+    inverse iteration, so the i-th returned state has exactly i interior
+    nodes.  The bound levels are the negative ones; when
     fewer than k exist, the bound subset is returned with ``truncated`` set.
 
-    ``refined`` adds the deferred correction of ``_deferred_correction``,
-    which cancels the O(h^2) stencil error.  A level that it moves by more
-    than 1e-3 relative adds the one resolution warning; one that it lifts to
-    E >= 0, a level nearer threshold than the grid resolves, raises
-    :class:`ConvergenceError`.
+    ``grid`` defaults to the two grids of ``_grid_pair(default_grid(params,
+    D, l, k))``; ``eigenvalues``, ``node_counts`` and ``grid`` are the fine
+    grid's.  ``refined`` adds the deferred correction of
+    ``_deferred_correction``, which cancels the O(h^2) stencil error, to
+    give R_n; on the default grids it is the extrapolation
+    E_n = (16 R_fine,n - R_coarse,n) / 15, which cancels the O(h^4) term as
+    well.  A level that the correction lifts to E >= 0, a level nearer
+    threshold than the grid resolves, raises :class:`ConvergenceError`, as
+    does an extrapolated level at E >= 0.
+
+    ``warnings`` holds the resolution warnings.  On an explicit grid, one is
+    added when the correction moves a level by more than 1e-3 relative.  On
+    the default grids, one is added when the largest two-grid estimate
+    e_n = |E_n - R_fine,n| / |E_n| passes 2e-6: e_n reads the fine grid's
+    own error, and with terms in h^2 that shrink by a common ratio, E_n
+    errs by about (48/15) e_n^(3/2), so under that model 2e-6 keeps E_n
+    within 1e-8.  A level that the coarse grid does not hold keeps R_fine,n
+    and adds another warning.
 
     Raises :class:`DomainError` when an energy or refined energy
     kappa E / kappa is not a normal float (infinite, subnormal or rounded
@@ -502,17 +564,19 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     seeds`` with what the approximated solve raised) and stage timings at
     DEBUG level on the ``manning_rosen.oracle`` logger.  An exact-mode call
     with q^2 != 1 logs the approximated solve that seeds it on a line of its
-    own first.
+    own first.  A default solve adds the coarse grid's points, level count
+    and path (``seeded from fine``), the time of the parts the two grids
+    share (``shared assembly``, once, on the first line) and the coarse
+    solve's time.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
-    if grid is None:
-        grid = default_grid(params, D, l, k)
     return _solve_modes(params, D, l, [mode], grid, k)[mode]
 
 
 def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
-           grid: LogRadialGrid, k: int, approx, parts: _ChannelParts):
+           grid: LogRadialGrid, k: int, approx, parts: _ChannelParts, coarse=None,
+           shared: float | None = None):
     """One mode solved on ``grid`` from ``parts``, and the (diagonal, values, vectors) it solved.
 
     ``_solve_modes``, the one sequencer of the solves, calls it and hands it
@@ -521,7 +585,10 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
     approximated mode on the same grid and k, and then computes no
     closed-form seeds; or the :class:`ConvergenceError` or
     :class:`DomainError` that approximated solve raised, and then has no
-    seeds, so bisection seeds it.
+    seeds, so bisection seeds it.  ``coarse``, the coarse grid of a default
+    solve and its ``_coarse_parts``, adds the extrapolation of ``_two_grid``;
+    ``shared``, the seconds ``_channel_parts`` took, goes into the DEBUG
+    line.
     """
     started = time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
@@ -546,26 +613,82 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
     energies = tuple(float(v) / params.kappa for v in values)
     delta = _deferred_correction(r, grid.spacing, v_scaled, values, vectors)
     refined = tuple(float(v) / params.kappa for v in values + delta)
+    _check_levels(params, grid, energies, refined, "deferred correction")
+    corrected = time.perf_counter()
+    if coarse is None:
+        gap = max((abs(x - e) / abs(x) for x, e in zip(refined, energies)), default=0.0)
+        warnings = () if gap <= _MAX_REFINEMENT_GAP else (
+            f"refinement moves a level by {gap:.1e} relative "
+            f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
+        two_grid = ""
+    else:
+        refined, warnings, two_grid = _two_grid(params, D, l, mode, coarse, values, delta,
+                                                vectors, refined)
+        _check_levels(params, grid, energies, refined, "two-grid extrapolation")
+    _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
+               "%d of %d levels %s%s; %sassembly %.4f s, eigensolve %.4f s, refinement %.4f s%s",
+               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k,
+               path + unseeded, two_grid,
+               "" if shared is None else f"shared assembly {shared:.4f} s, ",
+               assembled - started, solved - assembled, corrected - solved,
+               "" if coarse is None else f", coarse {time.perf_counter() - corrected:.4f} s")
+    result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
+                          mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
+    return result, (diag, values, vectors)
+
+
+def _check_levels(params: PotentialParams, grid: LogRadialGrid, energies: tuple[float, ...],
+                  refined: tuple[float, ...], stage: str) -> None:
+    """:class:`DomainError` unless every level is a normal float, then
+    :class:`ConvergenceError` for a refined level that ``stage`` lifts to E >= 0."""
     if not all(sys.float_info.min <= abs(e) < math.inf for e in energies + refined):
         raise DomainError(f"oracle energies kappa E / kappa are not normal floats (finite, "
                           f"not subnormal, not 0) for {params}")
     for n, e in enumerate(refined):
         if e >= 0.0:
             raise ConvergenceError(
-                f"the deferred correction lifts bound level n = {n} to {e:.3g} >= 0 on "
+                f"the {stage} lifts bound level n = {n} to {e:.3g} >= 0 on "
                 f"grid {grid}: the level lies closer to threshold than the grid resolves")
-    gap = max((abs(x - e) / abs(x) for x, e in zip(refined, energies)), default=0.0)
-    warnings = () if gap <= _MAX_REFINEMENT_GAP else (
-        f"refinement moves a level by {gap:.1e} relative "
-        f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
-    _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
-               "%d of %d levels %s; assembly %.4f s, eigensolve %.4f s, refinement %.4f s",
-               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k,
-               path + unseeded,
-               assembled - started, solved - assembled, time.perf_counter() - solved)
-    result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
-                          mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
-    return result, (diag, values, vectors)
+
+
+def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, coarse,
+              values: np.ndarray, delta: np.ndarray, vectors: np.ndarray,
+              refined: tuple[float, ...]):
+    """Refined levels E_n = (16 R_n - R_coarse,n) / 15, their warnings and the DEBUG text.
+
+    ``refined`` holds the fine grid's R_n = lambda_n + delta_n in energy
+    units, which err by O(h^4); the extrapolation cancels that term.  Coarse
+    level n is seeded at lambda_n - 3 delta_n = 4 lambda_n - 3 R_n, because
+    the O(h^2) error, about -delta_n, grows 4-fold at twice the spacing;
+    inverse iteration starts from the fine eigenvector at the shared nodes,
+    and ``_bound_levels`` certifies each level.  Where that raises
+    :class:`ConvergenceError`, the coarse grid holds no level.
+    e_n = |E_n - R_n| / |E_n| estimates the error of R_n; above
+    ``_MAX_TWO_GRID_ERROR`` it adds one warning.  A level the coarse grid
+    does not hold keeps R_n and adds another.
+    """
+    grid, parts = coarse
+    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
+    try:
+        coarse_values, starts, path = _bound_levels(params.b, len(values), grid, diag, off,
+                                                    v_scaled, list(values - 3.0 * delta),
+                                                    vectors[1::2])
+    except ConvergenceError as exc:
+        coarse_values, starts, path = np.empty(0), np.empty((len(diag), 0)), f"none ({exc})"
+    held = len(coarse_values)
+    coarse_refined = coarse_values + _deferred_correction(r, grid.spacing, v_scaled,
+                                                          coarse_values, starts)
+    extrapolated = (16.0 * (values[:held] + delta[:held]) - coarse_refined) / 15.0
+    levels = tuple(float(v) / params.kappa for v in extrapolated) + refined[held:]
+    estimate = max((abs(e - x) / abs(e) for e, x in zip(levels, refined)), default=0.0)
+    warnings = () if estimate <= _MAX_TWO_GRID_ERROR else (
+        f"two-grid error estimate {estimate:.1e} relative (want <= {_MAX_TWO_GRID_ERROR:g}): "
+        "the default grid is too coarse",)
+    if held < len(values):
+        warnings += (f"the coarse grid holds {held} of {len(values)} levels: levels n >= {held} "
+                     "keep their one-grid refined value",)
+    return levels, warnings, (f"; coarse {grid.n_points} points, {held} of {len(values)} levels "
+                              + path.replace(" from approx", " from fine", 1))
 
 
 @dataclass(frozen=True)
@@ -579,7 +702,7 @@ class AuditResult:
 
 
 def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[CentrifugalMode],
-                 grid: LogRadialGrid, k: int) -> dict[CentrifugalMode, OracleResult]:
+                 grid: LogRadialGrid | None, k: int) -> dict[CentrifugalMode, OracleResult]:
     """``solve_radial`` on ``grid`` in each of ``modes``, from one ``_channel_parts``.
 
     The one sequencer of the oracle's solves: ``solve_radial`` and
@@ -589,11 +712,24 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
     the same, so after an approximated solve the exact result is that one in
     exact mode, logged as such, and no second solve runs.  For q^2 != 1 the
     approximated eigenpairs seed the exact solve; exact mode asked alone
-    gets them from an approximated solve made for its seeds alone, and where
-    that raises :class:`ConvergenceError` or :class:`DomainError`, from
-    bisection.
+    gets them from an approximated solve made for its seeds alone, on the
+    fine grid only, and where that raises :class:`ConvergenceError` or
+    :class:`DomainError`, from bisection.
+
+    ``grid`` None solves on the ``_grid_pair`` of ``default_grid(params, D,
+    l, k)``: each mode on the fine grid, then on the coarse grid, whose parts
+    are sliced from the fine ones (``_coarse_parts``), and the first solve
+    that logs reports the time those shared parts took.
     """
+    coarse_grid = None
+    if grid is None:
+        grid, coarse_grid = _grid_pair(default_grid(params, D, l, k))
+    started = time.perf_counter()
     parts, q = _channel_parts(params, grid), QuantumState(n=0, l=l, D=D).q
+    coarse = shared = None
+    if coarse_grid is not None:
+        coarse = (coarse_grid, _coarse_parts(parts, coarse_grid))
+        shared = time.perf_counter() - started
     solves, approx = {}, None
     for mode in sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT):
         if mode is CentrifugalMode.EXACT and approx is not None and q * q == 1:
@@ -606,10 +742,12 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
         if mode is CentrifugalMode.EXACT and approx is None and q * q != 1:
             try:  # exact mode alone: an approximated solve on this grid seeds it
                 approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, grid, k, None,
-                                parts)[1]
+                                parts, None, shared)[1]
+                shared = None
             except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
                 approx = exc
-        solves[mode], approx = _solve(params, D, l, mode, grid, k, approx, parts)
+        solves[mode], approx = _solve(params, D, l, mode, grid, k, approx, parts, coarse, shared)
+        shared = None
     return solves
 
 
@@ -619,11 +757,11 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     """Closed form vs. the oracle in ``modes``, one result per level n in ``ns``.
 
     Solves through ``_solve_modes``, the one sequencer of the oracle's
-    solves, on ``grid`` or else the channel's one default grid: one assembly
-    of the parts both modes share, then each mode asked once for
-    max(ns) + 1 levels, approximated first, whose eigenpairs seed the exact
-    solve; at q^2 = 1, where the two matrices are the same, the
-    approximated solve is the only one.  A mode left out, and an exact level
+    solves, on ``grid`` or else the two grids of the channel's one default
+    grid, as ``solve_radial`` does: one assembly of the parts both modes
+    share, then each mode asked once for max(ns) + 1 levels, approximated
+    first, whose eigenpairs seed the exact solve; at q^2 = 1, where the two
+    matrices are the same, the approximated solve is the only one.  A mode left out, and an exact level
     unbound as the module docstring says, read None.  Raises
     :class:`DomainError` for an empty ``ns`` or ``modes``, and
     :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
@@ -637,9 +775,7 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
     if not modes:
         raise DomainError("need at least one centrifugal mode, got none")
     closed = [_closed_energy(params, QuantumState(n=n, l=l, D=D)).energy for n in ns]
-    k = max(ns) + 1
-    grid = default_grid(params, D, l, k) if grid is None else grid
-    solves = _solve_modes(params, D, l, modes, grid, k)
+    solves = _solve_modes(params, D, l, modes, grid, max(ns) + 1)
     approx = solves.get(CentrifugalMode.APPROXIMATED)
     held = len(approx.refined) if approx is not None else 0
     audits = []

@@ -190,9 +190,12 @@ def hulthen_energy(state: QuantumState, A: float, b: float,
             epsilon=eps,
         )
     denominator = 32.0 * mu * b * b * m_sum * m_sum
+    try:  # a float ** raises OverflowError where * would give inf
+        square = (4.0 * A - m_sum * m_sum) ** 2
+    except OverflowError:
+        square = math.inf
     # a denominator that underflowed to 0 stands for an infinite |E|
-    e_value = (-(hbar * hbar * (4.0 * A - m_sum * m_sum) ** 2) / denominator if denominator
-               else -math.inf)
+    e_value = -(hbar * hbar * square) / denominator if denominator else -math.inf
     return _normal_energy(e_value, state, params)
 
 

@@ -202,6 +202,16 @@ class TestCurvature:
         doubled = potential_curvature(PotentialParams(A=2.0, alpha=2.0, b=2.0))
         assert doubled == pytest.approx(reference / 16.0, rel=1e-14)
 
+    @pytest.mark.parametrize("A, alpha, b", [
+        (80.0, 1.5, 1e80),   # b**4 raises OverflowError
+        (1e160, 1.5, 40.0),  # (A + 2 alpha(alpha-1))**2 raises OverflowError
+        (80.0, 1.5, 1e77),   # 8 b**4 overflows to inf, which would read as V'' = 0
+        (1e100, 1.5, 40.0),  # A^2 (A + 2 alpha(alpha-1))^2 overflows to inf
+    ])
+    def test_overflow_raises_domain_error(self, A, alpha, b):
+        with pytest.raises(DomainError, match="not a finite positive float"):
+            potential_curvature(PotentialParams(A=A, alpha=alpha, b=b))
+
 
 class TestEffectivePotential:
     def test_mode_given_as_a_string_raises(self):

@@ -1,6 +1,7 @@
 """Finite-difference eigensolver: identities, counting, and convergence."""
 
 import dataclasses
+import json
 import logging
 import math
 import os
@@ -8,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +22,8 @@ from manning_rosen import (CentrifugalMode, ConvergenceError, DomainError, Poten
                            hulthen_energy, parse_spectroscopic, solve_radial, state_label)
 from manning_rosen import oracle
 from manning_rosen.cli import main
-from manning_rosen.oracle import (_BISECTION_TOL, LogRadialGrid, _channel_parts,
-                                  _deferred_correction, _eigenvector_nodes, _grid_origin,
+from manning_rosen.oracle import (_BISECTION_TOL, _MAX_TWO_GRID_ERROR, LogRadialGrid,
+                                  _channel_parts, _eigenvector_nodes, _grid_origin, _grid_pair,
                                   _tridiagonal)
 from manning_rosen.reference import iter_reference_cells
 
@@ -285,29 +287,29 @@ class TestSolveRadial:
         assert "refinement moves a level" in result.warnings[0]
 
     def test_no_resolution_warning_on_table_channels(self):
-        # the refinement gap stays below 1e-3 on every table channel
+        # the two-grid error estimate stays below 2e-6 on every table channel
         for (inv_b, alpha, D, l), n_top in table_channels().items():
             result = solve_radial(table_params(inv_b, alpha), D, l, k=n_top + 1)
             assert len(result.eigenvalues) == n_top + 1
             assert result.warnings == ()
 
-    def test_window_matches_index_range_on_table_channels(self):
+    def test_window_matches_index_range_on_table_channels(self, monkeypatch):
         # the seeded solve returns the index range's eigenpairs; the refined
-        # levels agree too, because inverse iteration's noise floor is kept out of u''
+        # levels agree too, because inverse iteration's noise floor is kept out of u'',
+        # with the index range's on both grids of the default solve
         for (inv_b, alpha, D, l), n_top in table_channels().items():
             params = table_params(inv_b, alpha)
             k = n_top + 1
             result = solve_radial(params, D, l, k=k)
-            values, vectors, v_scaled = index_range_solve(
+            values, vectors, _ = index_range_solve(
                 params, D, l, CentrifugalMode.APPROXIMATED, result.grid, k)
             base = values / params.kappa
             np.testing.assert_allclose(result.eigenvalues, base, rtol=1e-15, atol=0.0)
             assert result.node_counts == tuple(_eigenvector_nodes(vectors[:, i])
                                                for i in range(k))
-            delta = _deferred_correction(result.grid.points()[1:-1], result.grid.spacing,
-                                         v_scaled, values, vectors)
-            refined = (values + delta) / params.kappa
-            np.testing.assert_allclose(result.refined, refined,
+            reference, _ = reference_solve(monkeypatch, params, D, l,
+                                           CentrifugalMode.APPROXIMATED, None, k)
+            np.testing.assert_allclose(result.refined, reference.refined,
                                        rtol=1e-13, atol=0.0)
 
     def test_level_above_the_closed_form_is_seeded_from_approx(self, caplog):
@@ -386,20 +388,29 @@ class TestSolveRadial:
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             exact = solve_radial(params, 2, 0, CentrifugalMode.EXACT)
         [message] = [m for m in oracle_messages(caplog) if " exact: " in m]
+        # the failed seed solve logs no line, so the exact line reports the shared assembly
         assert re.search(r", no approximated seeds \(the deferred correction lifts bound level "
-                         r"n = 0 to .* >= 0 on grid .*\); assembly", message)
+                         r"n = 0 to .* >= 0 on grid .*\); coarse \d+ points, 1 of 1 levels "
+                         r"seeded from fine in \d+ solves; shared assembly [\d.]+ s, assembly",
+                         message)
         values, _, _ = index_range_solve(params, 2, 0, CentrifugalMode.EXACT, exact.grid, 1)
         np.testing.assert_allclose(exact.eigenvalues, values / params.kappa, rtol=1e-15, atol=0.0)
         assert exact.refined[0] == pytest.approx(-1.39038e-6, rel=1e-5)
 
     def test_debug_log_reports_r_min_and_spacing(self, caplog):
+        # a default solve logs its fine grid, then the coarse grid's points, solves
+        # and time, and the time of the parts that the two grids share
         params = table_params()
-        grid = default_grid(params, 2, 1)
+        grid, coarse = _grid_pair(default_grid(params, 2, 1))
         with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
             solve_radial(params, 2, 1, k=1)
         [record] = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
         assert (f"{grid.n_points} points from r_min {grid.r_min:.6g} "
                 f"with h {grid.spacing:.6g}, 1 of 1 levels") in record.getMessage()
+        assert re.search(rf", 1 of 1 levels seeded in \d+ solves; coarse {coarse.n_points} points, "
+                         rf"1 of 1 levels seeded from fine in \d+ solves; shared assembly [\d.]+ s, "
+                         rf"assembly [\d.]+ s, eigensolve [\d.]+ s, refinement [\d.]+ s, "
+                         rf"coarse [\d.]+ s$", record.getMessage())
 
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("manning_rosen").handlers
@@ -551,12 +562,17 @@ class TestSeededEigensolve:
             solve_radial(undefined, 2, 0, grid=LogRadialGrid(r_min=4e-11, r_max=2000.0,
                                                              n_points=4001), k=2)
         seeded, seeding, exact, truncated, bisected = oracle_messages(caplog)
-        # the exact solve logs the approximated solve that seeds it first
+        # the exact solve logs the approximated solve that seeds it first, on the
+        # fine grid alone; each default solve then solves the coarse grid
         assert seeding.split("; ")[0] == seeded.split("; ")[0] and " exact: " in exact
-        assert re.search(r", 3 of 3 levels seeded in \d+ solves; assembly", seeded)
-        assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves; assembly", exact)
+        assert re.search(r", 3 of 3 levels seeded in \d+ solves; coarse \d+ points, 3 of 3 levels "
+                         r"seeded from fine in \d+ solves; shared assembly", seeded)
+        assert re.search(r", 3 of 3 levels seeded in \d+ solves; shared assembly", seeding)
+        assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves; coarse \d+ points, "
+                         r"3 of 3 levels seeded from fine in \d+ solves; assembly", exact)
         assert re.search(r", 1 of 5 levels seeded in \d+ solves, no other level below 0 "
-                         r"\(stebz count\); ", truncated)
+                         r"\(stebz count\); coarse \d+ points, 1 of 1 levels seeded from fine in "
+                         r"\d+ solves; shared assembly", truncated)
         assert re.search(r", 2 of 2 levels seeded in \d+ solves, bisected from level 0 "
                          r"\(stebz finds 12 more levels below 0\); ", bisected)
 
@@ -587,7 +603,7 @@ class TestSeededEigensolve:
         assert re.search(r"3 of 3 levels seeded in \d+ solves, bisected from level 0 "
                          r"\(level 0 has 1 nodes\)", message)
         assert_matches_reference(result, *reference_solve(
-            monkeypatch, params, 2, 1, CentrifugalMode.APPROXIMATED, result.grid, 3))
+            monkeypatch, params, 2, 1, CentrifugalMode.APPROXIMATED, None, 3))
         assert result.node_counts == (0, 1, 2)
 
     def test_unconverged_level_on_a_coarse_grid_falls_back(self, monkeypatch, caplog):
@@ -729,7 +745,7 @@ class TestSeededEigensolve:
         assert re.search(r", 3 of 3 levels seeded from approx in \d+ solves, bisected from "
                          r"level 0 \(level 0 ", message)
         assert_matches_reference(result, *reference_solve(
-            monkeypatch, params, 2, 1, CentrifugalMode.EXACT, result.grid, 3))
+            monkeypatch, params, 2, 1, CentrifugalMode.EXACT, None, 3))
         assert result.node_counts == (0, 1, 2)
 
     @pytest.mark.parametrize("alpha, why", [(0.75, "level 1 not converged in 3 solves"),
@@ -1088,7 +1104,7 @@ class TestAuditChannel:
 
     @pytest.mark.parametrize("alpha, unbound", [(0.75, {"4f"}), (0.0, {"4f"}),
                                                 (1.5, {"4d", "4f"})])
-    def test_level_unbound_by_the_exact_barrier_reads_none(self, alpha, unbound):
+    def test_level_unbound_by_the_exact_barrier_reads_none(self, monkeypatch, alpha, unbound):
         params = table_params(0.075, alpha)
         for l, ns in TABLE_075_D4_CHANNELS:
             grid = default_grid(params, 4, l, k=max(ns) + 1)
@@ -1103,7 +1119,9 @@ class TestAuditChannel:
                 # below the channel's top may be bisected with another k, which
                 # may end a few ulp away
                 assert audit_channel(params, 4, l, [n])[0] == approximation_audit(params, state)
-                alone = approximation_audit(params, state, grid)
+                with monkeypatch.context() as patch:  # the default solve on the channel's grid
+                    patch.setattr(oracle, "default_grid", lambda *args: grid)
+                    alone = approximation_audit(params, state)
                 assert alone.e_closed == audit.e_closed
                 assert alone.e_exact == pytest.approx(audit.e_exact, rel=1e-15, abs=0.0)
                 assert alone.e_approx == pytest.approx(audit.e_approx, rel=1e-15, abs=0.0)
@@ -1273,6 +1291,181 @@ class TestOneSequencer:
                           lambda: audit_channel(params, 2, 1, [0], exact, grid)):
                 with pytest.raises(ConvergenceError, match="resolves kappa E only to inf"):
                     solve()
+
+
+    def test_extreme_grid_raises_cleanly_with_warnings_as_errors(self):
+        # the same grid with NumPy's warnings raised as errors: the infinite barrier and
+        # the overflowing scaled matrix are caught by the checks that follow them
+        params = PotentialParams(A=80.0, alpha=0.0, b=1e20)
+        grid = LogRadialGrid(r_min=1e-150, r_max=5e21, n_points=401)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="kappa V_eff is not a finite float"):
+                solve_radial(params, 2, 1, CentrifugalMode.APPROXIMATED, grid=grid)
+            for solve in (lambda: solve_radial(params, 2, 1, CentrifugalMode.EXACT, grid=grid),
+                          lambda: audit_channel(params, 2, 1, [0], (CentrifugalMode.EXACT,),
+                                                grid)):
+                with pytest.raises(ConvergenceError, match="resolves kappa E only to inf"):
+                    solve()
+
+
+# (params, D, l) of two channels whose n = 2 level lies near threshold (eps = 0.0074
+# and 0.025): the default grid leaves them 7e-5 and 2e-6 from the closed form
+NEAR_THRESHOLD = [
+    (PotentialParams(A=36.19871294804446, alpha=-0.13511276245117188, b=15.880668253942666), 3, 3),
+    (PotentialParams(A=21.652762111045412, alpha=1.6123008728027344, b=12.24488590201764), 2, 2),
+]
+
+
+def two_grid_estimates(params, D, l, k):
+    """A default solve, and e_n = |E_n - R_n| / |E_n| of each of its levels.
+
+    R_n, the fine grid's deferred-corrected level, is the refined level of the
+    one-grid solve on the fine grid: the same solve, with no coarse grid.
+    """
+    result = solve_radial(params, D, l, k=k)
+    fine = solve_radial(params, D, l, grid=result.grid, k=k).refined
+    return result, [abs(e - x) / abs(e) for e, x in zip(result.refined, fine)]
+
+
+def coarse_bound_levels(monkeypatch, coarse: LogRadialGrid, levels):
+    """Patch ``_bound_levels`` on ``coarse`` to ``levels(values, vectors, path)``."""
+    bound_levels = oracle._bound_levels
+
+    def patched(b, k, grid, diag, off, v_scaled, seeds, starts=None):
+        solved = bound_levels(b, k, grid, diag, off, v_scaled, seeds, starts)
+        return levels(*solved) if grid.n_points == coarse.n_points else solved
+
+    monkeypatch.setattr(oracle, "_bound_levels", patched)
+
+
+class TestTwoGridDefault:
+    @pytest.mark.parametrize("D, l, alpha", [(2, 0, 0.0), (2, 1, 0.75), (6, 3, 0.75)])
+    def test_grid_pair_keeps_the_ends_at_three_and_six_spacings(self, D, l, alpha):
+        # M - 1 = round((N - 1) / 6): the fine grid has 2M - 1 points, the coarse M
+        params = table_params(alpha=alpha)
+        grid = default_grid(params, D, l, k=2)
+        fine, coarse = _grid_pair(grid)
+        m = round((grid.n_points - 1) / 6) + 1
+        assert (fine.n_points, coarse.n_points) == (2 * m - 1, m)
+        for pair in (fine, coarse):
+            assert (pair.r_min, pair.r_max) == (grid.r_min, grid.r_max)
+        assert fine.spacing == pytest.approx(3.0 * grid.spacing, rel=3e-3)
+        assert coarse.spacing == pytest.approx(2.0 * fine.spacing, rel=1e-14)
+        assert solve_radial(params, D, l, k=2).grid == fine
+
+    def test_coarse_nodes_are_the_fine_grids_odd_nodes(self, monkeypatch):
+        # every coarse matrix entry is built on nodes sliced from the fine grid's
+        params = table_params()
+        fine, coarse = _grid_pair(default_grid(params, 2, 1, k=3))
+        tridiagonal, built = oracle._tridiagonal, []
+
+        def recorded(*args):
+            arrays = tridiagonal(*args)
+            built.append((args[4], arrays[3]))
+            return arrays
+
+        monkeypatch.setattr(oracle, "_tridiagonal", recorded)
+        audit_channel(params, 2, 1, [0, 1, 2])
+        assert [grid for grid, _ in built] == [fine, coarse] * 2  # approx, then exact
+        interior = fine.points()[1:-1]
+        for grid, r in built:
+            expected = interior if grid == fine else interior[1::2]
+            assert r.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(built[1][1], coarse.points()[1:-1], rtol=1e-14, atol=0.0)
+
+    def test_refined_levels_extrapolate_the_two_one_grid_solves(self):
+        # E_n = (16 R_fine - R_coarse) / 15 from one-grid solves on each grid, up to
+        # the last bits by which the coarse grid's own nodes differ from the shared ones
+        params = table_params(0.05, 1.5)
+        result = solve_radial(params, 4, 1, k=3)
+        fine, coarse = _grid_pair(default_grid(params, 4, 1, k=3))
+        r_fine = np.array(solve_radial(params, 4, 1, grid=fine, k=3).refined)
+        r_coarse = np.array(solve_radial(params, 4, 1, grid=coarse, k=3).refined)
+        np.testing.assert_allclose(result.refined, (16.0 * r_fine - r_coarse) / 15.0,
+                                   rtol=1e-12, atol=0.0)
+        assert result.eigenvalues == solve_radial(params, 4, 1, grid=fine, k=3).eigenvalues
+
+    def test_explicit_grids_keep_the_one_grid_outcomes(self):
+        # reprs recorded before default solves became two-grid: explicit grids
+        # are solved as before, bit for bit
+        path = Path(__file__).parent / "data" / "explicit_grid_outcomes.json"
+        cases = json.loads(path.read_text(encoding="utf-8"))["cases"]
+        assert len(cases) == 27
+        for case in cases:
+            params = PotentialParams(A=case["A"], alpha=case["alpha"], b=case["b"])
+            grid = LogRadialGrid(r_min=case["r_min"], r_max=case["r_max"],
+                                 n_points=case["n_points"])
+            D, l, k = case["D"], case["l"], case["k"]
+            outcomes = {
+                "solve_approx": lambda: solve_radial(params, D, l, CentrifugalMode.APPROXIMATED,
+                                                     grid, k),
+                "solve_exact": lambda: solve_radial(params, D, l, CentrifugalMode.EXACT, grid, k),
+                "audit": lambda: audit_channel(params, D, l, case["ns"], grid=grid),
+            }
+            for key, call in outcomes.items():
+                try:
+                    got = repr(call())
+                except (ConvergenceError, DomainError) as exc:
+                    got = f"{type(exc).__name__}: {exc}"
+                assert got == case[key], (key, case)
+
+    def test_estimate_bounds_the_error_on_every_table_level(self):
+        # e_n reads the fine grid's own error, which the extrapolation cuts by 66x or more
+        checked = 0
+        for (inv_b, alpha, D, l), n_top in table_channels().items():
+            params = table_params(inv_b, alpha)
+            result, estimates = two_grid_estimates(params, D, l, n_top + 1)
+            for n, estimate in enumerate(estimates):
+                e = energy(params, QuantumState(n=n, l=l, D=D)).energy
+                assert abs(result.refined[n] - e) / abs(e) <= estimate, (inv_b, alpha, D, l, n)
+                assert estimate <= _MAX_TWO_GRID_ERROR
+                checked += 1
+        assert checked == 168
+
+    @pytest.mark.parametrize("params, D, l", NEAR_THRESHOLD, ids=["eps-0.0074", "eps-0.025"])
+    def test_near_threshold_level_warns(self, params, D, l):
+        result, estimates = two_grid_estimates(params, D, l, 3)
+        assert len(result.refined) == 3
+        assert estimates[2] > 100.0 * _MAX_TWO_GRID_ERROR
+        [warning] = result.warnings
+        assert warning.startswith(f"two-grid error estimate {estimates[2]:.1e} relative "
+                                  f"(want <= {_MAX_TWO_GRID_ERROR:g})")
+
+    def test_a_level_the_coarse_grid_lacks_keeps_its_one_grid_value(self, monkeypatch, caplog):
+        # the coarse grid made to hold level 0 alone: levels 1 and 2 keep R_n
+        params = table_params()
+        plain = solve_radial(params, 2, 1, k=3)
+        fine, coarse = _grid_pair(default_grid(params, 2, 1, k=3))
+        one_grid = solve_radial(params, 2, 1, grid=fine, k=3)
+        coarse_bound_levels(monkeypatch, coarse,
+                            lambda values, vectors, path: (values[:1], vectors[:, :1], path))
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 2, 1, k=3)
+        assert result.refined == plain.refined[:1] + one_grid.refined[1:]
+        assert result.eigenvalues == plain.eigenvalues
+        assert result.warnings == ("the coarse grid holds 1 of 3 levels: levels n >= 1 keep "
+                                   "their one-grid refined value",)
+        [message] = oracle_messages(caplog)
+        assert f"; coarse {coarse.n_points} points, 1 of 3 levels seeded from fine in " in message
+
+    def test_a_failed_coarse_solve_keeps_every_one_grid_value(self, monkeypatch, caplog):
+        params = table_params()
+        fine, coarse = _grid_pair(default_grid(params, 2, 1, k=3))
+        one_grid = solve_radial(params, 2, 1, grid=fine, k=3)
+
+        def failed(values, vectors, path):
+            raise ConvergenceError("level 0 has 1 nodes")
+
+        coarse_bound_levels(monkeypatch, coarse, failed)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            result = solve_radial(params, 2, 1, k=3)
+        assert result.refined == one_grid.refined
+        assert result.warnings == ("the coarse grid holds 0 of 3 levels: levels n >= 0 keep "
+                                   "their one-grid refined value",)
+        [message] = oracle_messages(caplog)
+        assert (f"; coarse {coarse.n_points} points, 0 of 3 levels none (level 0 has 1 nodes); "
+                "shared assembly ") in message
 
 
 def run_fresh(script: str) -> str:

@@ -185,6 +185,14 @@ class TestHulthenAndCoulomb:
             with pytest.raises(DomainError, match=phrase):
                 energy(PotentialParams(A=80.0, alpha=0.0, b=b), state)
 
+    def test_overflowing_square_raises_domain_error(self):
+        # (4A - M^2)**2 raises OverflowError at A = 1e160, where energy() raises DomainError
+        state = QuantumState(n=0, l=1, D=2)
+        with pytest.raises(DomainError, match="is not a finite float"):
+            hulthen_energy(state, A=1e160, b=40.0)
+        with pytest.raises(DomainError, match="is not a finite float"):
+            energy(PotentialParams(A=1e160, alpha=0.0, b=40.0), state)
+
     def test_screened_coulomb_recovers_hydrogen(self):
         A, b = screened_coulomb_coupling(Z=1.0, delta=1e-4)
         assert b == pytest.approx(1e4)
