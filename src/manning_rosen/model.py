@@ -15,6 +15,7 @@ All functions are pure and accept scalar or array ``r``.
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,9 +145,10 @@ def _potential(params: PotentialParams, decay, decay_m1):
     return -scale * (params.A * w - params.alpha_product * w * w)
 
 
-def _barrier(params: PotentialParams, prefactor: float, mode: CentrifugalMode,
+def _barrier(params: PotentialParams, q: int, mode: CentrifugalMode,
              radius_squared, decay, decay_m1):
-    """kappa times the centrifugal barrier, prefactor C(r), from r^2 and ``_screening``'s pair."""
+    """kappa times the centrifugal barrier, (q^2 - 1)/4 C(r), from r^2 and ``_screening``'s pair."""
+    prefactor = (q * q - 1.0) / 4.0
     if mode is CentrifugalMode.EXACT:
         return prefactor / radius_squared
     if mode is CentrifugalMode.APPROXIMATED:
@@ -181,12 +183,17 @@ def potential_minimum(params: PotentialParams) -> tuple[float, float]:
 
     Requires A > 0 and alpha(alpha-1) > 0 (alpha > 1, or equivalently
     alpha < 0 by the alpha -> 1-alpha symmetry).  For alpha in [0, 1] the
-    potential is monotone and has no interior minimum.
+    potential is monotone and has no interior minimum.  Raises
+    :class:`DomainError` where r0 or V(r0) is not a normal float (an
+    overflow or an underflow).
     """
     coef = _minimum_coefficient(params, "no interior minimum in validated regime")
     r0 = params.b * math.log1p(2.0 * coef / params.A)
     v_min = _over_b_squared(-params.A * params.A,
                             4.0 * params.kappa * params.b * params.b * coef, params)
+    if not (sys.float_info.min <= r0 < math.inf and sys.float_info.min <= -v_min < math.inf):
+        raise DomainError(f"the minimum (r0, V(r0)) = ({r0}, {v_min}) is not a pair of normal "
+                          f"floats for {params}")
     return r0, v_min
 
 
@@ -219,6 +226,5 @@ def effective_potential(params: PotentialParams, state: QuantumState, r,
     """
     radius = _as_positive_radius(r)
     screening = _screening(params, radius)
-    barrier = _barrier(params, (state.q * state.q - 1.0) / 4.0, mode, radius * radius,
-                       *screening)
+    barrier = _barrier(params, state.q, mode, radius * radius, *screening)
     return _maybe_scalar(_potential(params, *screening) + barrier / params.kappa, r)

@@ -29,9 +29,7 @@ or more.
 
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
-A default solve runs on two grids with the default grid's ends
-(``_grid_pair``): a fine grid of spacing about 3h and a coarse grid of every
-other fine node, spacing about 6h.
+A default solve runs on the two grids that ``_grid_pair`` makes from it.
 
 Every level is seeded near its eigenvalue and certified (``_bound_levels``):
 inverse iteration from the seed (Parlett, The Symmetric Eigenvalue Problem)
@@ -47,18 +45,16 @@ Otherwise, in exact mode, the two modes' matrices on one grid differ only on
 the diagonal, by dD = diag_exact - diag_approx, so the approximated
 eigenpairs (lambda_n, w_n) seed it to first order:
 sigma_n = lambda_n + w_n^T dD w_n / w_n^T w_n, with inverse iteration
-started from w_n.  Those eigenpairs always come from an approximated-mode
-solve on the same grid, which ``_solve_modes``, the one sequencer of the
-oracle's solves, runs first: the one asked for, or else one it makes for the
-exact solve's seeds; where that one raises, exact mode has no seeds.  Seeding
-stops at a seed at or above 0, where one stebz count certifies that no other
-level lies below 0, and the bound subset is returned as truncated.  From a
-level that fails its certificate on, or where the count finds a level (as in
-channels with no closed form, q = 0 with |1 - 2 alpha| < 1), stebz's index
-range seeds the levels instead.  The kinetic part is positive (a second
-difference with a Robin ratio <= 1 at one end and Dirichlet at the other,
-plus 1/(4 r^2)), so no eigenvalue lies below kappa min V_eff: when that is
->= 0, nothing is solved.
+started from w_n.  ``_solve_modes`` says which approximated solve on the
+same grid they come from.  Seeding stops at a seed at or above 0, where one
+stebz count certifies that no other level lies below 0, and the bound
+subset is returned as truncated.  From a level that fails its certificate
+on, or where the count finds a level (as in channels with no closed form,
+q = 0 with |1 - 2 alpha| < 1), stebz's index range seeds the levels
+instead.  The kinetic part is positive (a second difference with a Robin
+ratio <= 1 at one end and Dirichlet at the other, plus 1/(4 r^2)), so no
+eigenvalue lies below kappa min V_eff: when that is >= 0, nothing is
+solved.
 
 The leading discretization error is O(h^2): the stencil reads
 -u'' - (h^2/12) u^(4) + O(h^4), so to first order
@@ -79,14 +75,11 @@ iteration, and certified as every level is (``_two_grid``).
 e_n = |E_n - R_fine,n| / |E_n| estimates the fine grid's own error, which
 E_n's lies well below; above 2e-6 it warns (``solve_radial``).
 
-A channel audit (``audit_channel``), like ``solve_radial``, solves through
-``_solve_modes``.  It assembles what the two modes' matrices share once per
-grid (``_channel_parts``: the nodes, V, the kinetic diagonal and the
-off-diagonal), so each mode adds only its barrier and Robin entry, and
-solves each mode asked once, for the highest level asked, approximated mode
-first, whose eigenpairs seed the exact solve; at q^2 = 1 the two matrices
-and seeds are the same, so that one solve serves both modes.  For q^2 > 1
-the exact barrier lies above its stand-in (Greene & Aldrich, PRA 14
+``solve_radial`` and a channel audit (``audit_channel``) solve through
+``_solve_modes``, which assembles what the two modes' matrices share once
+per grid (``_channel_parts``: the nodes, V, the kinetic diagonal and the
+off-diagonal), so each mode adds only its barrier and Robin entry.  For
+q^2 > 1 the exact barrier lies above its stand-in (Greene & Aldrich, PRA 14
 (1976) 2363), 1/(4 b^2 sinh^2(r/2b)) <= 1/r^2, and can unbind a level
 that the stand-in holds on the same grid.  That level reads None: both
 solves share every discretization choice, so its absence is physics, not a
@@ -266,10 +259,10 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
 
     The grid is uniform in x = ln r with spacing h = ln(r_max / r_0) / 4000,
     the spacing of 4001 points from the ``_grid_origin`` r_0 of explicit
-    grids.  It sets the spacing of a default solve, which runs on the fine
-    and coarse grids of ``_grid_pair`` with its ends, at about 3h and 6h.  Near the origin every state of the channel goes like
-    u ~ e^(nu x), nu^2 = q^2/4 + alpha(alpha - 1) in either centrifugal
-    mode, so its weight below r is about (r / b)^(2 nu + 1).  The grid
+    grids; ``_grid_pair`` makes a default solve's two grids from it.  Near
+    the origin every state of the channel goes like u ~ e^(nu x),
+    nu^2 = q^2/4 + alpha(alpha - 1) in either centrifugal mode, so its
+    weight below r is about (r / b)^(2 nu + 1).  The grid
     starts a whole number of steps above r_0, at the node nearest
     min(b, r_max) 10^(-18 / (2 nu + 1)), clamped to [1e-12, 1e-3] of
     min(b, r_max), and the Robin ghost node there carries the e^(nu x)
@@ -293,8 +286,9 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
 
 @dataclass(frozen=True)
 class _ChannelParts:
-    """What both centrifugal modes' matrices share on one grid (``_channel_parts``)."""
+    """What both centrifugal modes' matrices share on ``grid`` (``_channel_parts``)."""
 
+    grid: LogRadialGrid
     r: np.ndarray  # the interior nodes
     r_squared: np.ndarray
     screening: tuple[np.ndarray, np.ndarray]  # exp(-r/b), expm1(-r/b)
@@ -305,10 +299,10 @@ class _ChannelParts:
 
 def _with_kinetic(grid: LogRadialGrid, r: np.ndarray, r_squared: np.ndarray,
                   screening: tuple[np.ndarray, np.ndarray], potential: np.ndarray) -> _ChannelParts:
-    """``_ChannelParts`` from the node arrays, adding the two that hold ``grid``'s spacing."""
+    """``_ChannelParts`` on ``grid`` from the node arrays, adding the two that hold its spacing."""
     h = grid.spacing
-    return _ChannelParts(r=r, r_squared=r_squared, screening=screening, potential=potential,
-                         kinetic=(2.0 / (h * h) + 0.25) / r_squared,
+    return _ChannelParts(grid=grid, r=r, r_squared=r_squared, screening=screening,
+                         potential=potential, kinetic=(2.0 / (h * h) + 0.25) / r_squared,
                          off=-1.0 / (h * h * r[:-1] * r[1:]))
 
 
@@ -353,15 +347,15 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     kappa V_eff on those nodes, which depends only on A, alpha and b: it is
     V_eff in the units where kappa = 1, so no factor 1/kappa can overflow;
     and the nodes themselves, for the deferred correction.  ``parts`` are the
-    ``_channel_parts`` of ``params`` and ``grid``, which ``_solve_modes``, the
-    one sequencer of the solves, makes once for every mode; only the mode's
-    barrier and the Robin entry are added here, with the arithmetic of
-    ``effective_potential``.
+    ``_channel_parts`` of ``params`` on ``grid``, which both modes share;
+    only the mode's barrier and the Robin entry are added here, with the
+    arithmetic of ``effective_potential``.  ``grid`` is ``parts.grid``,
+    passed on its own because ``perfbench/tracing.py`` counts its points.
     """
     r, r_squared, h = parts.r, parts.r_squared, grid.spacing
     q = QuantumState(n=0, l=l, D=D).q
     with np.errstate(divide="ignore"):  # an infinite barrier fails the finiteness check below
-        barrier = _barrier(params, (q * q - 1.0) / 4.0, mode, r_squared, *parts.screening)
+        barrier = _barrier(params, q, mode, r_squared, *parts.screening)
     v_scaled = parts.potential + barrier
     # Robin end: u ~ e^(nu x) below the first node, nu^2 = 1/4 + r^2 kappa V_eff
     # there.  Clamped at 0: for q = 0, alpha = 0 the limit is exactly 0 and the
@@ -522,16 +516,12 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    The solve runs through ``_solve_modes``, the one sequencer of the
-    oracle's solves, as ``audit_channel``'s do.  Each level is seeded as the
-    module docstring says: at its closed-form value in approximated mode or
-    at q^2 = 1, else in exact mode at the first-order shift of the level
-    that the approximated ``solve_radial`` on the same grid and k returns;
-    and certified as ``_bound_levels`` says.  Each eigenvalue is stebz's, to
-    full relative accuracy, and each eigenvector comes from certified
-    inverse iteration, so the i-th returned state has exactly i interior
-    nodes.  The bound levels are the negative ones; when
-    fewer than k exist, the bound subset is returned with ``truncated`` set.
+    Solves through ``_solve_modes``.  Each level is seeded as the module
+    docstring says and certified as ``_bound_levels`` says.  Each eigenvalue
+    is stebz's, to full relative accuracy, and each eigenvector comes from
+    certified inverse iteration, so the i-th returned state has exactly i
+    interior nodes.  The bound levels are the negative ones; when fewer
+    than k exist, the bound subset is returned with ``truncated`` set.
 
     ``grid`` defaults to the two grids of ``_grid_pair(default_grid(params,
     D, l, k))``; ``eigenvalues``, ``node_counts`` and ``grid`` are the fine
@@ -562,35 +552,33 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     (``seeded`` with its solve count, ``from approx`` for the perturbed
     seeds, ``bisected from level`` n with the reason, ``no approximated
     seeds`` with what the approximated solve raised) and stage timings at
-    DEBUG level on the ``manning_rosen.oracle`` logger.  An exact-mode call
-    with q^2 != 1 logs the approximated solve that seeds it on a line of its
-    own first.  A default solve adds the coarse grid's points, level count
-    and path (``seeded from fine``), the time of the parts the two grids
-    share (``shared assembly``, once, on the first line) and the coarse
-    solve's time.
+    DEBUG level on the ``manning_rosen.oracle`` logger, the first line with
+    the time of the parts its solves share (``shared assembly``).  An
+    exact-mode call first logs, on a line of its own, any approximated
+    solve that ``_solve_modes`` makes to seed it.  A default solve adds the
+    coarse grid's points, level count and path (``seeded from fine``) and
+    the coarse solve's time.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
     return _solve_modes(params, D, l, [mode], grid, k)[mode]
 
 
-def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
-           grid: LogRadialGrid, k: int, approx, parts: _ChannelParts, coarse=None,
+def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: int, approx,
+           parts: _ChannelParts, coarse: _ChannelParts | None = None,
            shared: float | None = None):
-    """One mode solved on ``grid`` from ``parts``, and the (diagonal, values, vectors) it solved.
+    """One mode solved on ``parts.grid``, and the (diagonal, values, vectors) it solved.
 
-    ``_solve_modes``, the one sequencer of the solves, calls it and hands it
-    ``approx``.  Seeds from the closed-form levels, except that an exact-mode
-    solve with q^2 != 1 seeds from ``approx``: what this returned for
-    approximated mode on the same grid and k, and then computes no
-    closed-form seeds; or the :class:`ConvergenceError` or
-    :class:`DomainError` that approximated solve raised, and then has no
-    seeds, so bisection seeds it.  ``coarse``, the coarse grid of a default
-    solve and its ``_coarse_parts``, adds the extrapolation of ``_two_grid``;
-    ``shared``, the seconds ``_channel_parts`` took, goes into the DEBUG
-    line.
+    Seeds from the closed-form levels, except that an exact-mode solve with
+    q^2 != 1 seeds from the ``approx`` that ``_solve_modes`` hands it: what
+    this returned for approximated mode on the same grid and k, and then
+    computes no closed-form seeds; or the :class:`ConvergenceError` or
+    :class:`DomainError` that solve raised, and then has no seeds, so
+    bisection seeds it.  ``coarse``, a default solve's ``_coarse_parts``,
+    adds the extrapolation of ``_two_grid``; ``shared``, the seconds the
+    shared parts took, goes into the DEBUG line.
     """
-    started = time.perf_counter()
+    grid, started = parts.grid, time.perf_counter()
     diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
     assembled = time.perf_counter()
     seeds, starts, unseeded = [], None, ""
@@ -651,9 +639,9 @@ def _check_levels(params: PotentialParams, grid: LogRadialGrid, energies: tuple[
                 f"grid {grid}: the level lies closer to threshold than the grid resolves")
 
 
-def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, coarse,
-              values: np.ndarray, delta: np.ndarray, vectors: np.ndarray,
-              refined: tuple[float, ...]):
+def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
+              coarse: _ChannelParts, values: np.ndarray, delta: np.ndarray,
+              vectors: np.ndarray, refined: tuple[float, ...]):
     """Refined levels E_n = (16 R_n - R_coarse,n) / 15, their warnings and the DEBUG text.
 
     ``refined`` holds the fine grid's R_n = lambda_n + delta_n in energy
@@ -667,8 +655,8 @@ def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, co
     ``_MAX_TWO_GRID_ERROR`` it adds one warning.  A level the coarse grid
     does not hold keeps R_n and adds another.
     """
-    grid, parts = coarse
-    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
+    grid = coarse.grid
+    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, coarse)
     try:
         coarse_values, starts, path = _bound_levels(params.b, len(values), grid, diag, off,
                                                     v_scaled, list(values - 3.0 * delta),
@@ -707,29 +695,25 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
 
     The one sequencer of the oracle's solves: ``solve_radial`` and
     ``audit_channel`` reach ``_solve`` only through it.  It solves each mode
-    in ``modes`` once, approximated first, and decides where each exact
-    solve gets its seeds.  At q^2 = 1 the two matrices and their seeds are
-    the same, so after an approximated solve the exact result is that one in
-    exact mode, logged as such, and no second solve runs.  For q^2 != 1 the
-    approximated eigenpairs seed the exact solve; exact mode asked alone
-    gets them from an approximated solve made for its seeds alone, on the
-    fine grid only, and where that raises :class:`ConvergenceError` or
-    :class:`DomainError`, from bisection.
+    in ``modes`` once, approximated first.  At q^2 = 1 the two matrices and
+    their seeds are the same, so after an approximated solve the exact
+    result is that one in exact mode, logged as such, and no second solve
+    runs.  For q^2 != 1 the approximated eigenpairs seed the exact solve;
+    exact mode asked alone gets them from an approximated solve of its own,
+    on the fine grid only, and where that raises :class:`ConvergenceError`
+    or :class:`DomainError`, from bisection.
 
-    ``grid`` None solves on the ``_grid_pair`` of ``default_grid(params, D,
-    l, k)``: each mode on the fine grid, then on the coarse grid, whose parts
-    are sliced from the fine ones (``_coarse_parts``), and the first solve
-    that logs reports the time those shared parts took.
+    ``grid`` None solves each mode on both grids of ``_grid_pair(
+    default_grid(params, D, l, k))``, the coarse grid's parts sliced from
+    the fine ones (``_coarse_parts``).  The first solve that logs reports
+    the time that the shared parts took.
     """
-    coarse_grid = None
-    if grid is None:
-        grid, coarse_grid = _grid_pair(default_grid(params, D, l, k))
+    grid, coarse_grid = (_grid_pair(default_grid(params, D, l, k)) if grid is None
+                         else (grid, None))
     started = time.perf_counter()
     parts, q = _channel_parts(params, grid), QuantumState(n=0, l=l, D=D).q
-    coarse = shared = None
-    if coarse_grid is not None:
-        coarse = (coarse_grid, _coarse_parts(parts, coarse_grid))
-        shared = time.perf_counter() - started
+    coarse = None if coarse_grid is None else _coarse_parts(parts, coarse_grid)
+    shared = time.perf_counter() - started
     solves, approx = {}, None
     for mode in sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT):
         if mode is CentrifugalMode.EXACT and approx is not None and q * q == 1:
@@ -741,12 +725,12 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
             continue
         if mode is CentrifugalMode.EXACT and approx is None and q * q != 1:
             try:  # exact mode alone: an approximated solve on this grid seeds it
-                approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, grid, k, None,
-                                parts, None, shared)[1]
+                approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, k, None, parts,
+                                None, shared)[1]
                 shared = None
             except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
                 approx = exc
-        solves[mode], approx = _solve(params, D, l, mode, grid, k, approx, parts, coarse, shared)
+        solves[mode], approx = _solve(params, D, l, mode, k, approx, parts, coarse, shared)
         shared = None
     return solves
 
@@ -756,19 +740,15 @@ def audit_channel(params: PotentialParams, D: int, l: int, ns: list[int],
                   grid: LogRadialGrid | None = None) -> list[AuditResult]:
     """Closed form vs. the oracle in ``modes``, one result per level n in ``ns``.
 
-    Solves through ``_solve_modes``, the one sequencer of the oracle's
-    solves, on ``grid`` or else the two grids of the channel's one default
-    grid, as ``solve_radial`` does: one assembly of the parts both modes
-    share, then each mode asked once for max(ns) + 1 levels, approximated
-    first, whose eigenpairs seed the exact solve; at q^2 = 1, where the two
-    matrices are the same, the approximated solve is the only one.  A mode left out, and an exact level
-    unbound as the module docstring says, read None.  Raises
-    :class:`DomainError` for an empty ``ns`` or ``modes``, and
-    :class:`UnboundStateError` or :class:`DomainError` for an n whose closed
-    form is unbound or undefined, all before any solve; then what
-    ``solve_radial`` raises, and :class:`ConvergenceError` for any other
-    level that a solve lacks.  The closed-form energies come from
-    ``spectrum.energy``, one call per n.
+    Solves through ``_solve_modes`` on ``grid`` or else the channel's
+    default grids, as ``solve_radial`` does, each mode asked once for
+    max(ns) + 1 levels.  A mode left out, and an exact level unbound as the
+    module docstring says, read None.  Raises :class:`DomainError` for an
+    empty ``ns`` or ``modes``, and :class:`UnboundStateError` or
+    :class:`DomainError` for an n whose closed form is unbound or undefined,
+    all before any solve; then what ``solve_radial`` raises, and
+    :class:`ConvergenceError` for any other level that a solve lacks.  The
+    closed-form energies come from ``spectrum.energy``, one call per n.
     """
     if not ns:
         raise DomainError("need at least one level n, got none")
@@ -798,9 +778,7 @@ def approximation_audit(params: PotentialParams, state: QuantumState,
     relative differences.  The approximated oracle solves the same equation
     as the closed form, so that pair agrees to solver accuracy; the exact
     pair measures the physical quality of the replacement.  Both modes come
-    from ``audit_channel``: one assembly of their shared parts on the grid,
-    and one solve per mode, or one in all at q^2 = 1, where the exact pair
-    is the approximated one.  Raises as ``audit_channel`` does, and
+    from one ``audit_channel`` call.  Raises as ``audit_channel`` does, and
     :class:`ConvergenceError` where the exact barrier unbinds the level.
     """
     [audit] = audit_channel(params, state.D, state.l, [state.n], grid=grid)

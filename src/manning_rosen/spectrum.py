@@ -109,12 +109,12 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
                          eta=eta, epsilon=eps)
 
 
-def _normal_energy(e_value: float, state: QuantumState, params: PotentialParams) -> float:
-    """``e_value``, or :class:`DomainError` where it is not a normal float."""
+def _normal_energy(e_value: float, state: QuantumState, source: object) -> float:
+    """``e_value``, or :class:`DomainError`, naming ``source``, where it is not a normal float."""
     if not _NORMAL_MIN <= abs(e_value) < math.inf:
         what = ("rounds to 0" if e_value == 0.0 else "is subnormal" if math.isfinite(e_value)
                 else "is not a finite float")
-        raise DomainError(f"energy of {state} {what} for {params}")
+        raise DomainError(f"energy of {state} {what} for {source}")
     return e_value
 
 
@@ -206,12 +206,16 @@ def screened_coulomb_coupling(Z: float, delta: float,
     onto (A, b): b = 1/delta and A = 2 mu Z e^2 b / hbar^2.
 
     Feeding the result to ``hulthen_energy`` recovers the hydrogen spectrum
-    as delta -> 0.
+    as delta -> 0.  Raises :class:`DomainError` where b is not a normal
+    float or A is not a finite float.
     """
     if delta <= 0.0:
         raise DomainError(f"screening delta must be positive, got {delta}")
     b = 1.0 / delta
     A = 2.0 * mu * Z * e_sq * b / (hbar * hbar)
+    if not (_NORMAL_MIN <= b < math.inf and math.isfinite(A)):
+        raise DomainError(f"(A, b) = ({A}, {b}) for delta={delta}: need a normal float b "
+                          "and a finite float A")
     return A, b
 
 
@@ -221,14 +225,16 @@ def coulomb_limit_energy(state: QuantumState, Z: float,
     """Pure-Coulomb limit: E = -4 eps0 / (2n + D + 2l - 1)^2.
 
     eps0 = Z^2 hbar^2 / (2 mu a0^2) with the Bohr radius a0 = hbar^2/(mu e^2);
-    in atomic units the D = 3 ground state gives -Z^2/2.
+    in atomic units the D = 3 ground state gives -Z^2/2.  Raises
+    :class:`DomainError` where E is not a normal float, as ``energy`` does.
     """
     if Z <= 0.0:
         raise DomainError(f"Z must be positive, got {Z}")
     a0 = hbar * hbar / (mu * e_sq)
     eps0 = Z * Z * hbar * hbar / (2.0 * mu * a0 * a0)
     m_sum = 2 * state.n + state.D + 2 * state.l - 1
-    return -4.0 * eps0 / (m_sum * m_sum)
+    return _normal_energy(-4.0 * eps0 / (m_sum * m_sum), state,
+                          f"Z={Z}, mu={mu}, hbar={hbar}, e_sq={e_sq}")
 
 
 def parse_spectroscopic(label: str) -> tuple[int, int]:

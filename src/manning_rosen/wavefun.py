@@ -60,7 +60,8 @@ def _g_bare(s, eps: float, eta: float, n: int, ln_scale: float = 0.0):
     """
     ss = np.asarray(s, dtype=float)
     one_minus_z = -np.expm1(-ss)
-    with np.errstate(divide="ignore"):  # ln(1 - z) = -inf at s = 0
+    # ln(1 - z) = -inf at s = 0; eps s overflows far out, where exp(-inf) = 0 is the limit
+    with np.errstate(divide="ignore", over="ignore"):
         envelope = np.exp(-eps * ss + (1.0 + eta) * np.log(one_minus_z) - ln_scale)
     return _maybe_scalar(envelope * _jacobi_y(n, 2.0 * eps, 2.0 * eta + 1.0,
                                               2.0 * one_minus_z), s)

@@ -159,6 +159,14 @@ class TestMinimum:
         with pytest.raises(NoMinimumError):
             potential_curvature(params)
 
+    @pytest.mark.parametrize("params", [PotentialParams(A=1e300, alpha=-1.0, b=3.0),
+                                        PotentialParams(A=80.0, alpha=1.5, b=1e308)],
+                             ids=["V-overflows", "V-underflows"])
+    def test_minimum_out_of_float_range_raises(self, params):
+        # V(r0) would read -inf and -0.0
+        with pytest.raises(DomainError, match="is not a pair of normal floats"):
+            potential_minimum(params)
+
     def test_negative_alpha_mirrors_above_one(self):
         # alpha(alpha-1) > 0 also for alpha < 0; same geometry as 1 - alpha
         pa = PotentialParams(A=2.0, alpha=-1.0, b=1.0)

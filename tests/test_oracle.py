@@ -412,6 +412,20 @@ class TestSolveRadial:
                          rf"assembly [\d.]+ s, eigensolve [\d.]+ s, refinement [\d.]+ s, "
                          rf"coarse [\d.]+ s$", record.getMessage())
 
+    def test_explicit_grid_debug_log_reports_the_shared_assembly(self, caplog):
+        # an explicit grid's modes share their parts too: the first line of each
+        # call reports the time they took, as a default solve's does, and no other
+        params = table_params()
+        grid = LogRadialGrid(r_min=4e-11, r_max=2000.0, n_points=1201)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            solve_radial(params, 2, 1, grid=grid)
+            solve_radial(params, 2, 1, CentrifugalMode.EXACT, grid=grid)
+        alone, seeding, exact = oracle_messages(caplog)
+        timings = r"assembly [\d.]+ s, eigensolve [\d.]+ s, refinement [\d.]+ s$"
+        first = r", 1 of 1 levels seeded in \d+ solves; shared assembly [\d.]+ s, " + timings
+        assert re.search(first, alone) and re.search(first, seeding)
+        assert re.search(r", 1 of 1 levels seeded from approx in \d+ solves; " + timings, exact)
+
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("manning_rosen").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
@@ -512,7 +526,8 @@ def oracle_messages(caplog):
 
 def untimed_messages(caplog):
     """``oracle_messages`` with the stage timings that end each solve's line cut off."""
-    return [re.sub(r"; assembly [\d.]+ s, eigensolve [\d.]+ s, refinement [\d.]+ s$", "", m)
+    return [re.sub(r"; (shared assembly [\d.]+ s, )?assembly [\d.]+ s, eigensolve [\d.]+ s, "
+                   r"refinement [\d.]+ s$", "", m)
             for m in oracle_messages(caplog)]
 
 
@@ -689,7 +704,8 @@ class TestSeededEigensolve:
         assert re.search(r" exact: .*, 4 of 6 levels seeded in \d+ solves, bisected from "
                          r"level 0 \(stebz finds 4 more levels below 0\)", message)
         assert re.search(r", no approximated seeds \(the levels that stebz's index range seeds "
-                         r"fail their certificate: level 4 has 3 nodes, on grid .*\); assembly",
+                         r"fail their certificate: level 4 has 3 nodes, on grid .*\); "
+                         r"shared assembly [\d.]+ s, assembly",
                          message)
         assert_matches_reference(result, *reference_solve(
             monkeypatch, params, D, l, CentrifugalMode.EXACT, grid, 6))

@@ -211,6 +211,15 @@ class TestHulthenAndCoulomb:
         with pytest.raises(DomainError):
             coulomb_limit_energy(QuantumState(n=0, l=0, D=3), Z=0.0)
 
+    def test_coulomb_limit_out_of_float_range_raises(self):
+        with pytest.raises(DomainError, match="is not a finite float for Z=1e"):
+            coulomb_limit_energy(QuantumState(n=0, l=0, D=3), Z=1e200)
+
+    def test_screened_coulomb_out_of_float_range_raises(self):
+        # b = 1/delta overflows to inf, and A with it
+        with pytest.raises(DomainError, match="need a normal float b and a finite float A"):
+            screened_coulomb_coupling(1.0, 1e-320)
+
     def test_screened_coulomb_rejects_zero_screening(self):
         with pytest.raises(DomainError, match="screening delta must be positive"):
             screened_coulomb_coupling(1.0, 0.0)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -333,6 +334,14 @@ class TestRadialSolution:
         with pytest.raises(DomainError, match=phrase):
             call(solution)
 
+    def test_far_tail_is_zero_without_an_overflow_warning(self):
+        # eps s overflows to inf at r = 1e300, where exp(-inf) = 0 is the limit
+        solution = radial_wavefunction(PotentialParams(A=1e20, alpha=1.5, b=2.0),
+                                       QuantumState(n=4, l=0, D=6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solution.g_of_r(1e300) == 0.0
+
     def test_sampling_from_the_decay_cutoff_raises(self):
         solution = radial_wavefunction(table_params(), QuantumState(n=0, l=1, D=2))
         with pytest.raises(DomainError, match="bad sampling range"):
@@ -554,6 +563,18 @@ class TestTotalWavefunction:
                                              radial=radial)
                     total += wz * wth * wph * abs(psi) ** 2 * r * r * math.sin(th) * jac
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("state, idx, point", [
+        (QuantumState(n=1, l=1, D=3), AngularMultiIndex((-1, 1)), (2.5, 0.4, 1.1)),
+        (QuantumState(n=0, l=2, D=4), AngularMultiIndex((1, 2, 2)), (3.0, 0.4, 1.1, 0.7)),
+    ], ids=["D3", "D4"])
+    def test_radial_is_built_when_not_passed(self, state, idx, point):
+        params = table_params()
+        built = total_wavefunction(params, state, idx, point)
+        passed = total_wavefunction(params, state, idx, point,
+                                    radial=radial_wavefunction(params, state))
+        assert built != 0.0
+        assert (built.real.hex(), built.imag.hex()) == (passed.real.hex(), passed.imag.hex())
 
     def test_consistency_validation(self):
         params = table_params()
