@@ -32,6 +32,8 @@ __all__ = [
     "effective_potential",
 ]
 
+_NORMAL_MIN = sys.float_info.min
+
 
 class CentrifugalMode(enum.Enum):
     """How the 1/r^2 centrifugal barrier enters the radial equation."""
@@ -120,6 +122,32 @@ def _maybe_scalar(value, template):
     return value
 
 
+def _normal(value: float, source: object, subject: str, of: object = "") -> float:
+    """``value``, or :class:`DomainError` where it is not a normal float.
+
+    The one judge of a scalar result's float range; the message is built only on failure.
+    """
+    if _NORMAL_MIN <= abs(value) < math.inf:  # nan fails too
+        return value
+    fault = ("rounds to 0" if value == 0.0 else "is subnormal" if math.isfinite(value)
+             else "is not a finite float")
+    name = subject if of == "" else f"{subject} {of}"
+    raise DomainError(f"{name} {fault} for {source}")
+
+
+def _divide(num: float, den: float) -> float:
+    """num / den, with IEEE 754's inf (nan for 0/0) where a float / by 0 raises."""
+    return num / den if den else num * math.copysign(math.inf, den)
+
+
+def _power(base: float, exponent: int) -> float:
+    """base ** exponent for an integer exponent, with IEEE 754's inf where a float ** overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.copysign(math.inf, base) ** exponent
+
+
 def _over_b_squared(numerator: float, denominator: float, params: PotentialParams) -> float:
     """numerator / denominator, a denominator holding b^2; :class:`DomainError` where it is 0.
 
@@ -191,10 +219,7 @@ def potential_minimum(params: PotentialParams) -> tuple[float, float]:
     r0 = params.b * math.log1p(2.0 * coef / params.A)
     v_min = _over_b_squared(-params.A * params.A,
                             4.0 * params.kappa * params.b * params.b * coef, params)
-    if not (sys.float_info.min <= r0 < math.inf and sys.float_info.min <= -v_min < math.inf):
-        raise DomainError(f"the minimum (r0, V(r0)) = ({r0}, {v_min}) is not a pair of normal "
-                          f"floats for {params}")
-    return r0, v_min
+    return _normal(r0, params, "r0"), _normal(v_min, params, "V(r0)")
 
 
 def potential_curvature(params: PotentialParams) -> float:
@@ -202,18 +227,12 @@ def potential_curvature(params: PotentialParams) -> float:
 
     V''(r0) = (1/kappa) A^2 [A + 2 alpha(alpha-1)]^2 / (8 b^4 alpha^3 (alpha-1)^3).
     Same validity domain as ``potential_minimum``; raises :class:`DomainError`
-    where V'' is not a finite positive float (an overflow or an underflow).
+    where V'' is not a normal float (an overflow or an underflow).
     """
     coef = _minimum_coefficient(params, "curvature at the minimum is undefined")
-    try:  # a float ** raises OverflowError where * gives inf
-        num = params.A * params.A * (params.A + 2.0 * coef) ** 2
-        den = 8.0 * params.b**4 * coef**3
-    except OverflowError:  # inf / inf: no float holds the curvature
-        num = den = math.inf
-    curvature = _over_b_squared(num, params.kappa * den, params)
-    if not 0.0 < curvature < math.inf:  # nan fails too
-        raise DomainError(f"curvature at the minimum is not a finite positive float for {params}")
-    return curvature
+    num = params.A * params.A * _power(params.A + 2.0 * coef, 2)
+    den = 8.0 * _power(params.b, 4) * _power(coef, 3)
+    return _normal(_over_b_squared(num, params.kappa * den, params), params, "V''(r0)")
 
 
 def effective_potential(params: PotentialParams, state: QuantumState, r,

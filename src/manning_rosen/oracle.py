@@ -107,7 +107,7 @@ import scipy
 
 from .errors import ConvergenceError, DomainError
 from .model import (CentrifugalMode, PotentialParams, QuantumState, _barrier, _geometric,
-                    _potential, _screening)
+                    _normal, _potential, _screening)
 from .spectrum import bound_states, shape_parameter
 from .spectrum import energy as _closed_energy
 
@@ -629,9 +629,8 @@ def _check_levels(params: PotentialParams, grid: LogRadialGrid, energies: tuple[
                   refined: tuple[float, ...], stage: str) -> None:
     """:class:`DomainError` unless every level is a normal float, then
     :class:`ConvergenceError` for a refined level that ``stage`` lifts to E >= 0."""
-    if not all(sys.float_info.min <= abs(e) < math.inf for e in energies + refined):
-        raise DomainError(f"oracle energies kappa E / kappa are not normal floats (finite, "
-                          f"not subnormal, not 0) for {params}")
+    for e in energies + refined:
+        _normal(e, params, "an oracle level kappa E / kappa")
     for n, e in enumerate(refined):
         if e >= 0.0:
             raise ConvergenceError(

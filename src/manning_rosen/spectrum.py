@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, LabelError, UnboundStateError
-from .model import PotentialParams, QuantumState
+from .model import PotentialParams, QuantumState, _divide, _normal, _power
 
 __all__ = [
     "SpectrumEntry",
@@ -38,9 +38,6 @@ __all__ = [
 
 _ORBITAL_LETTERS = "spdfgh"
 _LABEL_RE = re.compile(r"^(\d+)([a-z])$")
-# The smallest normal float, sys.float_info.min: an energy below it in size
-# keeps only some of its significant bits.
-_NORMAL_MIN = math.ldexp(1.0, -1022)
 
 
 @dataclass(frozen=True)
@@ -102,20 +99,10 @@ def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
             f"(epsilon={eps:.6g} <= 0)",
             epsilon=eps,
         )
-    denominator = 2.0 * params.mu * params.b * params.b
-    # a denominator that underflowed to 0 stands for an infinite |E|
-    e_value = -(params.hbar * params.hbar * eps * eps) / denominator if denominator else -math.inf
-    return SpectrumEntry(state=state, energy=_normal_energy(e_value, state, params), a_param=a,
-                         eta=eta, epsilon=eps)
-
-
-def _normal_energy(e_value: float, state: QuantumState, source: object) -> float:
-    """``e_value``, or :class:`DomainError`, naming ``source``, where it is not a normal float."""
-    if not _NORMAL_MIN <= abs(e_value) < math.inf:
-        what = ("rounds to 0" if e_value == 0.0 else "is subnormal" if math.isfinite(e_value)
-                else "is not a finite float")
-        raise DomainError(f"energy of {state} {what} for {source}")
-    return e_value
+    e_value = _divide(-(params.hbar * params.hbar * eps * eps),
+                      2.0 * params.mu * params.b * params.b)
+    return SpectrumEntry(state=state, energy=_normal(e_value, params, "energy of", state),
+                         a_param=a, eta=eta, epsilon=eps)
 
 
 def bound_states(params: PotentialParams, D: int, l: int,
@@ -140,16 +127,15 @@ def bound_states(params: PotentialParams, D: int, l: int,
 def critical_coupling(state: QuantumState, alpha: float) -> float:
     """Coupling A_c at which the state's binding energy reaches zero.
 
-    A_c = (n+1+eta)^2 - eta(eta+1) + q^2/4 - 1/4; for A = A_c the energy
-    parameter eps vanishes identically.  Raises :class:`DomainError` when
-    A_c is not a finite float, as for a non-finite or huge alpha.
+    A_c = (n+1)^2 + (2n+1) eta + (q^2 - 1)/4.  The numerator of eps is
+    4A - 4A_c, so eps vanishes identically at A = A_c; the equal form
+    (n+1+eta)^2 - eta(eta+1) + (q^2 - 1)/4 cancels as eta grows.  Raises
+    :class:`DomainError` when A_c is not a finite float, as for a non-finite
+    or huge alpha.
     """
     eta = _shape(alpha, state.q)[1]
-    a_critical = (state.n + 1 + eta) ** 2 - eta * (eta + 1.0) + 0.25 * state.q * state.q - 0.25
-    if not math.isfinite(a_critical):
-        raise DomainError(f"critical coupling of {state} is not a finite float "
-                          f"for alpha={alpha}")
-    return a_critical
+    a_critical = (state.n + 1) ** 2 + (2 * state.n + 1) * eta + 0.25 * (state.q * state.q - 1)
+    return _normal(a_critical, f"alpha={alpha}", "critical coupling of", state)
 
 
 def degenerate_partners(state: QuantumState, d_min: int, d_max: int) -> list[QuantumState]:
@@ -189,14 +175,9 @@ def hulthen_energy(state: QuantumState, A: float, b: float,
             f"state {state} is not bound for A={A} (needs 4A > {m_sum}^2)",
             epsilon=eps,
         )
-    denominator = 32.0 * mu * b * b * m_sum * m_sum
-    try:  # a float ** raises OverflowError where * would give inf
-        square = (4.0 * A - m_sum * m_sum) ** 2
-    except OverflowError:
-        square = math.inf
-    # a denominator that underflowed to 0 stands for an infinite |E|
-    e_value = -(hbar * hbar * square) / denominator if denominator else -math.inf
-    return _normal_energy(e_value, state, params)
+    e_value = _divide(-(hbar * hbar * _power(4.0 * A - m_sum * m_sum, 2)),
+                      32.0 * mu * b * b * m_sum * m_sum)
+    return _normal(e_value, params, "energy of", state)
 
 
 def screened_coulomb_coupling(Z: float, delta: float,
@@ -207,15 +188,15 @@ def screened_coulomb_coupling(Z: float, delta: float,
 
     Feeding the result to ``hulthen_energy`` recovers the hydrogen spectrum
     as delta -> 0.  Raises :class:`DomainError` where b is not a normal
-    float or A is not a finite float.
+    float or A is not a finite float (A = 0 at Z = 0 is valid).
     """
     if delta <= 0.0:
         raise DomainError(f"screening delta must be positive, got {delta}")
-    b = 1.0 / delta
-    A = 2.0 * mu * Z * e_sq * b / (hbar * hbar)
-    if not (_NORMAL_MIN <= b < math.inf and math.isfinite(A)):
-        raise DomainError(f"(A, b) = ({A}, {b}) for delta={delta}: need a normal float b "
-                          "and a finite float A")
+    source = f"Z={Z}, delta={delta}, mu={mu}, hbar={hbar}, e_sq={e_sq}"
+    b = _normal(1.0 / delta, source, "b")
+    A = _divide(2.0 * mu * Z * e_sq * b, hbar * hbar)
+    if not math.isfinite(A):
+        raise DomainError(f"A is not a finite float for {source}")
     return A, b
 
 
@@ -230,11 +211,11 @@ def coulomb_limit_energy(state: QuantumState, Z: float,
     """
     if Z <= 0.0:
         raise DomainError(f"Z must be positive, got {Z}")
-    a0 = hbar * hbar / (mu * e_sq)
-    eps0 = Z * Z * hbar * hbar / (2.0 * mu * a0 * a0)
+    a0 = _divide(hbar * hbar, mu * e_sq)
+    eps0 = _divide(Z * Z * hbar * hbar, 2.0 * mu * a0 * a0)
     m_sum = 2 * state.n + state.D + 2 * state.l - 1
-    return _normal_energy(-4.0 * eps0 / (m_sum * m_sum), state,
-                          f"Z={Z}, mu={mu}, hbar={hbar}, e_sq={e_sq}")
+    return _normal(-4.0 * eps0 / (m_sum * m_sum), f"Z={Z}, mu={mu}, hbar={hbar}, e_sq={e_sq}",
+                   "energy of", state)
 
 
 def parse_spectroscopic(label: str) -> tuple[int, int]:

@@ -172,11 +172,16 @@ def _ln_norm_sum(n: int, eps: float, eta: float) -> float:
     Every factor is positive, so nothing cancels; the two gamma ratios are
     taken in log space by ``ln_gamma_ratio``, which keeps the large-a pair
     ln Gamma(n+a+b+1) - ln Gamma(n+a+1) from cancelling.  The integral may be
-    subnormal, so it stays a logarithm.
+    subnormal, so it stays a logarithm.  The last quotient is 0 where
+    a (2n + a + b + 1) overflows, past a ~ 1.3e154, and inf where it
+    underflows; there its logarithm is taken factor by factor.
     """
     a, b = 2.0 * eps, 2.0 * eta + 1.0
     log_ratio = ln_gamma_ratio(n + 1.0, b) - ln_gamma_ratio(n + a + 1.0, b)
-    return log_ratio + math.log((2.0 * n + b + 1.0) / (a * (2.0 * n + a + b + 1.0)))
+    quotient = (2.0 * n + b + 1.0) / (a * (2.0 * n + a + b + 1.0))
+    if 0.0 < quotient < math.inf:
+        return log_ratio + math.log(quotient)
+    return log_ratio + math.log(2.0 * n + b + 1.0) - math.log(a) - math.log(2.0 * n + a + b + 1.0)
 
 
 # ln s(n) from the smallest subnormal to the largest double
@@ -414,7 +419,12 @@ def total_wavefunction(params: PotentialParams, state: QuantumState,
         raise DomainError("r must be positive")
     if radial is None:
         radial = radial_wavefunction(params, state)
-    value = complex(r ** (-(state.D - 1) / 2.0) * radial.g_of_r(r))
+    try:
+        value = complex(r ** (-(state.D - 1) / 2.0) * radial.g_of_r(r))
+    except OverflowError:  # r^(-(D-1)/2) overflows near r = 0: fold it into g's log envelope
+        entry, ln_power = radial.entry, 0.5 * (state.D - 1) * math.log(r)
+        value = complex(radial.norm_constant
+                        * _g_bare(r / radial.b, entry.epsilon, entry.eta, entry.state.n, ln_power))
     value *= angular_factor(1, multi_index, float(point[1]))
     for j in range(2, state.D):
         value *= angular_factor(j, multi_index, float(point[j]))

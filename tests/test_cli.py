@@ -719,6 +719,16 @@ class TestOutputContract:
         assert captured.err.startswith("solver failure: normalization formula inconsistent")
         assert captured.out == ""
 
+    def test_closed_form_norm_past_an_overflowing_quotient_exits_4(self, capsys):
+        # eps ~ 1e154: a (2n + a + b + 1) overflows and s(n) ~ exp(-1935) underflows
+        rc = main(["wavefunction", "--A", "3e154", "--b", "1", "--alpha", "1.5", "--dim", "3",
+                   "--states", "2p", "--samples", "3"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: normalization formula inconsistent")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--A", "nan", "--b", "40", "--alpha", "0.75", "--dim", "2", "--states", "2p"],
         ["spectrum", "--A", "inf", "--b", "40", "--alpha", "0.75", "--dim", "2", "--states", "2p"],

@@ -159,12 +159,13 @@ class TestMinimum:
         with pytest.raises(NoMinimumError):
             potential_curvature(params)
 
-    @pytest.mark.parametrize("params", [PotentialParams(A=1e300, alpha=-1.0, b=3.0),
-                                        PotentialParams(A=80.0, alpha=1.5, b=1e308)],
-                             ids=["V-overflows", "V-underflows"])
-    def test_minimum_out_of_float_range_raises(self, params):
+    @pytest.mark.parametrize("params, phrase", [
+        (PotentialParams(A=1e300, alpha=-1.0, b=3.0), r"V\(r0\) is not a finite float"),
+        (PotentialParams(A=80.0, alpha=1.5, b=1e308), r"V\(r0\) rounds to 0"),
+    ], ids=["V-overflows", "V-underflows"])
+    def test_minimum_out_of_float_range_raises(self, params, phrase):
         # V(r0) would read -inf and -0.0
-        with pytest.raises(DomainError, match="is not a pair of normal floats"):
+        with pytest.raises(DomainError, match=phrase):
             potential_minimum(params)
 
     def test_negative_alpha_mirrors_above_one(self):
@@ -210,15 +211,24 @@ class TestCurvature:
         doubled = potential_curvature(PotentialParams(A=2.0, alpha=2.0, b=2.0))
         assert doubled == pytest.approx(reference / 16.0, rel=1e-14)
 
-    @pytest.mark.parametrize("A, alpha, b", [
-        (80.0, 1.5, 1e80),   # b**4 raises OverflowError
-        (1e160, 1.5, 40.0),  # (A + 2 alpha(alpha-1))**2 raises OverflowError
-        (80.0, 1.5, 1e77),   # 8 b**4 overflows to inf, which would read as V'' = 0
-        (1e100, 1.5, 40.0),  # A^2 (A + 2 alpha(alpha-1))^2 overflows to inf
-    ])
-    def test_overflow_raises_domain_error(self, A, alpha, b):
-        with pytest.raises(DomainError, match="not a finite positive float"):
+    @pytest.mark.parametrize("A, alpha, b, phrase", [
+        # b**4 raises OverflowError
+        (80.0, 1.5, 1e80, "rounds to 0"),
+        # (A + 2 alpha(alpha-1))**2 raises OverflowError
+        (1e160, 1.5, 40.0, "is not a finite float"),
+        # 8 b**4 overflows to inf, which would read as V'' = 0
+        (80.0, 1.5, 1e77, "rounds to 0"),
+        # A^2 (A + 2 alpha(alpha-1))^2 overflows to inf
+        (1e100, 1.5, 40.0, "is not a finite float"),
+    ], ids=["80.0-1.5-1e+80", "1e+160-1.5-40.0", "80.0-1.5-1e+77", "1e+100-1.5-40.0"])
+    def test_overflow_raises_domain_error(self, A, alpha, b, phrase):
+        with pytest.raises(DomainError, match=phrase):
             potential_curvature(PotentialParams(A=A, alpha=alpha, b=b))
+
+    def test_subnormal_curvature_raises_domain_error(self):
+        # A^2 = 1e-320 is subnormal, and V'' = 1.25e-321 with it
+        with pytest.raises(DomainError, match=r"V''\(r0\) is subnormal"):
+            potential_curvature(PotentialParams(A=1e-160, alpha=2.0, b=1.0))
 
 
 class TestEffectivePotential:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -125,6 +126,28 @@ class TestCriticalCoupling:
         implied_energy = -(eps * eps) / (2.0 * params.b**2)
         assert abs(implied_energy) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.75, 1.5, 1e4, 1e8, 1e12, 1e16, 1e100])
+    def test_matches_mpmath_within_the_threshold_bracket(self, alpha):
+        # (n+1+eta)^2 - eta(eta+1) cancels as eta ~ |alpha| grows: at alpha = 1e16
+        # it read 0.75 for 2p at D = 2.  The reference takes that form to 250
+        # digits, more than eta^2 ~ 1e200 spends; the state must be unbound at
+        # A_c (1 - 1e-9) and bound at A_c (1 + 1e-9)
+        for n in range(6):
+            for l, D in ((0, 2), (0, 3), (1, 2), (2, 4)):
+                state = QuantumState(n=n, l=l, D=D)
+                if state.q == 0 and abs(1.0 - 2.0 * alpha) < 1.0:
+                    continue  # no real shape parameter at q = 0
+                a_c = critical_coupling(state, alpha)
+                with mpmath.workdps(250):
+                    radicand = (1 - 2 * mpmath.mpf(alpha)) ** 2 + state.q ** 2 - 1
+                    eta = (mpmath.sqrt(radicand) - 1) / 2
+                    reference = (n + 1 + eta) ** 2 - eta * (eta + 1) + (state.q ** 2 - 1) / 4
+                    assert a_c * (1 - 1e-9) < reference < a_c * (1 + 1e-9), state
+                below, above = (epsilon_parameter(PotentialParams(A=a_c * (1.0 + rel),
+                                                                  alpha=alpha, b=1.0), state)
+                                for rel in (-1e-9, 1e-9))
+                assert below < 0.0 < above, state
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e300])
     def test_non_finite_result_raises(self, alpha):
         with pytest.raises(DomainError):
@@ -217,8 +240,21 @@ class TestHulthenAndCoulomb:
 
     def test_screened_coulomb_out_of_float_range_raises(self):
         # b = 1/delta overflows to inf, and A with it
-        with pytest.raises(DomainError, match="need a normal float b and a finite float A"):
+        with pytest.raises(DomainError, match="is not a finite float"):
             screened_coulomb_coupling(1.0, 1e-320)
+
+    @pytest.mark.parametrize("call, phrase", [
+        # hbar^2 underflows to 0 in A = 2 mu Z e^2 b / hbar^2
+        (lambda: screened_coulomb_coupling(1.0, 1.0, hbar=1e-200), "A is not a finite float"),
+        # a0^2 underflows to 0 in eps0 = Z^2 hbar^2 / (2 mu a0^2)
+        (lambda: coulomb_limit_energy(QuantumState(0, 0, 3), 1.0, hbar=1e-100),
+         "is not a finite float"),
+        # a0 = hbar^2 / (mu e^2) divides by 0, and E with it
+        (lambda: coulomb_limit_energy(QuantumState(0, 0, 3), 1.0, e_sq=0.0), "rounds to 0"),
+    ], ids=["screened-hbar-1e-200", "coulomb-hbar-1e-100", "coulomb-e-sq-0"])
+    def test_denominator_underflowing_to_zero_raises_domain_error(self, call, phrase):
+        with pytest.raises(DomainError, match=phrase):
+            call()
 
     def test_screened_coulomb_rejects_zero_screening(self):
         with pytest.raises(DomainError, match="screening delta must be positive"):

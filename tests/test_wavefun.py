@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
-                           PotentialParams, QuantumState, SpectrumEntry,
+                           NormalizationError, PotentialParams, QuantumState, SpectrumEntry,
                            UnboundStateError, angular_factor, critical_coupling, energy,
                            gauss_legendre, jacobi, ln_gamma,
                            normalization_closed_form, normalization_quadrature,
@@ -21,7 +21,7 @@ from manning_rosen import (AngularMultiIndex, ConvergenceError, DomainError,
 from manning_rosen.specfun import _jacobi_y
 from manning_rosen.wavefun import (_EXP_SINH_LEVELS, _EXP_SINH_NODES, _EXP_SINH_WEIGHTS,
                                    _H_FIRST, _HALVINGS, _NODE_SCAN_OFFSETS, _U_MAX, _U_MIN,
-                                   _count_nodes, _exp_sinh_integral,
+                                   _count_nodes, _exp_sinh_integral, _ln_norm_sum,
                                    _norm_integral_quadrature)
 
 
@@ -158,6 +158,20 @@ class TestNormalization:
             reference = 1 / mpmath.sqrt(params.b * s_n)
         assert s_n < sys.float_info.min
         assert abs(normalization_closed_form(entry, params.b) / reference - 1) < 1e-12
+
+    def test_closed_form_past_an_overflowing_quotient_raises_normalization_error(self):
+        # a = 2 eps ~ 2e154: a (2n + a + b + 1) overflows, so the last quotient
+        # of the closed form reads 0; ln s(n) ~ -1935 is below the double range
+        params = PotentialParams(A=3e154, alpha=1.5, b=1.0)
+        state = QuantumState(n=0, l=1, D=3)
+        entry = energy(params, state)
+        with mpmath.workdps(220):  # a + b + 1 needs 155 digits to keep b
+            a, b = 2 * mpmath.mpf(entry.epsilon), 2 * mpmath.mpf(entry.eta) + 1
+            reference = (mpmath.loggamma(a + 1) + mpmath.loggamma(b + 1) + mpmath.log(b + 1)
+                         - mpmath.log(a) - mpmath.loggamma(a + b + 1) - mpmath.log(a + b + 1))
+        assert abs(_ln_norm_sum(0, entry.epsilon, entry.eta) / reference - 1) < 1e-13
+        with pytest.raises(NormalizationError, match="outside the double range"):
+            radial_wavefunction(params, state)
 
     def test_convergence_failure_reports_last_two_estimates(self):
         # a step: the trapezoid error stays O(h) at every level
@@ -563,6 +577,25 @@ class TestTotalWavefunction:
                                              radial=radial)
                     total += wz * wth * wph * abs(psi) ** 2 * r * r * math.sin(th) * jac
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_radial_power_overflowing_near_the_origin_is_taken_in_log_space(self):
+        # r^(-(D-1)/2) = 1e450 at r = 1e-300 and D = 4: a float ** raises
+        # OverflowError, while psi itself, about 1e29, is a float
+        params = table_params()
+        state = QuantumState(n=0, l=0, D=4)
+        idx = AngularMultiIndex((0, 0, 0))
+        radial = radial_wavefunction(params, state)
+        r, angles = 1e-300, (0.4, 1.1, 0.7)
+        value = total_wavefunction(params, state, idx, (r, *angles), radial=radial)
+        angular = (angular_factor(1, idx, angles[0]) * angular_factor(2, idx, angles[1])
+                   * angular_factor(3, idx, angles[2]))
+        entry = radial.entry
+        with mpmath.workdps(50):
+            s = mpmath.mpf(r) / params.b
+            reference = (radial.norm_constant * mpmath.exp(-entry.epsilon * s)
+                         * (-mpmath.expm1(-s)) ** (1 + mpmath.mpf(entry.eta))
+                         * mpmath.mpf(r) ** mpmath.mpf(-1.5))
+        assert abs(value / (complex(reference) * angular) - 1) < 1e-12
 
     @pytest.mark.parametrize("state, idx, point", [
         (QuantumState(n=1, l=1, D=3), AngularMultiIndex((-1, 1)), (2.5, 0.4, 1.1)),
