@@ -217,8 +217,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]):
 
     argparse converts and checks the file's values like typed ones, and a flag
     typed on the command line comes later, so it wins.  When the locator cannot
-    read argv, the parser parses it as given and words the error itself.
+    read argv, the parser parses it as given and words the error itself.  So
+    does a request with no token that starts with ``--c``: --config is the only
+    flag with that prefix, and argparse abbreviates it to no shorter one, so
+    the locator would find no config there.
     """
+    if not any(token.startswith("--c") for token in argv):
+        return parser.parse_args(argv)
     try:
         located, _ = _locator().parse_known_args(argv)
     except argparse.ArgumentError:  # such as --config without a value

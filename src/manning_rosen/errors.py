@@ -22,7 +22,8 @@ class UnboundStateError(ValueError):
 
 
 class NormalizationError(ArithmeticError):
-    """The closed-form norm integral came out non-finite or non-positive."""
+    """The closed-form radial solution leaves the float range: its norm integral
+    came out non-finite or non-positive, or its Jacobi factor overflows."""
 
 
 class ConvergenceError(RuntimeError):

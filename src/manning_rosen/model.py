@@ -92,7 +92,12 @@ class QuantumState:
     def q(self) -> int:
         """Combined index D + 2l - 2; the spectrum depends on (n, l, D) only
         through this."""
-        return self.D + 2 * self.l - 2
+        return _combined_index(self.D, self.l)
+
+
+def _combined_index(D: int, l: int) -> int:
+    """q = D + 2l - 2 of ``QuantumState.q``, without building or checking a state."""
+    return D + 2 * l - 2
 
 
 def _as_positive_radius(r):
@@ -106,10 +111,18 @@ def _geometric(lo: float, hi: float, num: int) -> np.ndarray:
     """np.geomspace(lo, hi, num) for lo, hi > 0 and num >= 1, bit for bit.
 
     The same arithmetic, 10 ** linspace(log10 lo, log10 hi, num) with the
-    ends pinned to lo and hi, without geomspace's argument handling, which
-    costs more than the arithmetic on the grids used here.
+    ends pinned to lo and hi, without the argument handling of geomspace and
+    linspace, which costs more than the arithmetic on the grids used here.
+    The exponents are linspace's: k * step + log10 lo, step = the span over
+    num - 1 (a step that rounds to 0 only where the span is 0, when linspace's
+    other branch gives the same log10 lo).
     """
-    points = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), num))
+    start = np.log10(lo)
+    exponents = np.arange(num, dtype=float)
+    if num > 1:
+        exponents *= (np.log10(hi) - start) / (num - 1)
+    exponents += start
+    points = np.power(10.0, exponents)
     points[0] = lo
     if num > 1:
         points[-1] = hi
@@ -162,8 +175,8 @@ def _over_b_squared(numerator: float, denominator: float, params: PotentialParam
 
 def _screening(params: PotentialParams, radius):
     """exp(-x) and expm1(-x) at x = r/b, the two terms that V and the stand-in are built from."""
-    x = radius / params.b
-    return np.exp(-x), np.expm1(-x)
+    x = -(radius / params.b)
+    return np.exp(x), np.expm1(x)
 
 
 def _potential(params: PotentialParams, decay, decay_m1):

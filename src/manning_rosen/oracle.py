@@ -93,6 +93,7 @@ oracle solves.
 """
 
 import dataclasses
+import functools
 import importlib.machinery
 import importlib.util
 import logging
@@ -106,8 +107,8 @@ import numpy as np
 import scipy
 
 from .errors import ConvergenceError, DomainError
-from .model import (CentrifugalMode, PotentialParams, QuantumState, _barrier, _geometric,
-                    _normal, _potential, _screening)
+from .model import (_NORMAL_MIN, CentrifugalMode, PotentialParams, QuantumState, _barrier,
+                    _combined_index, _geometric, _normal, _potential, _screening)
 from .spectrum import bound_states, shape_parameter
 from .spectrum import energy as _closed_energy
 
@@ -155,7 +156,7 @@ _ORIGIN_WEIGHT_EXPONENT = 18.0
 _ORIGIN_FLOOR = 1e-12
 _ORIGIN_CAP = 1e-3
 # Bisection tolerance: the graded log-grid matrix needs full relative accuracy.
-_BISECTION_TOL = 2.0 * np.finfo(float).tiny
+_BISECTION_TOL = 2.0 * _NORMAL_MIN
 # Shifted solves per level at most on the seeded path, and the relative
 # half-width below which its certifying bisection window is not narrowed.
 _SEED_SOLVES = 3
@@ -211,7 +212,7 @@ class LogRadialGrid:
                 f"grid [{self.r_min}, {self.r_max}] with {self.n_points} points is out of "
                 f"float range: r_max^2 and (2/h^2 + 1/4)/r_min^2 must be finite normal floats")
 
-    @property
+    @functools.cached_property  # outside the fields, so repr and == are unchanged
     def spacing(self) -> float:
         return math.log(self.r_max / self.r_min) / (self.n_points - 1)
 
@@ -249,13 +250,16 @@ def _grid_origin(b: float, r_max: float) -> float:
     return _ORIGIN_FLOOR * min(b, r_max)
 
 
-def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadialGrid:
+def default_grid(params: PotentialParams, D: int, l: int, k: int = 1,
+                 levels: list | None = None) -> LogRadialGrid:
     """Log-mapped grid sized from the closed-form decay and origin behaviour of the channel.
 
     The wavefunction of a state with energy parameter eps decays like
     exp(-eps r / b), so r_max = b (35 + 5 n_top) / eps_min keeps the
     truncated tail below ~1e-15; n_top is the highest of the first k levels
     that ``bound_states`` finds bound, and eps_min = 1 when none is.
+    ``levels``, when given, is that list, ``bound_states(params, D, l, k - 1)``,
+    which a caller that seeds from it has already computed.
 
     The grid is uniform in x = ln r with spacing h = ln(r_max / r_0) / 4000,
     the spacing of 4001 points from the ``_grid_origin`` r_0 of explicit
@@ -271,12 +275,13 @@ def default_grid(params: PotentialParams, D: int, l: int, k: int = 1) -> LogRadi
     h; channels with nu -> 0 (q = 0 at alpha = 0 or 1, and eta -> -1/2) keep
     r_0 and 4001 points.
     """
-    entries = bound_states(params, D, l, n_max=max(k, 1) - 1)
+    entries = bound_states(params, D, l, n_max=max(k, 1) - 1) if levels is None else levels
     n_top, eps_min = (entries[-1].state.n, entries[-1].epsilon) if entries else (0, 1.0)
     r_max = params.b * (35.0 + 5.0 * n_top) / eps_min
     floor = _grid_origin(params.b, r_max)
     h = math.log(r_max / floor) / (_LOG_GRID_POINTS - 1)
-    nu = 0.5 * shape_parameter(params, QuantumState(n=0, l=l, D=D))
+    a = entries[0].a_param if entries else shape_parameter(params, QuantumState(n=0, l=l, D=D))
+    nu = 0.5 * a  # a is every level's shape parameter
     onset = 10.0 ** (-_ORIGIN_WEIGHT_EXPONENT / (2.0 * nu + 1.0))
     start = min(params.b, r_max) * min(max(onset, _ORIGIN_FLOOR), _ORIGIN_CAP)
     steps = round(math.log(start / floor) / h)
@@ -291,6 +296,7 @@ class _ChannelParts:
     grid: LogRadialGrid
     r: np.ndarray  # the interior nodes
     r_squared: np.ndarray
+    quarter_over_r: np.ndarray  # 1/(4r), the first term of u'' (``_deferred_correction``)
     screening: tuple[np.ndarray, np.ndarray]  # exp(-r/b), expm1(-r/b)
     potential: np.ndarray  # kappa V, as V at unit kappa
     kinetic: np.ndarray  # (2/h^2 + 1/4)/r^2, the kinetic diagonal but at the Robin end
@@ -298,30 +304,33 @@ class _ChannelParts:
 
 
 def _with_kinetic(grid: LogRadialGrid, r: np.ndarray, r_squared: np.ndarray,
-                  screening: tuple[np.ndarray, np.ndarray], potential: np.ndarray) -> _ChannelParts:
+                  quarter_over_r: np.ndarray, screening: tuple[np.ndarray, np.ndarray],
+                  potential: np.ndarray) -> _ChannelParts:
     """``_ChannelParts`` on ``grid`` from the node arrays, adding the two that hold its spacing."""
     h = grid.spacing
-    return _ChannelParts(grid=grid, r=r, r_squared=r_squared, screening=screening,
-                         potential=potential, kinetic=(2.0 / (h * h) + 0.25) / r_squared,
+    return _ChannelParts(grid=grid, r=r, r_squared=r_squared, quarter_over_r=quarter_over_r,
+                         screening=screening, potential=potential,
+                         kinetic=(2.0 / (h * h) + 0.25) / r_squared,
                          off=-1.0 / (h * h * r[:-1] * r[1:]))
 
 
 def _channel_parts(params: PotentialParams, grid: LogRadialGrid) -> _ChannelParts:
     """The mode-independent arrays of ``_tridiagonal`` on ``grid``, computed once."""
     r = grid.points()[1:-1]
-    unit_kappa = dataclasses.replace(params, mu=0.5, hbar=1.0)
+    unit_kappa = PotentialParams(A=params.A, alpha=params.alpha, b=params.b, mu=0.5, hbar=1.0)
     screening = _screening(unit_kappa, r)
-    return _with_kinetic(grid, r, r * r, screening, _potential(unit_kappa, *screening))
+    return _with_kinetic(grid, r, r * r, 0.25 / r, screening,
+                         _potential(unit_kappa, *screening))
 
 
 def _coarse_parts(parts: _ChannelParts, coarse: LogRadialGrid) -> _ChannelParts:
     """``_channel_parts`` on ``coarse``, whose nodes are every other node of the fine grid's.
 
     The coarse interior nodes are the fine grid's odd interior nodes, so the
-    nodes, r^2, the screening pair and V are sliced out of the fine ``parts``;
+    nodes, r^2, 1/(4r), the screening pair and V are sliced out of the fine ``parts``;
     only the kinetic diagonal and the off-diagonal are built anew.
     """
-    return _with_kinetic(coarse, parts.r[1::2], parts.r_squared[1::2],
+    return _with_kinetic(coarse, parts.r[1::2], parts.r_squared[1::2], parts.quarter_over_r[1::2],
                          (parts.screening[0][1::2], parts.screening[1][1::2]),
                          parts.potential[1::2])
 
@@ -353,7 +362,7 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     passed on its own because ``perfbench/tracing.py`` counts its points.
     """
     r, r_squared, h = parts.r, parts.r_squared, grid.spacing
-    q = QuantumState(n=0, l=l, D=D).q
+    q = _combined_index(D, l)
     with np.errstate(divide="ignore"):  # an infinite barrier fails the finiteness check below
         barrier = _barrier(params, q, mode, r_squared, *parts.screening)
     v_scaled = parts.potential + barrier
@@ -363,14 +372,22 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     nu = math.sqrt(max(0.25 + float(r_squared[0] * v_scaled[0]), 0.0))
     diag = parts.kinetic + v_scaled
     diag[0] = (2.0 / (h * h) - math.exp(-nu * h) / (h * h) + 0.25) / r_squared[0] + v_scaled[0]
-    if not np.all(np.isfinite(diag)):
+    if not np.isfinite(diag).all():
         raise DomainError(f"kappa V_eff is not a finite float on grid {grid} for {params}")
     return diag, parts.off, v_scaled, r
 
 
 def _eigenvector_nodes(vec: np.ndarray) -> int:
-    magnitude = np.abs(vec)
-    positive = vec[magnitude > 1e-9 * np.max(magnitude)] > 0.0
+    """Sign changes of ``vec`` over its components of magnitude above 1e-9 of the largest.
+
+    There are none unless components of both signs pass that threshold, which
+    the largest and the smallest component tell without a pass over |vec|.
+    """
+    top, bottom = vec.max(), vec.min()
+    threshold = 1e-9 * max(top, -bottom)
+    if not (top > threshold and bottom < -threshold):
+        return 0
+    positive = vec[np.abs(vec) > threshold] > 0.0
     return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
@@ -409,7 +426,7 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
     LAPACK's gtsv and stebz take no empty off-diagonal.  Returns the values,
     their eigenvectors as columns and the path taken, for the log.
     """
-    v_min = float(np.min(v_scaled))
+    v_min = float(v_scaled.min())
     lower = v_min - _LOWER_MARGIN * abs(v_min)
     if lower >= 0.0:  # the kinetic part is positive: nothing lies below 0
         return np.empty(0), np.empty((len(diag), 0)), "unsolved (kappa V_eff >= 0)"
@@ -421,8 +438,8 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
     with np.errstate(over="ignore"):  # an infinite entry fails the pivot-floor judgement
         diag, off, lower = diag * scale, off * scale, lower * scale
     abs_diag, abs_off = np.abs(diag), np.abs(off)
-    off_max = float(np.max(abs_off, initial=1.0))
-    floor = np.finfo(float).tiny * off_max * off_max
+    off_max = max(float(abs_off.max()), 1.0)  # nan stays nan
+    floor = _NORMAL_MIN * off_max * off_max
 
     def judge(levels, what: str):  # levels at LAPACK's scale, the last the shallowest
         if len(levels) and not floor <= _MAX_PIVOT_FLOOR * abs(levels[-1]):  # inf fails too
@@ -431,9 +448,10 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
                 f"{_MAX_PIVOT_FLOOR:g} of {what} {levels[-1] / scale:.6g}, on grid {grid}: "
                 "raise r_min")
     judge([lower], "kappa min V_eff")
-    path = f"seeded{'' if starts is None else ' from approx'}"
+    path = "seeded" if starts is None else "seeded from approx"
     seeds, k = [seed * scale for seed in seeds[:k]], min(k, size)
-    flat = np.full(size, 1.0 / math.sqrt(size))
+    flat = None  # the flat unit start vector, built when a level first needs it
+    shifted = np.empty(size)  # T - sigma's diagonal, which gtsv overwrites
     values, vectors, solves, bisected = [], [], 0, ""
     while len(values) < k:
         n = len(values)
@@ -445,24 +463,28 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
                 if info or found != n:
                     raise ConvergenceError(f"stebz finds {found - n} more levels below 0")
                 break
+            if starts is None and flat is None:
+                flat = np.full(size, 1.0 / math.sqrt(size))
             shift, w = seeds[n], flat if starts is None else starts[:, n]
             for _ in range(_SEED_SOLVES):
-                x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
+                np.subtract(diag, shift, out=shifted)
+                x, info = dgtsv(off, shifted, off, w, overwrite_d=1)[3:]
                 if info > 0:  # an exact zero pivot: shift is the eigenvalue to working precision
                     shift -= 0.25 * _SEED_WINDOW * abs(shift)
-                    x, info = dgtsv(off, diag - shift, off, w, overwrite_d=1)[3:]
+                    np.subtract(diag, shift, out=shifted)
+                    x, info = dgtsv(off, shifted, off, w, overwrite_d=1)[3:]
                     solves += 1
                 solves += 1
-                norm = math.sqrt(float(x @ x))
+                norm = math.sqrt(float(x.dot(x)))
                 if info or not 0.0 < norm < math.inf:
                     raise ConvergenceError(f"singular shift at level {n}")
-                shift += float(w @ x) / (norm * norm)
+                shift += float(w.dot(x)) / (norm * norm)
                 w = x / norm
                 radius = 2.0 / norm
                 if radius <= _SEED_WINDOW * abs(shift):
                     break
             a = np.abs(w)
-            rounding = _ULP * float(a @ (abs_diag * a) + 2.0 * (a[:-1] * abs_off) @ a[1:])
+            rounding = _ULP * float(a.dot(abs_diag * a) + (2.0 * (a[:-1] * abs_off)).dot(a[1:]))
             half = max(_SEED_WINDOW * abs(shift), rounding)
             if radius > half:
                 raise ConvergenceError(f"level {n} not converged in {_SEED_SOLVES} solves")
@@ -496,19 +518,23 @@ def _bound_levels(b: float, k: int, grid: LogRadialGrid, diag: np.ndarray, off: 
             + (", no other level below 0 (stebz count)" if len(values) < k else ""))
 
 
-def _deferred_correction(r: np.ndarray, h: float, v_scaled: np.ndarray,
+def _deferred_correction(parts: _ChannelParts, v_scaled: np.ndarray,
                          values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """(h^2/12) sum_j c_ij^2 / sum_j w_ij^2 per level i, added to lambda_i.
 
-    ``r`` holds the interior nodes.  u'' = (1/4 + r^2 (kappa V_eff - lambda)) u
+    On the interior nodes r of ``parts``, u'' = (1/4 + r^2 (kappa V_eff - lambda)) u
     with u = w / r, from the equation itself; components at inverse
     iteration's noise floor are left out.
     """
-    w = vectors.T  # one contiguous row per level: LAPACK returns columns
-    u_xx = (0.25 / r + r * (v_scaled - values[:, None])) * w
+    h, w = parts.grid.spacing, vectors.T  # one contiguous row per level: LAPACK returns columns
+    u_xx = v_scaled - values[:, None]  # then 1/(4r) + r (kappa V_eff - lambda), times w, in place
+    u_xx *= parts.r
+    u_xx += parts.quarter_over_r
+    u_xx *= w
     magnitude = np.abs(w)
-    u_xx[magnitude <= _NOISE_FLOOR * np.max(magnitude, axis=1, keepdims=True)] = 0.0
-    return (h * h / 12.0) * (np.sum(u_xx * u_xx, axis=1) / np.sum(w * w, axis=1))
+    u_xx[magnitude <= _NOISE_FLOOR * magnitude.max(axis=1, keepdims=True)] = 0.0
+    u_xx *= u_xx
+    return (h * h / 12.0) * (u_xx.sum(axis=1) / (w * w).sum(axis=1))
 
 
 def solve_radial(params: PotentialParams, D: int, l: int,
@@ -564,43 +590,36 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     return _solve_modes(params, D, l, [mode], grid, k)[mode]
 
 
-def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: int, approx,
+def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: int, seeds,
            parts: _ChannelParts, coarse: _ChannelParts | None = None,
            shared: float | None = None):
     """One mode solved on ``parts.grid``, and the (diagonal, values, vectors) it solved.
 
-    Seeds from the closed-form levels, except that an exact-mode solve with
-    q^2 != 1 seeds from the ``approx`` that ``_solve_modes`` hands it: what
-    this returned for approximated mode on the same grid and k, and then
-    computes no closed-form seeds; or the :class:`ConvergenceError` or
-    :class:`DomainError` that solve raised, and then has no seeds, so
-    bisection seeds it.  ``coarse``, a default solve's ``_coarse_parts``,
-    adds the extrapolation of ``_two_grid``; ``shared``, the seconds the
-    shared parts took, goes into the DEBUG line.
+    ``seeds``, which ``_solve_modes`` picks, are the closed-form levels
+    kappa E_n (a list, empty where the closed form has none), or, for an
+    exact-mode solve with q^2 != 1, what this returned for approximated mode
+    on the same grid and k (a tuple), or the :class:`ConvergenceError` or
+    :class:`DomainError` that solve raised, and then bisection seeds it.
+    ``coarse``, a default solve's ``_coarse_parts``, adds the extrapolation
+    of ``_two_grid``; ``shared``, the seconds the shared parts took, goes
+    into the DEBUG line, which is formatted only when DEBUG is enabled.
     """
     grid, started = parts.grid, time.perf_counter()
-    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, parts)
+    diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid, parts)
     assembled = time.perf_counter()
-    seeds, starts, unseeded = [], None, ""
-    if mode is CentrifugalMode.EXACT and QuantumState(n=0, l=l, D=D).q ** 2 != 1:
-        if isinstance(approx, Exception):  # bisection seeds the exact levels
-            unseeded = f", no approximated seeds ({approx})"
-        else:  # sigma_n from the approximated lambda_n, w_n on this grid
-            diag_approx, values, starts = approx
-            squares = starts * starts
-            seeds = list(values + (diag - diag_approx) @ squares / np.sum(squares, axis=0))
-    else:
-        try:  # eps undefined (q = 0, |1 - 2 alpha| < 1) or E not normal: no seeds
-            scaled = [entry.epsilon / params.b for entry in bound_states(params, D, l, k - 1)]
-            seeds = [-s * s for s in scaled]
-        except DomainError:
-            pass
+    starts, unseeded = None, ""
+    if isinstance(seeds, Exception):  # bisection seeds the exact levels
+        seeds, unseeded = [], f", no approximated seeds ({seeds})"
+    elif isinstance(seeds, tuple):  # sigma_n from the approximated lambda_n, w_n on this grid
+        diag_approx, values, starts = seeds
+        squares = starts * starts
+        seeds = list(values + (diag - diag_approx) @ squares / squares.sum(axis=0))
     values, vectors, path = _bound_levels(params.b, k, grid, diag, off, v_scaled, seeds, starts)
     solved = time.perf_counter()
-    k_found = len(values)
-    energies = tuple(float(v) / params.kappa for v in values)
-    delta = _deferred_correction(r, grid.spacing, v_scaled, values, vectors)
-    refined = tuple(float(v) / params.kappa for v in values + delta)
+    k_found, kappa = len(values), params.kappa
+    energies = tuple([v / kappa for v in values.tolist()])
+    delta = _deferred_correction(parts, v_scaled, values, vectors)
+    refined = tuple([v / kappa for v in (values + delta).tolist()])
     _check_levels(params, grid, energies, refined, "deferred correction")
     corrected = time.perf_counter()
     if coarse is None:
@@ -608,18 +627,23 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: in
         warnings = () if gap <= _MAX_REFINEMENT_GAP else (
             f"refinement moves a level by {gap:.1e} relative "
             f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
-        two_grid = ""
     else:
-        refined, warnings, two_grid = _two_grid(params, D, l, mode, coarse, values, delta,
-                                                vectors, refined)
+        refined, warnings, held, coarse_path = _two_grid(params, D, l, mode, coarse, values,
+                                                         delta, vectors, refined)
         _check_levels(params, grid, energies, refined, "two-grid extrapolation")
-    _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
-               "%d of %d levels %s%s; %sassembly %.4f s, eigensolve %.4f s, refinement %.4f s%s",
-               D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k,
-               path + unseeded, two_grid,
-               "" if shared is None else f"shared assembly {shared:.4f} s, ",
-               assembled - started, solved - assembled, corrected - solved,
-               "" if coarse is None else f", coarse {time.perf_counter() - corrected:.4f} s")
+    if _LOG.isEnabledFor(logging.DEBUG):
+        finished = time.perf_counter()
+        _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
+                   "%d of %d levels %s%s; %sassembly %.4f s, eigensolve %.4f s, "
+                   "refinement %.4f s%s",
+                   D, l, mode.value, grid.n_points, grid.r_min, grid.spacing, k_found, k,
+                   path + unseeded,
+                   "" if coarse is None else (
+                       f"; coarse {coarse.grid.n_points} points, {held} of {k_found} levels "
+                       + coarse_path.replace(" from approx", " from fine", 1)),
+                   "" if shared is None else f"shared assembly {shared:.4f} s, ",
+                   assembled - started, solved - assembled, corrected - solved,
+                   "" if coarse is None else f", coarse {finished - corrected:.4f} s")
     result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
                           mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
     return result, (diag, values, vectors)
@@ -641,7 +665,8 @@ def _check_levels(params: PotentialParams, grid: LogRadialGrid, energies: tuple[
 def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
               coarse: _ChannelParts, values: np.ndarray, delta: np.ndarray,
               vectors: np.ndarray, refined: tuple[float, ...]):
-    """Refined levels E_n = (16 R_n - R_coarse,n) / 15, their warnings and the DEBUG text.
+    """Refined levels E_n = (16 R_n - R_coarse,n) / 15, their warnings, and for the DEBUG
+    line the number of levels the coarse grid holds and its ``_bound_levels`` path.
 
     ``refined`` holds the fine grid's R_n = lambda_n + delta_n in energy
     units, which err by O(h^4); the extrapolation cancels that term.  Coarse
@@ -655,7 +680,7 @@ def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
     does not hold keeps R_n and adds another.
     """
     grid = coarse.grid
-    diag, off, v_scaled, r = _tridiagonal(params, D, l, mode, grid, coarse)
+    diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid, coarse)
     try:
         coarse_values, starts, path = _bound_levels(params.b, len(values), grid, diag, off,
                                                     v_scaled, list(values - 3.0 * delta),
@@ -663,10 +688,10 @@ def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
     except ConvergenceError as exc:
         coarse_values, starts, path = np.empty(0), np.empty((len(diag), 0)), f"none ({exc})"
     held = len(coarse_values)
-    coarse_refined = coarse_values + _deferred_correction(r, grid.spacing, v_scaled,
-                                                          coarse_values, starts)
+    coarse_refined = coarse_values + _deferred_correction(coarse, v_scaled, coarse_values, starts)
     extrapolated = (16.0 * (values[:held] + delta[:held]) - coarse_refined) / 15.0
-    levels = tuple(float(v) / params.kappa for v in extrapolated) + refined[held:]
+    kappa = params.kappa
+    levels = tuple([v / kappa for v in extrapolated.tolist()]) + refined[held:]
     estimate = max((abs(e - x) / abs(e) for e, x in zip(levels, refined)), default=0.0)
     warnings = () if estimate <= _MAX_TWO_GRID_ERROR else (
         f"two-grid error estimate {estimate:.1e} relative (want <= {_MAX_TWO_GRID_ERROR:g}): "
@@ -674,8 +699,7 @@ def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
     if held < len(values):
         warnings += (f"the coarse grid holds {held} of {len(values)} levels: levels n >= {held} "
                      "keep their one-grid refined value",)
-    return levels, warnings, (f"; coarse {grid.n_points} points, {held} of {len(values)} levels "
-                              + path.replace(" from approx", " from fine", 1))
+    return levels, warnings, held, path
 
 
 @dataclass(frozen=True)
@@ -700,36 +724,52 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
     runs.  For q^2 != 1 the approximated eigenpairs seed the exact solve;
     exact mode asked alone gets them from an approximated solve of its own,
     on the fine grid only, and where that raises :class:`ConvergenceError`
-    or :class:`DomainError`, from bisection.
+    or :class:`DomainError`, from bisection.  Every other solve seeds from
+    the closed-form levels, ``bound_states(params, D, l, k - 1)``, computed
+    once here; where that raises :class:`DomainError` (eps undefined, for
+    q = 0 with |1 - 2 alpha| < 1, or E not normal), an explicit grid's
+    solves have no closed-form seeds and the default grids raise it.
 
     ``grid`` None solves each mode on both grids of ``_grid_pair(
     default_grid(params, D, l, k))``, the coarse grid's parts sliced from
     the fine ones (``_coarse_parts``).  The first solve that logs reports
     the time that the shared parts took.
     """
-    grid, coarse_grid = (_grid_pair(default_grid(params, D, l, k)) if grid is None
+    try:
+        levels = bound_states(params, D, l, k - 1)
+    except DomainError:
+        if grid is None:
+            raise
+        levels = []
+    grid, coarse_grid = (_grid_pair(default_grid(params, D, l, k, levels)) if grid is None
                          else (grid, None))
     started = time.perf_counter()
     parts, q = _channel_parts(params, grid), QuantumState(n=0, l=l, D=D).q
     coarse = None if coarse_grid is None else _coarse_parts(parts, coarse_grid)
     shared = time.perf_counter() - started
+    closed = [-s * s for s in [entry.epsilon / params.b for entry in levels]]
     solves, approx = {}, None
     for mode in sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT):
         if mode is CentrifugalMode.EXACT and approx is not None and q * q == 1:
             solves[mode] = dataclasses.replace(solves[CentrifugalMode.APPROXIMATED], mode=mode)
-            _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
-                       "%d of %d levels from the approx solve, not solved again "
-                       "(q^2 = 1: the same matrix and seeds)", D, l, mode.value,
-                       grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k)
+            if _LOG.isEnabledFor(logging.DEBUG):
+                _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
+                           "%d of %d levels from the approx solve, not solved again "
+                           "(q^2 = 1: the same matrix and seeds)", D, l, mode.value,
+                           grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k)
             continue
-        if mode is CentrifugalMode.EXACT and approx is None and q * q != 1:
-            try:  # exact mode alone: an approximated solve on this grid seeds it
-                approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, k, None, parts,
-                                None, shared)[1]
-                shared = None
-            except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
-                approx = exc
-        solves[mode], approx = _solve(params, D, l, mode, k, approx, parts, coarse, shared)
+        if mode is CentrifugalMode.EXACT and q * q != 1:
+            if approx is None:
+                try:  # exact mode alone: an approximated solve on this grid seeds it
+                    approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, k, closed, parts,
+                                    None, shared)[1]
+                    shared = None
+                except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
+                    approx = exc
+            seeds = approx
+        else:
+            seeds = closed
+        solves[mode], approx = _solve(params, D, l, mode, k, seeds, parts, coarse, shared)
         shared = None
     return solves
 

@@ -203,19 +203,19 @@ def screened_coulomb_coupling(Z: float, delta: float,
 def coulomb_limit_energy(state: QuantumState, Z: float,
                          mu: float = 1.0, hbar: float = 1.0,
                          e_sq: float = 1.0) -> float:
-    """Pure-Coulomb limit: E = -4 eps0 / (2n + D + 2l - 1)^2.
+    """Pure-Coulomb limit: E = -4 eps0 / M^2 = -2 Z^2 mu e^4 / (hbar^2 M^2).
 
-    eps0 = Z^2 hbar^2 / (2 mu a0^2) with the Bohr radius a0 = hbar^2/(mu e^2);
-    in atomic units the D = 3 ground state gives -Z^2/2.  Raises
+    M = 2n + D + 2l - 1, and eps0 = Z^2 hbar^2 / (2 mu a0^2) with the Bohr
+    radius a0 = hbar^2/(mu e^2); in atomic units the D = 3 ground state
+    gives -Z^2/2.  E is formed without a0, whose square leaves the float
+    range (hbar = 1e-100 gives a0^2 = 1e-400) where E does not.  Raises
     :class:`DomainError` where E is not a normal float, as ``energy`` does.
     """
     if Z <= 0.0:
         raise DomainError(f"Z must be positive, got {Z}")
-    a0 = _divide(hbar * hbar, mu * e_sq)
-    eps0 = _divide(Z * Z * hbar * hbar, 2.0 * mu * a0 * a0)
     m_sum = 2 * state.n + state.D + 2 * state.l - 1
-    return _normal(-4.0 * eps0 / (m_sum * m_sum), f"Z={Z}, mu={mu}, hbar={hbar}, e_sq={e_sq}",
-                   "energy of", state)
+    e_value = _divide(-2.0 * Z * Z * mu * e_sq * e_sq, hbar * hbar * m_sum * m_sum)
+    return _normal(e_value, f"Z={Z}, mu={mu}, hbar={hbar}, e_sq={e_sq}", "energy of", state)
 
 
 def parse_spectroscopic(label: str) -> tuple[int, int]:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NormalizationError
-from .model import (PotentialParams, QuantumState, _as_positive_radius, _geometric,
-                    _maybe_scalar)
+from .model import (_NORMAL_MIN, PotentialParams, QuantumState, _as_positive_radius,
+                    _geometric, _maybe_scalar)
 from .specfun import _jacobi_y, jacobi, ln_gamma, ln_gamma_ratio
 from .spectrum import SpectrumEntry, energy
 
@@ -129,13 +129,21 @@ def _count_nodes(eps: float, eta: float, n: int) -> int:
     y = w sin^2(theta/2) for 4001 theta uniform in (0, pi); this packs points
     towards both ends of the window, where the zeros cluster.  The array over
     theta depends on nothing else, so it is built once, at import, and
-    shared read-only.
+    shared read-only.  Raises :class:`NormalizationError` where the
+    recurrence leaves the float range on the scan (its coefficients grow like
+    (a + b)^3, which overflows past a + b ~ 5e102), since the signs of
+    inf and nan count no zeros.
     """
     if n == 0:  # P_0 = 1
         return 0
     a, b = 2.0 * eps, 2.0 * eta + 1.0
     width = min(2.0, 4.0 * (4.0 * n + 2.0 * b + 2.0) / a)
-    signs = np.sign(_jacobi_y(n, a, b, width * _NODE_SCAN_OFFSETS))
+    with np.errstate(over="ignore", invalid="ignore"):  # judged just below
+        values = _jacobi_y(n, a, b, width * _NODE_SCAN_OFFSETS)
+    if not np.isfinite(values).all():
+        raise NormalizationError(f"the Jacobi factor P_{n}^(a, b), a = {a!r}, b = {b!r}, is not "
+                                 "a finite float on the node scan, so its node count is unknown")
+    signs = np.sign(values)
     signs = signs[signs != 0.0]
     return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
 
@@ -148,6 +156,8 @@ def radial_wavefunction(params: PotentialParams, state: QuantumState) -> RadialS
     (it must equal n) from a sign-change scan of the Jacobi factor
     P_n^(a, b)(x), a = 2 eps, b = 2 eta + 1, at 4001 points of the window
     0 < y < min(2, 4 (4n + 2b + 2)/a) in y = 1 + x that holds all its zeros.
+    Raises :class:`NormalizationError` where the closed-form norm or that
+    Jacobi factor leaves the float range.
     """
     entry = energy(params, state)
     norm = normalization_closed_form(entry, params.b)
@@ -403,8 +413,11 @@ def total_wavefunction(params: PotentialParams, state: QuantumState,
 
     psi = r^(-(D-1)/2) g(r) * prod_j H(theta_j); with this radial power the
     norm over the full volume element r^(D-1) dr dOmega is exactly the
-    product of the unit 1-D norms.  Pass a prebuilt ``radial`` solution to
-    avoid recomputing the normalization per point.
+    product of the unit 1-D norms.  Where r^(-(D-1)/2) overflows near the
+    origin, or g(r) alone underflows below the normal floats there while the
+    product need not, the power is folded into g's log-space envelope.  Pass
+    a prebuilt ``radial`` solution to avoid recomputing the normalization per
+    point.
     """
     if multi_index.D != state.D:
         raise DomainError(
@@ -419,9 +432,12 @@ def total_wavefunction(params: PotentialParams, state: QuantumState,
         raise DomainError("r must be positive")
     if radial is None:
         radial = radial_wavefunction(params, state)
+    g = radial.g_of_r(r)
     try:
-        value = complex(r ** (-(state.D - 1) / 2.0) * radial.g_of_r(r))
-    except OverflowError:  # r^(-(D-1)/2) overflows near r = 0: fold it into g's log envelope
+        value = complex(r ** (-(state.D - 1) / 2.0) * g) if abs(g) >= _NORMAL_MIN else None
+    except OverflowError:  # r^(-(D-1)/2) overflows near r = 0
+        value = None
+    if value is None:  # fold the power into g's log envelope
         entry, ln_power = radial.entry, 0.5 * (state.D - 1) * math.log(r)
         value = complex(radial.norm_constant
                         * _g_bare(r / radial.b, entry.epsilon, entry.eta, entry.state.n, ln_power))

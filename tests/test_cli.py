@@ -729,6 +729,17 @@ class TestOutputContract:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    def test_node_count_past_an_overflowing_recurrence_exits_4(self, capsys):
+        # a + b ~ 1.3e144: the Jacobi recurrence that counts the 3s nodes overflows
+        rc = main(["wavefunction", "--A", "2.1561810272921502e+160",
+                   "--b", "6.5107698063601015e+87", "--alpha", "6.388609413309819e+143",
+                   "--dim", "2", "--states", "3s", "--samples", "3"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver failure: the Jacobi factor P_2^(a, b)")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--A", "nan", "--b", "40", "--alpha", "0.75", "--dim", "2", "--states", "2p"],
         ["spectrum", "--A", "inf", "--b", "40", "--alpha", "0.75", "--dim", "2", "--states", "2p"],
@@ -802,10 +813,12 @@ class TestParserReuse:
                 in capsys.readouterr().err)
 
     def test_abbreviated_config_flag_applies_the_file(self, tmp_path, capsys):
+        # argparse abbreviates --config to any prefix from --c on, = form included
         config = tmp_path / "run.cfg"
         config.write_text("inv-b=0.025\nA-over-b=2\nalpha=0.75\ndim=2\n")
-        assert main(["spectrum", "--conf", str(config), "--states", "2p"]) == 0
-        assert "-0.241087728" in capsys.readouterr().out
+        for flag in (["--conf", str(config)], [f"--conf={config}"], ["--c", str(config)]):
+            assert main(["spectrum", *flag, "--states", "2p"]) == 0, flag
+            assert "-0.241087728" in capsys.readouterr().out, flag
 
     def test_negative_config_value(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -426,6 +426,21 @@ class TestSolveRadial:
         assert re.search(first, alone) and re.search(first, seeding)
         assert re.search(r", 1 of 1 levels seeded from approx in \d+ solves; " + timings, exact)
 
+    def test_no_debug_line_is_built_with_debug_off(self, monkeypatch, caplog):
+        # above DEBUG the oracle formats no DEBUG line: _LOG.debug is never called
+        def refused(*args, **kwargs):
+            raise AssertionError("oracle DEBUG line built with DEBUG off")
+
+        monkeypatch.setattr(oracle._LOG, "debug", refused)
+        params = table_params()
+        with caplog.at_level(logging.INFO, logger="manning_rosen.oracle"):
+            audits = audit_channel(params, 2, 1, [0, 1, 2])  # both modes, both default grids
+            solve_radial(params, 2, 1, CentrifugalMode.EXACT,
+                         grid=LogRadialGrid(r_min=4e-11, r_max=2000.0, n_points=1201))
+            audit_channel(PotentialParams(A=80.0, alpha=0.0, b=40.0), 3, 0, [0, 1])  # q^2 = 1
+        assert all(audit.rel_errors[0] < 1e-8 for audit in audits)
+        assert not [r for r in caplog.records if r.name == "manning_rosen.oracle"]
+
     def test_package_logger_has_null_handler(self):
         handlers = logging.getLogger("manning_rosen").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)

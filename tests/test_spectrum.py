@@ -230,6 +230,11 @@ class TestHulthenAndCoulomb:
                 == coulomb_limit_energy(QuantumState(n=0, l=1, D=3), Z=1.0)
                 == -0.125)
 
+    def test_coulomb_limit_keeps_range_past_the_bohr_radius(self):
+        # a0 = hbar^2 / (mu e^2) = 1e-200 squares to 0, while E = -2 / (hbar^2 M^2) is normal
+        assert coulomb_limit_energy(QuantumState(n=0, l=0, D=3), Z=1.0,
+                                    hbar=1e-100) == pytest.approx(-5e199, rel=1e-15)
+
     def test_coulomb_rejects_bad_charge(self):
         with pytest.raises(DomainError):
             coulomb_limit_energy(QuantumState(n=0, l=0, D=3), Z=0.0)
@@ -246,12 +251,12 @@ class TestHulthenAndCoulomb:
     @pytest.mark.parametrize("call, phrase", [
         # hbar^2 underflows to 0 in A = 2 mu Z e^2 b / hbar^2
         (lambda: screened_coulomb_coupling(1.0, 1.0, hbar=1e-200), "A is not a finite float"),
-        # a0^2 underflows to 0 in eps0 = Z^2 hbar^2 / (2 mu a0^2)
-        (lambda: coulomb_limit_energy(QuantumState(0, 0, 3), 1.0, hbar=1e-100),
+        # hbar^2 underflows to 0 in E = -2 Z^2 mu e^4 / (hbar^2 M^2)
+        (lambda: coulomb_limit_energy(QuantumState(0, 0, 3), 1.0, hbar=1e-200),
          "is not a finite float"),
-        # a0 = hbar^2 / (mu e^2) divides by 0, and E with it
+        # e^4 = 0 makes E 0
         (lambda: coulomb_limit_energy(QuantumState(0, 0, 3), 1.0, e_sq=0.0), "rounds to 0"),
-    ], ids=["screened-hbar-1e-200", "coulomb-hbar-1e-100", "coulomb-e-sq-0"])
+    ], ids=["screened-hbar-1e-200", "coulomb-hbar-1e-200", "coulomb-e-sq-0"])
     def test_denominator_underflowing_to_zero_raises_domain_error(self, call, phrase):
         with pytest.raises(DomainError, match=phrase):
             call()

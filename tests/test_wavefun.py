@@ -386,6 +386,15 @@ class TestRadialSolution:
                    else math.exp(rng.uniform(math.log(1e-3), math.log(1e3))) - 0.5)
             assert _count_nodes(eps, eta, n) == n, (n, eps, eta)
 
+    def test_node_count_past_an_overflowing_recurrence_raises(self):
+        # a + b ~ 1.3e144: the recurrence's coefficient (a + b)^3 overflows and
+        # meets inf - inf, which once read as 0 nodes for this n = 2 state
+        params = PotentialParams(A=2.1561810272921502e+160, alpha=6.388609413309819e+143,
+                                 b=6.5107698063601015e+87)
+        with pytest.raises(NormalizationError, match=r"P_2\^\(a, b\).* not a finite float "
+                                                     r"on the node scan"):
+            radial_wavefunction(params, QuantumState(n=2, l=0, D=2))
+
     def test_exponential_tail(self):
         # g ~ z^eps = exp(-eps r / b) for r >> b up to the (1-z) factor
         params = table_params()
@@ -595,6 +604,27 @@ class TestTotalWavefunction:
             reference = (radial.norm_constant * mpmath.exp(-entry.epsilon * s)
                          * (-mpmath.expm1(-s)) ** (1 + mpmath.mpf(entry.eta))
                          * mpmath.mpf(r) ** mpmath.mpf(-1.5))
+        assert abs(value / (complex(reference) * angular) - 1) < 1e-12
+
+    def test_radial_part_underflowing_near_the_origin_is_taken_in_log_space(self):
+        # 2p at D = 4: g(r) ~ r^(2 + eta) underflows to 0 at r = 1e-200 while
+        # r^(-3/2) g(r), about 1.6e-192, is a normal float
+        params = PotentialParams(A=80.0, alpha=0.75, b=40.0)
+        state = QuantumState(n=0, l=1, D=4)
+        idx = AngularMultiIndex((0, 0, 1))
+        radial = radial_wavefunction(params, state)
+        r, angles = 1e-200, (0.4, 1.1, 0.7)
+        assert radial.g_of_r(r) == 0.0
+        value = total_wavefunction(params, state, idx, (r, *angles), radial=radial)
+        angular = (angular_factor(1, idx, angles[0]) * angular_factor(2, idx, angles[1])
+                   * angular_factor(3, idx, angles[2]))
+        entry = radial.entry
+        with mpmath.workdps(50):
+            s = mpmath.mpf(r) / params.b
+            reference = (radial.norm_constant * mpmath.exp(-entry.epsilon * s)
+                         * (-mpmath.expm1(-s)) ** (1 + mpmath.mpf(entry.eta))
+                         * mpmath.mpf(r) ** mpmath.mpf(-1.5))
+        assert 1e-193 < abs(reference) < 1e-191
         assert abs(value / (complex(reference) * angular) - 1) < 1e-12
 
     @pytest.mark.parametrize("state, idx, point", [
