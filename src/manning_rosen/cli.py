@@ -4,6 +4,9 @@ oracle comparisons, and degeneracy listings.
 Exit codes are stable: 0 success, 2 usage error, 3 unbound state,
 4 solver failure.  Identical flags produce byte-identical output.
 Each subcommand returns a :class:`Report`; ``main`` renders and writes it.
+A report carries only the format it renders: a JSON request builds the
+payload and formats no text cell, and a text or csv request builds its
+rows and no payload.
 A process builds the argument parser once and never modifies it: a
 ``--config`` file's values become ``--flag=value`` tokens after the
 subcommand, so each request is parsed once and argparse enforces every
@@ -52,15 +55,16 @@ _EXIT_CODES = {
 
 @dataclass(frozen=True)
 class Report:
-    """A subcommand's result before rendering.
+    """A subcommand's result before rendering, holding only what its format renders.
 
-    ``payload`` is the JSON document.  Table commands fill ``header`` and
-    ``rows`` and may add a ``footer`` that follows the text table only;
-    the other commands set ``text``, printed as-is for both text and csv.
+    A JSON request sets ``payload``, the JSON document.  A text or csv
+    request sets, for table commands, ``header`` and ``rows`` and may add a
+    ``footer`` that follows the text table only; the other commands set
+    ``text``, printed as-is for both text and csv.  In every format
     ``notice`` goes to stdout after the report has been written to --out.
     """
 
-    payload: object
+    payload: object = None
     header: Sequence[str] = ()
     rows: Sequence[Sequence[str]] = ()
     footer: str = ""
@@ -377,47 +381,41 @@ def _closed_form(params: PotentialParams, state: QuantumState) -> dict:
 
 def _cmd_spectrum(args, precision) -> Report:
     params, dim = _resolve_params(args)
-    rows: list[list[str]] = []
-    records = []
-    for n, l in _resolve_states(args):
-        state = QuantumState(n=n, l=l, D=dim)
-        label = state_label(n, l)
-        record = {"label": label, "n": n, "l": l, "D": dim, **_closed_form(params, state)}
-        rows.append([label, str(n), str(l), str(dim)]
-                    + ["-" if record[key] is None else _fmt(record[key], precision)
-                       for key in ("energy", "epsilon", "eta")]
-                    + [record["status"]])
-        records.append(record)
+    records = [{"label": state_label(n, l), "n": n, "l": l, "D": dim,
+                **_closed_form(params, QuantumState(n=n, l=l, D=dim))}
+               for n, l in _resolve_states(args)]
+    if args.output_format == "json":
+        return Report(payload=records)
+    rows = [[record["label"], str(record["n"]), str(record["l"]), str(dim)]
+            + ["-" if record[key] is None else _fmt(record[key], precision)
+               for key in ("energy", "epsilon", "eta")]
+            + [record["status"]] for record in records]
     bound = any(record["status"] == "bound" for record in records)
     header = ["label", "n", "l", "D", "energy", "epsilon", "eta", "status"]
-    return Report(payload=records, header=header, rows=rows,
+    return Report(header=header, rows=rows,
                   footer="" if bound else "note: no bound states for these parameters\n")
 
 
 def _cmd_table(args, precision) -> Report:
-    audit = audit_reference_table()
-    rows = []
-    payload = {}
-    footer = f"\nsuspected erratum cells: {sum(item.suspect for item in audit)}\n"
-    for item in audit:
-        cell = item.cell
-        rows.append([cell.label, f"{cell.inv_b:.3f}", str(cell.D), cell.alpha_label,
-                     _fmt(cell.reference_energy, precision),
-                     _fmt(item.computed_energy, precision),
-                     f"{item.deviation:.3e}", "SUSPECT" if item.suspect else "ok"])
-        key = f"{cell.label},{cell.inv_b:.3f},{cell.alpha_label},{cell.D}"
-        payload[key] = {
-            "reference": cell.reference_energy,
-            "computed": item.computed_energy,
-            "deviation": item.deviation,
-            "suspect": item.suspect,
-        }
-        if item.suspect:
-            footer += (f"  {cell.label} D={cell.D} alpha={cell.alpha_label} "
-                       f"1/b={cell.inv_b:.3f}: published {_fmt(cell.reference_energy, precision)}, "
-                       f"recomputed {_fmt(item.computed_energy, precision)}\n")
+    audit = [(item, item.cell) for item in audit_reference_table()]
+    if args.output_format == "json":
+        return Report(payload={
+            f"{cell.label},{cell.inv_b:.3f},{cell.alpha_label},{cell.D}": {
+                "reference": cell.reference_energy,
+                "computed": item.computed_energy,
+                "deviation": item.deviation,
+                "suspect": item.suspect,
+            } for item, cell in audit})
+    rows = [[cell.label, f"{cell.inv_b:.3f}", str(cell.D), cell.alpha_label,
+             _fmt(cell.reference_energy, precision), _fmt(item.computed_energy, precision),
+             f"{item.deviation:.3e}", "SUSPECT" if item.suspect else "ok"] for item, cell in audit]
+    suspects = [row for row in rows if row[-1] == "SUSPECT"]
+    footer = f"\nsuspected erratum cells: {len(suspects)}\n" + "".join(
+        f"  {label} D={dim} alpha={alpha} 1/b={inv_b}: published {published}, "
+        f"recomputed {computed}\n"
+        for label, inv_b, dim, alpha, published, computed, *_ in suspects)
     header = ["state", "inv_b", "D", "alpha", "reference", "computed", "deviation", "flag"]
-    return Report(payload=payload, header=header, rows=rows, footer=footer)
+    return Report(header=header, rows=rows, footer=footer)
 
 
 def _cmd_wavefunction(args, precision) -> Report:
@@ -433,23 +431,24 @@ def _cmd_wavefunction(args, precision) -> Report:
     samples = solution.sample(args.samples).tolist()
     columns = ["r", "z", "g", "g_squared"]
     label = state_label(n, l)
-    # a fixed-point float needs no csv quoting, so one %-format writes a whole row
-    row_format = ",".join([f"%.{precision}f"] * len(columns)) + "\n"
-    text = None if args.output_format == "json" else (
-        ",".join(columns) + "\n" + "".join(row_format % tuple(row) for row in samples)
-        + f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n")
-    payload = {
-        "label": label, "n": n, "l": l, "D": dim,
-        "energy": solution.entry.energy,
-        "epsilon": solution.entry.epsilon,
-        "node_count": solution.node_count,
-        "norm": norm_check,
-        "columns": columns,
-        "samples": samples,
-    }
     notice = (f"{label}: wrote {args.samples} samples to {args.out} "
               f"(norm={norm_check:.12f}, nodes={solution.node_count})\n")
-    return Report(payload=payload, text=text, notice=notice)
+    if args.output_format == "json":
+        return Report(payload={
+            "label": label, "n": n, "l": l, "D": dim,
+            "energy": solution.entry.energy,
+            "epsilon": solution.entry.epsilon,
+            "node_count": solution.node_count,
+            "norm": norm_check,
+            "columns": columns,
+            "samples": samples,
+        }, notice=notice)
+    # a fixed-point float needs no csv quoting, so one %-format writes a whole row
+    row_format = ",".join([f"%.{precision}f"] * len(columns)) + "\n"
+    return Report(text=",".join(columns) + "\n"
+                  + "".join(row_format % tuple(row) for row in samples)
+                  + f"# norm={norm_check:.12f}\n# node_count={solution.node_count}\n",
+                  notice=notice)
 
 
 def _cmd_oracle(args, precision) -> Report:
@@ -477,26 +476,29 @@ def _cmd_oracle(args, precision) -> Report:
     for l in dict.fromkeys(state.l for state in bound):  # states come sorted by (l, n)
         group = [state for state in bound if state.l == l]
         audits.update(zip(group, audit_channel(params, dim, l, [s.n for s in group], modes, grid)))
-    rows = []
     records = []
     for state in states:
-        label = state_label(state.n, state.l)
-        record = {"label": label, "n": state.n, "l": state.l, "D": dim, "status": status[state]}
-        cells = ["-"] + [status[state]] * len(columns)
+        record = {"label": state_label(state.n, state.l), "n": state.n, "l": state.l, "D": dim,
+                  "status": status[state]}
         if state in audits:
             audit = audits[state]
             fields = {"closed": audit.e_closed, "exact": audit.e_exact, "approx": audit.e_approx,
                       "rel_err_approx": audit.rel_errors[0], "rel_err_exact": audit.rel_errors[1]}
             fields["rel_err"] = fields.get(f"rel_err_{args.mode}")  # the one mode's, unless both
-            values = {key: fields[key] for key in ["closed", *columns]}
-            record.update(status="ok", **values)
-            cells = ["unbound" if values[key] is None
-                     else f"{values[key]:.3e}" if key.startswith("rel_err")
-                     else _fmt(values[key], precision) for key in values]
-        rows.append([label, str(state.n), str(state.l), str(dim), *cells])
+            record.update(status="ok", **{key: fields[key] for key in ["closed", *columns]})
         records.append(record)
-    return Report(payload=records, header=["label", "n", "l", "D", "closed", *columns],
-                  rows=rows)
+    if args.output_format == "json":
+        return Report(payload=records)
+    rows = []
+    for record in records:
+        if record["status"] == "ok":  # an audited state
+            cells = ["unbound" if record[key] is None
+                     else f"{record[key]:.3e}" if key.startswith("rel_err")
+                     else _fmt(record[key], precision) for key in ["closed", *columns]]
+        else:
+            cells = ["-"] + [record["status"]] * len(columns)
+        rows.append([record["label"], str(record["n"]), str(record["l"]), str(dim), *cells])
+    return Report(header=["label", "n", "l", "D", "closed", *columns], rows=rows)
 
 
 def _cmd_degeneracy(args, precision) -> Report:
@@ -507,19 +509,21 @@ def _cmd_degeneracy(args, precision) -> Report:
     closed = _closed_form(params, state)
     records = [{"label": state_label(partner.n, partner.l), "n": partner.n, "l": partner.l,
                 "D": partner.D, "status": closed["status"]} for partner in partners]
+    if args.output_format == "json":
+        return Report(payload={"partners": records, "energy": closed["energy"]})
     header = ["label", "n", "l", "D", "status"]
     shared = (f"{closed['status']} for these parameters" if closed["energy"] is None
               else _fmt(closed["energy"], precision))
-    return Report(payload={"partners": records, "energy": closed["energy"]}, header=header,
-                  rows=[[str(record[key]) for key in header] for record in records],
+    return Report(header=header, rows=[[str(record[key]) for key in header] for record in records],
                   footer=f"shared energy: {shared}\n")
 
 
 def _cmd_critical_coupling(args, precision) -> Report:
     a_critical = critical_coupling(QuantumState(n=args.n, l=args.l, D=args.dim), args.alpha)
-    return Report(payload={"n": args.n, "l": args.l, "D": args.dim,
-                           "alpha": args.alpha, "A_c": a_critical},
-                  text=f"A_c = {_fmt(a_critical, precision)}\n")
+    if args.output_format == "json":
+        return Report(payload={"n": args.n, "l": args.l, "D": args.dim,
+                               "alpha": args.alpha, "A_c": a_critical})
+    return Report(text=f"A_c = {_fmt(a_critical, precision)}\n")
 
 
 _COMMANDS = {

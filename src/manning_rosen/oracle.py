@@ -583,7 +583,10 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     exact-mode call first logs, on a line of its own, any approximated
     solve that ``_solve_modes`` makes to seed it.  A default solve adds the
     coarse grid's points, level count and path (``seeded from fine``) and
-    the coarse solve's time.
+    the coarse solve's time.  Each record also carries the raw seconds of
+    the stages its line prints, unrounded, as the dict ``oracle_stages``
+    (keys ``shared_assembly``, ``assembly``, ``eigensolve``, ``refinement``
+    and ``coarse``); a line that solves nothing carries an empty one.
     """
     if k < 1:
         raise DomainError(f"need k >= 1, got {k}")
@@ -602,7 +605,8 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: in
     :class:`DomainError` that solve raised, and then bisection seeds it.
     ``coarse``, a default solve's ``_coarse_parts``, adds the extrapolation
     of ``_two_grid``; ``shared``, the seconds the shared parts took, goes
-    into the DEBUG line, which is formatted only when DEBUG is enabled.
+    into the DEBUG line and its ``oracle_stages``, which are built only when
+    DEBUG is enabled.
     """
     grid, started = parts.grid, time.perf_counter()
     diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid, parts)
@@ -633,6 +637,12 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: in
         _check_levels(params, grid, energies, refined, "two-grid extrapolation")
     if _LOG.isEnabledFor(logging.DEBUG):
         finished = time.perf_counter()
+        stages = {"assembly": assembled - started, "eigensolve": solved - assembled,
+                  "refinement": corrected - solved}
+        if shared is not None:
+            stages["shared_assembly"] = shared
+        if coarse is not None:
+            stages["coarse"] = finished - corrected
         _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
                    "%d of %d levels %s%s; %sassembly %.4f s, eigensolve %.4f s, "
                    "refinement %.4f s%s",
@@ -642,8 +652,9 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: in
                        f"; coarse {coarse.grid.n_points} points, {held} of {k_found} levels "
                        + coarse_path.replace(" from approx", " from fine", 1)),
                    "" if shared is None else f"shared assembly {shared:.4f} s, ",
-                   assembled - started, solved - assembled, corrected - solved,
-                   "" if coarse is None else f", coarse {finished - corrected:.4f} s")
+                   stages["assembly"], stages["eigensolve"], stages["refinement"],
+                   "" if coarse is None else f", coarse {stages['coarse']:.4f} s",
+                   extra={"oracle_stages": stages})
     result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
                           mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
     return result, (diag, values, vectors)
@@ -756,7 +767,8 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
                 _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
                            "%d of %d levels from the approx solve, not solved again "
                            "(q^2 = 1: the same matrix and seeds)", D, l, mode.value,
-                           grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k)
+                           grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k,
+                           extra={"oracle_stages": {}})
             continue
         if mode is CentrifugalMode.EXACT and q * q != 1:
             if approx is None:

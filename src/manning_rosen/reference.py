@@ -7,16 +7,22 @@ values coincide by the alpha -> 1-alpha symmetry), and alpha = 1.5.
 
 ``audit_reference_table`` recomputes every cell from the closed form and
 flags cells whose deviation exceeds the agreement threshold as suspected
-misprints.  Four cells fail the audit: (6d, D=2, alpha=0.75), whose printed
-value also breaks the monotone ordering of the 6p..6g block, and the whole
-5p D=4 row, whose printed values contradict the table's own degeneracy with
-the 6d D=2 row (equal D + 2l) and, in the alpha = 0,1 column, the equality
-with 5d/5f/5g D=4 (equal 2n + D + 2l - 1).
+misprints.  The closed form depends on (l, D) only through q = D + 2l - 2,
+so the D = 4, l cell and the D = 2, l + 1 cell of a column share one value
+(45 of the 168 cells repeat another's); the audit evaluates each distinct
+(1/b, alpha, n, q) once, 123 ``energy`` calls, and gives that float to
+every cell that shares it.
+
+Four cells fail the audit: (6d, D=2, alpha=0.75), whose printed value also
+breaks the monotone ordering of the 6p..6g block, and the whole 5p D=4 row,
+whose printed values contradict the table's own degeneracy with the 6d D=2
+row (equal D + 2l) and, in the alpha = 0,1 column, the equality with
+5d/5f/5g D=4 (equal 2n + D + 2l - 1).
 """
 
 from dataclasses import dataclass
 
-from .model import PotentialParams, QuantumState
+from .model import PotentialParams, QuantumState, _combined_index
 from .spectrum import energy, parse_spectroscopic
 
 __all__ = [
@@ -136,13 +142,27 @@ def audit_reference_table() -> list[AuditCell]:
 
     A cell is suspect when |computed - reference| > AGREEMENT_THRESHOLD; the
     closed form reproduces all remaining cells to their printed precision.
+    Each (1/b, alpha) column builds its ``PotentialParams`` once and each
+    label is parsed once.  ``energy`` runs once per distinct (column, n, q):
+    degenerate partners such as (n, l, D = 4) and (n, l + 1, D = 2) share
+    one call, so their computed energies are bit-equal by construction.
     """
+    columns: dict[tuple[float, float], PotentialParams] = {}
+    labels: dict[str, tuple[int, int]] = {}
+    energies: dict[tuple[float, float, int, int], float] = {}
     out: list[AuditCell] = []
     for cell in iter_reference_cells():
-        b = 1.0 / cell.inv_b
-        params = PotentialParams(A=2.0 * b, alpha=cell.alpha, b=b)
-        n, l = parse_spectroscopic(cell.label)
-        computed = energy(params, QuantumState(n=n, l=l, D=cell.D)).energy
+        column = (cell.inv_b, cell.alpha)
+        if column not in columns:
+            b = 1.0 / cell.inv_b
+            columns[column] = PotentialParams(A=2.0 * b, alpha=cell.alpha, b=b)
+        if cell.label not in labels:
+            labels[cell.label] = parse_spectroscopic(cell.label)
+        n, l = labels[cell.label]
+        key = (*column, n, _combined_index(cell.D, l))
+        if key not in energies:
+            energies[key] = energy(columns[column], QuantumState(n=n, l=l, D=cell.D)).energy
+        computed = energies[key]
         deviation = abs(computed - cell.reference_energy)
         out.append(AuditCell(cell=cell, computed_energy=computed,
                              deviation=deviation, suspect=deviation > AGREEMENT_THRESHOLD))

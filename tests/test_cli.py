@@ -13,7 +13,7 @@ import pytest
 import manning_rosen
 from manning_rosen import (PotentialParams, QuantumState, critical_coupling,
                            normalization_quadrature, parse_spectroscopic, radial_wavefunction)
-from manning_rosen import cli
+from manning_rosen import cli, reference
 from manning_rosen.cli import _subparsers, build_parser, main
 from manning_rosen.reference import audit_reference_table
 
@@ -237,6 +237,34 @@ class TestTableCommand:
         for item in audit:
             if not item.suspect:
                 assert item.deviation <= 5e-9
+
+    def test_each_degenerate_closed_form_is_evaluated_once(self, monkeypatch):
+        # energy depends on (l, D) only through q = D + 2l - 2: one call per distinct
+        # (1/b, alpha column, n, q), the same 123 on every call of the audit
+        calls = []
+
+        def counted(params, state):
+            calls.append(state)
+            return energy(params, state)
+
+        energy = reference.energy
+        monkeypatch.setattr(reference, "energy", counted)
+        audit = audit_reference_table()
+        assert len(audit) == 168 and len(calls) == 123
+        assert audit_reference_table() == audit and len(calls) == 246
+        shared = {}
+        for item in audit:
+            n, l = parse_spectroscopic(item.cell.label)
+            key = (item.cell.inv_b, item.cell.alpha_label, n, item.cell.D + 2 * l - 2)
+            shared.setdefault(key, []).append(item)
+        assert len(shared) == 123
+        for items in shared.values():
+            assert len({item.computed_energy.hex() for item in items}) == 1  # bit-equal
+        # each misprinted cell shares its closed form with exactly one partner:
+        # 6d D=2 (alpha 0.75) with 5p D=4, and each 5p D=4 with its column's 6d D=2
+        pairs = [sorted((item.cell.label, item.cell.D) for item in items)
+                 for items in shared.values() if any(item.suspect for item in items)]
+        assert pairs == [[("5p", 4), ("6d", 2)]] * 3
 
     def test_text_report(self, capsys):
         assert main(["table"]) == 0
@@ -629,6 +657,22 @@ class TestOutputContract:
         assert cli._render(report, "json") == expected
         if case in ("spectrum-undefined", "oracle-unbound"):
             assert ": null" in expected
+
+    @pytest.mark.parametrize("argv", [["table"], TABLE_2P, CONTRACT_CASES["oracle"][0],
+                                      CONTRACT_CASES["degeneracy"][0]],
+                             ids=["table", "spectrum", "oracle", "degeneracy"])
+    def test_json_formats_no_text_cell(self, argv, monkeypatch, capsys):
+        # a JSON request builds its payload alone; the text request formats cells
+        def refused(*args):
+            raise AssertionError("a text cell was formatted")
+
+        monkeypatch.setattr(cli, "_fmt", refused)
+        args = cli._parse_args(build_parser(), argv + ["--format", "json"])
+        payload = cli._COMMANDS[args.command](args, args.precision).payload
+        assert main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        with pytest.raises(AssertionError, match="a text cell was formatted"):
+            main(argv)
 
     @pytest.mark.parametrize("payload", [
         None, 0, -0.0, "a\u00e9\n]", [], {}, [[]], [{}], {"a": []}, [[1], [2.5, None]],

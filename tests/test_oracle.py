@@ -426,6 +426,32 @@ class TestSolveRadial:
         assert re.search(first, alone) and re.search(first, seeding)
         assert re.search(r", 1 of 1 levels seeded from approx in \d+ solves; " + timings, exact)
 
+    def test_debug_records_carry_the_raw_stage_seconds(self, caplog):
+        # each record hands over, unrounded, exactly the stages its line prints
+        params = table_params()
+        grid = LogRadialGrid(r_min=4e-11, r_max=2000.0, n_points=1201)
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            solve_radial(params, 2, 1, k=1)  # default grids
+            solve_radial(params, 2, 1, CentrifugalMode.EXACT, grid=grid)
+        records = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
+        stages = [r.oracle_stages for r in records]
+        solve = {"assembly", "eigensolve", "refinement"}
+        assert [set(s) for s in stages] == [solve | {"shared_assembly", "coarse"},
+                                            solve | {"shared_assembly"}, solve]
+        for record, seconds in zip(records, stages):
+            assert all(type(value) is float and value >= 0.0 for value in seconds.values())
+            assert all(f"{key.replace('_', ' ')} {value:.4f} s" in record.getMessage()
+                       for key, value in seconds.items())
+
+    def test_unsolved_exact_line_carries_no_stages(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="manning_rosen.oracle"):
+            audit_channel(PotentialParams(A=80.0, alpha=0.0, b=40.0), 3, 0, [0])  # q^2 = 1
+        records = [r for r in caplog.records if r.name == "manning_rosen.oracle"]
+        assert "not solved again" in records[-1].getMessage()
+        assert records[-1].oracle_stages == {}
+        assert set(records[0].oracle_stages) == {"shared_assembly", "assembly", "eigensolve",
+                                                 "refinement", "coarse"}
+
     def test_no_debug_line_is_built_with_debug_off(self, monkeypatch, caplog):
         # above DEBUG the oracle formats no DEBUG line: _LOG.debug is never called
         def refused(*args, **kwargs):
