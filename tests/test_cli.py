@@ -241,13 +241,12 @@ class TestTableCommand:
     def test_each_degenerate_closed_form_is_evaluated_once(self, monkeypatch):
         # energy depends on (l, D) only through q = D + 2l - 2: one call per distinct
         # (1/b, alpha column, n, q), the same 123 on every call of the audit
-        calls = []
+        calls, energy = [], reference.energy
 
         def counted(params, state):
             calls.append(state)
             return energy(params, state)
 
-        energy = reference.energy
         monkeypatch.setattr(reference, "energy", counted)
         audit = audit_reference_table()
         assert len(audit) == 168 and len(calls) == 123
