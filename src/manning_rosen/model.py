@@ -10,7 +10,8 @@ alpha, and the screening length b (potential range 1/b).  It is invariant
 under alpha -> 1 - alpha.  The default unit system is atomic units
 (hbar = mu = 1).
 
-All functions are pure and accept scalar or array ``r``.
+All functions are pure and accept scalar or array ``r``.  ``_normal`` judges every scale
+built from kappa and b: kappa, 1/(kappa b^2), the stand-in's 1/b^2, V(r0) and V''(r0).
 """
 
 import enum
@@ -61,14 +62,11 @@ class PotentialParams:
             raise DomainError(f"A, alpha, b, mu and hbar must all be finite; got {self}")
         if not (self.b > 0.0 and self.mu > 0.0 and self.hbar > 0.0):
             raise DomainError("b, mu and hbar must all be positive")
-        # kappa divides by hbar^2, which underflows to 0 for a tiny hbar
-        if not (self.hbar * self.hbar > 0.0 and 0.0 < self.kappa < math.inf):
-            raise DomainError(f"kappa = 2 mu / hbar^2 must be a positive finite float; "
-                              f"got mu={self.mu}, hbar={self.hbar}")
+        _normal(self.kappa, self, "kappa = 2 mu / hbar^2")
 
     @property
     def kappa(self) -> float:
-        return 2.0 * self.mu / (self.hbar * self.hbar)
+        return _divide(2.0 * self.mu, self.hbar * self.hbar)
 
     @property
     def alpha_product(self) -> float:
@@ -129,6 +127,14 @@ def _geometric(lo: float, hi: float, num: int) -> np.ndarray:
     return points
 
 
+def _finite_at(values, r, params: PotentialParams, subject: str):
+    """``values`` at the radii ``r``, or :class:`DomainError` at the first one not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"{subject} is not a finite float at r={float(r[bad][0])} for {params}")
+    return values
+
+
 def _maybe_scalar(value, template):
     if np.isscalar(template) or getattr(template, "ndim", 1) == 0:
         return float(value)
@@ -138,7 +144,7 @@ def _maybe_scalar(value, template):
 def _normal(value: float, source: object, subject: str, of: object = "") -> float:
     """``value``, or :class:`DomainError` where it is not a normal float.
 
-    The one judge of a scalar result's float range; the message is built only on failure.
+    The one float-range judge, kappa and b scales included; the message is built only on failure.
     """
     if _NORMAL_MIN <= abs(value) < math.inf:  # nan fails too
         return value
@@ -153,6 +159,11 @@ def _divide(num: float, den: float) -> float:
     return num / den if den else num * math.copysign(math.inf, den)
 
 
+def _finite(value: float, source: object, subject: str, of: object = "") -> float:
+    """``value`` where it is finite, 0 and subnormals included; else ``_normal``'s DomainError."""
+    return value if math.isfinite(value) else _normal(value, source, subject, of)
+
+
 def _power(base: float, exponent: int) -> float:
     """base ** exponent for an integer exponent, with IEEE 754's inf where a float ** overflows."""
     try:
@@ -161,28 +172,16 @@ def _power(base: float, exponent: int) -> float:
         return math.copysign(math.inf, base) ** exponent
 
 
-def _over_b_squared(numerator: float, denominator: float, params: PotentialParams) -> float:
-    """numerator / denominator, a denominator holding b^2; :class:`DomainError` where it is 0.
-
-    b^2 underflows to 0 for b below about 1e-162, and a Python float
-    division by 0 raises :class:`ZeroDivisionError`.
-    """
-    if denominator == 0.0:
-        raise DomainError(f"a denominator holding b^2 underflows to 0 for {params}: "
-                          "b is too small")
-    return numerator / denominator
-
-
 def _screening(params: PotentialParams, radius):
     """exp(-x) and expm1(-x) at x = r/b, the two terms that V and the stand-in are built from."""
     x = -(radius / params.b)
     return np.exp(x), np.expm1(x)
 
 
-def _potential(params: PotentialParams, decay, decay_m1):
-    """V from ``_screening``'s pair: w = exp(-x)/(1 - exp(-x)), stable down to x ~ 1e-12."""
-    w = decay / -decay_m1
-    scale = _over_b_squared(1.0, params.kappa * params.b * params.b, params)
+def _potential(params: PotentialParams, decay, decay_m1, kappa: float):
+    """V at ``kappa`` from ``_screening``'s pair; the oracle's kappa = 1 gives kappa V."""
+    w = decay / -decay_m1  # stable down to x ~ 1e-12
+    scale = _normal(_divide(1.0, kappa * params.b * params.b), params, "1/(kappa b^2)")
     return -scale * (params.A * w - params.alpha_product * w * w)
 
 
@@ -193,7 +192,7 @@ def _barrier(params: PotentialParams, q: int, mode: CentrifugalMode,
     if mode is CentrifugalMode.EXACT:
         return prefactor / radius_squared
     if mode is CentrifugalMode.APPROXIMATED:
-        inv_b2 = _over_b_squared(1.0, params.b * params.b, params)
+        inv_b2 = _normal(_divide(1.0, params.b * params.b), params, "1/b^2")
         return prefactor * inv_b2 * decay / decay_m1 ** 2
     raise DomainError(f"unknown centrifugal mode: {mode!r}")
 
@@ -202,9 +201,12 @@ def potential_value(params: PotentialParams, r):
     """Potential energy V(r) in the units set by ``params``.
 
     V(r) = -(1/(kappa b^2)) [A w - alpha(alpha-1) w^2] with
-    w = exp(-r/b)/(1-exp(-r/b)).
+    w = exp(-r/b)/(1-exp(-r/b)); :class:`DomainError` names the first r where V is not finite.
     """
-    return _maybe_scalar(_potential(params, *_screening(params, _as_positive_radius(r))), r)
+    radius = _as_positive_radius(r)
+    with np.errstate(all="ignore"):  # an inf or a NaN fails the check below
+        value = _potential(params, *_screening(params, radius), params.kappa)
+    return _maybe_scalar(_finite_at(value, radius, params, "V"), r)
 
 
 def _minimum_coefficient(params: PotentialParams, failure: str) -> float:
@@ -230,8 +232,7 @@ def potential_minimum(params: PotentialParams) -> tuple[float, float]:
     """
     coef = _minimum_coefficient(params, "no interior minimum in validated regime")
     r0 = params.b * math.log1p(2.0 * coef / params.A)
-    v_min = _over_b_squared(-params.A * params.A,
-                            4.0 * params.kappa * params.b * params.b * coef, params)
+    v_min = _divide(-params.A * params.A, 4.0 * params.kappa * params.b * params.b * coef)
     return _normal(r0, params, "r0"), _normal(v_min, params, "V(r0)")
 
 
@@ -245,7 +246,7 @@ def potential_curvature(params: PotentialParams) -> float:
     coef = _minimum_coefficient(params, "curvature at the minimum is undefined")
     num = params.A * params.A * _power(params.A + 2.0 * coef, 2)
     den = 8.0 * _power(params.b, 4) * _power(coef, 3)
-    return _normal(_over_b_squared(num, params.kappa * den, params), params, "V''(r0)")
+    return _normal(_divide(num, params.kappa * den), params, "V''(r0)")
 
 
 def effective_potential(params: PotentialParams, state: QuantumState, r,
@@ -255,8 +256,11 @@ def effective_potential(params: PotentialParams, state: QuantumState, r,
     The barrier is (1/kappa) [(D+2l-2)^2 - 1]/4 * C(r) with C(r) = 1/r^2
     (EXACT) or its short-range stand-in C(r) = (1/b^2) exp(-r/b)/(1-exp(-r/b))^2
     (APPROXIMATED), which makes the l != 0 equation solvable in closed form.
+    :class:`DomainError` names the first r where V_eff is not a finite float.
     """
     radius = _as_positive_radius(r)
-    screening = _screening(params, radius)
-    barrier = _barrier(params, state.q, mode, radius * radius, *screening)
-    return _maybe_scalar(_potential(params, *screening) + barrier / params.kappa, r)
+    with np.errstate(all="ignore"):  # an inf or a NaN fails the check below
+        screening = _screening(params, radius)
+        barrier = _barrier(params, state.q, mode, radius * radius, *screening)
+        value = _potential(params, *screening, params.kappa) + barrier / params.kappa
+    return _maybe_scalar(_finite_at(value, radius, params, "V_eff"), r)

@@ -298,7 +298,7 @@ class _ChannelParts:
     r_squared: np.ndarray
     quarter_over_r: np.ndarray  # 1/(4r), the first term of u'' (``_deferred_correction``)
     screening: tuple[np.ndarray, np.ndarray]  # exp(-r/b), expm1(-r/b)
-    potential: np.ndarray  # kappa V, as V at unit kappa
+    potential: np.ndarray  # kappa V: ``_potential`` at kappa = 1
     kinetic: np.ndarray  # (2/h^2 + 1/4)/r^2, the kinetic diagonal but at the Robin end
     off: np.ndarray
 
@@ -317,10 +317,8 @@ def _with_kinetic(grid: LogRadialGrid, r: np.ndarray, r_squared: np.ndarray,
 def _channel_parts(params: PotentialParams, grid: LogRadialGrid) -> _ChannelParts:
     """The mode-independent arrays of ``_tridiagonal`` on ``grid``, computed once."""
     r = grid.points()[1:-1]
-    unit_kappa = PotentialParams(A=params.A, alpha=params.alpha, b=params.b, mu=0.5, hbar=1.0)
-    screening = _screening(unit_kappa, r)
-    return _with_kinetic(grid, r, r * r, 0.25 / r, screening,
-                         _potential(unit_kappa, *screening))
+    screening = _screening(params, r)
+    return _with_kinetic(grid, r, r * r, 0.25 / r, screening, _potential(params, *screening, 1.0))
 
 
 def _coarse_parts(parts: _ChannelParts, coarse: LogRadialGrid) -> _ChannelParts:
@@ -355,7 +353,7 @@ def _tridiagonal(params: PotentialParams, D: int, l: int,
     Built on the interior nodes; eigenvalues are kappa * E.  Also returns
     kappa V_eff on those nodes, which depends only on A, alpha and b: it is
     V_eff in the units where kappa = 1, so no factor 1/kappa can overflow;
-    and the nodes themselves, for the deferred correction.  ``parts`` are the
+    and the nodes themselves, ``parts.r``, which the tests read.  ``parts`` are the
     ``_channel_parts`` of ``params`` on ``grid``, which both modes share;
     only the mode's barrier and the Robin entry are added here, with the
     arithmetic of ``effective_potential``.  ``grid`` is ``parts.grid``,

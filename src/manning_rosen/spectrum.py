@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DomainError, LabelError, UnboundStateError
-from .model import PotentialParams, QuantumState, _divide, _normal, _power
+from .model import PotentialParams, QuantumState, _divide, _finite, _normal, _power
 
 __all__ = [
     "SpectrumEntry",
@@ -74,13 +74,13 @@ def _epsilon(A: float, alpha: float, n: int, q: int) -> tuple[float, float, floa
 
 
 def shape_parameter(params: PotentialParams, state: QuantumState) -> float:
-    """a = sqrt((1-2 alpha)^2 + (D+2l-2)^2 - 1), the non-negative root."""
-    return _shape(params.alpha, state.q)[0]
+    """a = sqrt((1-2 alpha)^2 + (D+2l-2)^2 - 1), the non-negative root; finite or DomainError."""
+    return _finite(_shape(params.alpha, state.q)[0], params, "shape parameter a of", state)
 
 
 def epsilon_parameter(params: PotentialParams, state: QuantumState) -> float:
-    """Signed dimensionless energy parameter; the state is bound iff > 0."""
-    return _epsilon(params.A, params.alpha, state.n, state.q)[0]
+    """Signed dimensionless energy parameter, bound iff > 0; finite or DomainError."""
+    return _finite(_epsilon(params.A, params.alpha, state.n, state.q)[0], params, "eps of", state)
 
 
 def energy(params: PotentialParams, state: QuantumState) -> SpectrumEntry:
@@ -194,10 +194,7 @@ def screened_coulomb_coupling(Z: float, delta: float,
         raise DomainError(f"screening delta must be positive, got {delta}")
     source = f"Z={Z}, delta={delta}, mu={mu}, hbar={hbar}, e_sq={e_sq}"
     b = _normal(1.0 / delta, source, "b")
-    A = _divide(2.0 * mu * Z * e_sq * b, hbar * hbar)
-    if not math.isfinite(A):
-        raise DomainError(f"A is not a finite float for {source}")
-    return A, b
+    return _finite(_divide(2.0 * mu * Z * e_sq * b, hbar * hbar), source, "A"), b
 
 
 def coulomb_limit_energy(state: QuantumState, Z: float,

@@ -71,6 +71,25 @@ class TestPotentialValue:
         with pytest.raises(DomainError, match="r must be positive"):
             call(PotentialParams(A=2.0, alpha=0.5, b=1.0))
 
+    @pytest.mark.parametrize("call, r_bad", [
+        # w ~ b/r overflows: 0 * inf^2, or inf - inf, would read V as NaN
+        (lambda r: potential_value(PotentialParams(A=1.0, alpha=0.0, b=1.0), r), 1e-310),
+        (lambda r: effective_potential(PotentialParams(A=1.0, alpha=2.0, b=1.0),
+                                       QuantumState(n=0, l=1, D=3), r), 1e-310),
+        # w^2 and 1/r^2 overflow: V_eff would read inf
+        (lambda r: effective_potential(PotentialParams(A=1.0, alpha=2.0, b=1.0),
+                                       QuantumState(n=0, l=1, D=3), r), 1e-200),
+        (lambda r: effective_potential(PotentialParams(A=1.0, alpha=2.0, b=1.0),
+                                       QuantumState(n=0, l=1, D=3), r,
+                                       CentrifugalMode.APPROXIMATED), 1e-200),
+    ], ids=["potential", "effective-exact-nan", "effective-exact-inf", "effective-approx"])
+    def test_overflow_near_the_origin_names_the_first_bad_radius(self, call, r_bad):
+        # no RuntimeWarning either: pytest would turn it into an error
+        with pytest.raises(DomainError, match=f"not a finite float at r={r_bad!r} "):
+            call(r_bad)
+        with pytest.raises(DomainError, match=f"not a finite float at r={r_bad!r} "):
+            call(np.array([1.0, r_bad, r_bad / 2.0]))
+
     def test_array_input(self):
         params = PotentialParams(A=80.0, alpha=0.75, b=40.0)
         r = np.array([0.1, 1.0, 10.0])
@@ -290,8 +309,22 @@ class TestTinyScreeningLength:
         potential_curvature,
     ], ids=["potential", "effective-exact", "effective-approx", "minimum", "curvature"])
     def test_underflowing_b_squared_raises_domain_error(self, call):
-        with pytest.raises(DomainError, match="b\\^2 underflows to 0"):
+        with pytest.raises(DomainError, match="is not a finite float"):
             call(PotentialParams(A=80.0, alpha=1.5, b=1e-300))
+
+    @pytest.mark.parametrize("call", [
+        lambda params: potential_value(params, 1.0),
+        lambda params: effective_potential(params, QuantumState(n=0, l=1, D=2), 1.0),
+        lambda params: effective_potential(params, QuantumState(n=0, l=1, D=2), 1.0,
+                                           CentrifugalMode.APPROXIMATED),
+    ], ids=["potential", "effective-exact", "effective-approx"])
+    @pytest.mark.parametrize("b, phrase", [
+        (1e200, "rounds to 0"),  # 1/(kappa b^2) = 1e-400 would read V as -0.0 or NaN
+        (1e-155, "is not a finite float"),  # 1/(kappa b^2) = 1e310 would read V as -inf
+    ], ids=["b-1e200", "b-1e-155"])
+    def test_scale_out_of_float_range_raises_domain_error(self, call, b, phrase):
+        with pytest.raises(DomainError, match=phrase):
+            call(PotentialParams(A=80.0, alpha=1.5, b=b))
 
 
 class TestParams:
@@ -309,9 +342,9 @@ class TestParams:
             PotentialParams(**values)
 
     @pytest.mark.parametrize("scales", [{"hbar": 1e155}, {"hbar": 1e-200},
-                                        {"mu": 1e308, "hbar": 1e-5}],
+                                        {"mu": 1e308, "hbar": 1e-5}, {"mu": 1e-310}],
                              ids=["kappa-underflows", "hbar-squared-underflows",
-                                  "kappa-overflows"])
+                                  "kappa-overflows", "kappa-subnormal"])
     def test_rejects_kappa_out_of_float_range(self, scales):
         with pytest.raises(DomainError, match="kappa"):
             PotentialParams(A=1.0, alpha=0.5, b=1.0, **scales)

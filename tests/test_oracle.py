@@ -992,8 +992,15 @@ class TestScreeningLengthRange:
     def test_underflowing_b_squared_on_an_explicit_grid_raises_domain_error(self, mode):
         # b = 1e-300: b^2 underflows to 0 in V, which both modes assemble
         grid = LogRadialGrid(r_min=1e-12, r_max=1e5, n_points=3)
-        with pytest.raises(DomainError, match="b\\^2 underflows to 0"):
+        with pytest.raises(DomainError, match="is not a finite float"):
             solve_radial(p_channel_params(1e-300), *P_CHANNEL, mode, grid=grid)
+
+    def test_out_of_range_scale_names_the_callers_units(self):
+        # the oracle assembles kappa V from the caller's params, so the error names its mu
+        grid = LogRadialGrid(r_min=1e-12, r_max=1e5, n_points=3)
+        params = PotentialParams(A=80.0, alpha=0.75, b=1e-300, mu=3.0)
+        with pytest.raises(DomainError, match="mu=3.0, hbar=1.0"):
+            solve_radial(params, *P_CHANNEL, grid=grid)
 
 
 class TestApproximationAudit:

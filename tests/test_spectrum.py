@@ -39,6 +39,21 @@ class TestShapeParameter:
             a2 = shape_parameter(PotentialParams(A=1.0, alpha=mirror, b=1.0), state)
             assert a1 == a2
 
+    @pytest.mark.parametrize("call", [
+        # a ~ 2 alpha overflows
+        lambda: shape_parameter(PotentialParams(A=1.0, alpha=1e200, b=1.0),
+                                QuantumState(0, 0, 3)),
+        # eta = inf makes eps inf / inf
+        lambda: epsilon_parameter(PotentialParams(A=1.0, alpha=1e200, b=1.0),
+                                  QuantumState(0, 0, 3)),
+        # 4A overflows
+        lambda: epsilon_parameter(PotentialParams(A=1e308, alpha=0.0, b=1.0),
+                                  QuantumState(0, 0, 3)),
+    ], ids=["shape-alpha-1e200", "epsilon-alpha-1e200", "epsilon-A-1e308"])
+    def test_non_finite_result_raises(self, call):
+        with pytest.raises(DomainError, match="is not a finite float"):
+            call()
+
     def test_negative_radicand_rejected(self):
         # only reachable at q = 0 (D=2, l=0) with alpha near 1/2
         params = PotentialParams(A=1.0, alpha=0.3, b=1.0)
