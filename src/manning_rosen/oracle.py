@@ -30,6 +30,7 @@ or more.
 A default grid (``default_grid``) keeps one spacing h for every channel but
 starts where the channel's states begin; an explicit grid is used as given.
 A default solve runs on the two grids that ``_grid_pair`` makes from it.
+Every grid goes through one stage that assembles, certifies and corrects.
 
 Every level is seeded near its eigenvalue and certified (``_bound_levels``):
 inverse iteration from the seed (Parlett, The Symmetric Eigenvalue Problem)
@@ -71,7 +72,7 @@ Anderssen, Computing 26 (1981) 123).  The coarse solve costs far less than
 a second one: its arrays are sliced from the fine grid's, and each coarse
 level is seeded from its certified fine eigenpair at 4 lambda - 3 R, with
 the fine eigenvector at the shared nodes as the start of inverse
-iteration, and certified as every level is (``_two_grid``).
+iteration, and certified as every level is (``_solve``, ``_grid_levels``).
 e_n = |E_n - R_fine,n| / |E_n| estimates the fine grid's own error, which
 E_n's lies well below; above 2e-6 it warns (``solve_radial``).
 
@@ -540,12 +541,13 @@ def solve_radial(params: PotentialParams, D: int, l: int,
                  grid: LogRadialGrid | None = None, k: int = 1) -> OracleResult:
     """Lowest k bound eigenvalues of the discretized radial equation.
 
-    Solves through ``_solve_modes``.  Each level is seeded as the module
-    docstring says and certified as ``_bound_levels`` says.  Each eigenvalue
-    is stebz's, to full relative accuracy, and each eigenvector comes from
-    certified inverse iteration, so the i-th returned state has exactly i
-    interior nodes.  The bound levels are the negative ones; when fewer
-    than k exist, the bound subset is returned with ``truncated`` set.
+    Solves through ``_solve_modes``, each grid in one ``_grid_levels`` stage.
+    Each level is seeded as the module docstring says and certified as
+    ``_bound_levels`` says.  Each eigenvalue is stebz's, to full relative
+    accuracy, and each eigenvector comes from certified inverse iteration,
+    so the i-th returned state has exactly i interior nodes.  The bound
+    levels are the negative ones; when fewer than k exist, the bound subset
+    is returned with ``truncated`` set.
 
     ``grid`` defaults to the two grids of ``_grid_pair(default_grid(params,
     D, l, k))``; ``eigenvalues``, ``node_counts`` and ``grid`` are the fine
@@ -591,56 +593,90 @@ def solve_radial(params: PotentialParams, D: int, l: int,
     return _solve_modes(params, D, l, [mode], grid, k)[mode]
 
 
-def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: int, seeds,
-           parts: _ChannelParts, coarse: _ChannelParts | None = None,
-           shared: float | None = None):
-    """One mode solved on ``parts.grid``, and the (diagonal, values, vectors) it solved.
+def _grid_levels(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
+                 parts: _ChannelParts, k: int, seeds: list[float], starts=None, approx=None):
+    """The per-grid stage of every solve: ``mode`` assembled on ``parts.grid``
+    (``_tridiagonal``), its lowest k levels certified from ``seeds`` and ``starts``
+    (``_bound_levels``) and corrected (``_deferred_correction``).
 
-    ``seeds``, which ``_solve_modes`` picks, are the closed-form levels
-    kappa E_n (a list, empty where the closed form has none), or, for an
-    exact-mode solve with q^2 != 1, what this returned for approximated mode
-    on the same grid and k (a tuple), or the :class:`ConvergenceError` or
-    :class:`DomainError` that solve raised, and then bisection seeds it.
-    ``coarse``, a default solve's ``_coarse_parts``, adds the extrapolation
-    of ``_two_grid``; ``shared``, the seconds the shared parts took, goes
-    into the DEBUG line and its ``oracle_stages``, which are built only when
-    DEBUG is enabled.
+    ``approx``, the (diagonal, values, vectors) of an approximated solve on
+    the same grid and k, gives the perturbed seeds sigma_n and the starts
+    instead.  Returns the diagonal, values, eigenvectors as columns,
+    corrections delta, path, and the seconds of assembly, eigensolve and refinement.
     """
     grid, started = parts.grid, time.perf_counter()
     diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid, parts)
     assembled = time.perf_counter()
-    starts, unseeded = None, ""
-    if isinstance(seeds, Exception):  # bisection seeds the exact levels
-        seeds, unseeded = [], f", no approximated seeds ({seeds})"
-    elif isinstance(seeds, tuple):  # sigma_n from the approximated lambda_n, w_n on this grid
-        diag_approx, values, starts = seeds
+    if approx is not None:  # sigma_n from the approximated lambda_n, w_n on this grid
+        diag_approx, values, starts = approx
         squares = starts * starts
         seeds = list(values + (diag - diag_approx) @ squares / squares.sum(axis=0))
     values, vectors, path = _bound_levels(params.b, k, grid, diag, off, v_scaled, seeds, starts)
     solved = time.perf_counter()
+    delta = _deferred_correction(parts, v_scaled, values, vectors)
+    return (diag, values, vectors, delta, path,
+            (assembled - started, solved - assembled, time.perf_counter() - solved))
+
+
+def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: int,
+           seeds: list[float], parts: _ChannelParts, coarse: _ChannelParts | None = None,
+           shared: float | None = None, approx: tuple | None = None, unseeded: str = ""):
+    """One mode solved on ``parts.grid``, and the (diagonal, values, vectors) it solved.
+
+    ``seeds`` are the closed-form levels kappa E_n, empty where the closed
+    form has none or does not seed the mode.  ``approx``, for an exact-mode
+    solve with q^2 != 1, is what this returned for approximated mode on the
+    same grid and k; with neither, bisection seeds it and ``unseeded`` says
+    why in the DEBUG line.  ``coarse``, a default solve's ``_coarse_parts``,
+    adds a second ``_grid_levels`` call and E_n = (16 R_n - R_coarse,n) / 15
+    from the fine R_n = lambda_n + delta_n, cancelling their O(h^4) term.
+    Coarse level n is seeded at lambda_n - 3 delta_n = 4 lambda_n - 3 R_n,
+    as the O(h^2) error, about -delta_n, grows 4-fold at twice the spacing,
+    from the fine eigenvector at the shared nodes; where that raises
+    :class:`ConvergenceError`, the coarse grid holds no level.  An estimate
+    e_n = |E_n - R_n| / |E_n| above ``_MAX_TWO_GRID_ERROR`` adds a warning,
+    and a level the coarse grid does not hold keeps R_n and adds another.
+    ``shared``, the seconds the shared parts took, goes into the DEBUG line
+    and its ``oracle_stages``, built only when DEBUG is enabled.
+    """
+    grid = parts.grid
+    diag, values, vectors, delta, path, times = _grid_levels(params, D, l, mode, parts, k, seeds,
+                                                             approx=approx)
     k_found, kappa = len(values), params.kappa
     energies = tuple([v / kappa for v in values.tolist()])
-    delta = _deferred_correction(parts, v_scaled, values, vectors)
     refined = tuple([v / kappa for v in (values + delta).tolist()])
     _check_levels(params, grid, energies, refined, "deferred correction")
-    corrected = time.perf_counter()
     if coarse is None:
         gap = max((abs(x - e) / abs(x) for x, e in zip(refined, energies)), default=0.0)
         warnings = () if gap <= _MAX_REFINEMENT_GAP else (
             f"refinement moves a level by {gap:.1e} relative "
             f"(want <= {_MAX_REFINEMENT_GAP:g}): the base grid is too coarse",)
     else:
-        refined, warnings, held, coarse_path = _two_grid(params, D, l, mode, coarse, values,
-                                                         delta, vectors, refined)
+        corrected = time.perf_counter()
+        try:
+            _, coarse_values, _, coarse_delta, coarse_path, _ = _grid_levels(
+                params, D, l, mode, coarse, k_found, list(values - 3.0 * delta), vectors[1::2])
+        except ConvergenceError as exc:
+            coarse_values, coarse_delta, coarse_path = np.empty(0), np.empty(0), f"none ({exc})"
+        held = len(coarse_values)
+        fine = 16.0 * (values[:held] + delta[:held])
+        extrapolated = (fine - (coarse_values + coarse_delta)) / 15.0
+        levels = tuple([v / kappa for v in extrapolated.tolist()]) + refined[held:]
+        estimate = max((abs(e - x) / abs(e) for e, x in zip(levels, refined)), default=0.0)
+        warnings = () if estimate <= _MAX_TWO_GRID_ERROR else (
+            f"two-grid error estimate {estimate:.1e} relative (want <= {_MAX_TWO_GRID_ERROR:g}): "
+            "the default grid is too coarse",)
+        if held < k_found:
+            warnings += (f"the coarse grid holds {held} of {k_found} levels: levels n >= {held} "
+                         "keep their one-grid refined value",)
+        refined = levels
         _check_levels(params, grid, energies, refined, "two-grid extrapolation")
     if _LOG.isEnabledFor(logging.DEBUG):
-        finished = time.perf_counter()
-        stages = {"assembly": assembled - started, "eigensolve": solved - assembled,
-                  "refinement": corrected - solved}
+        stages = dict(zip(("assembly", "eigensolve", "refinement"), times))
         if shared is not None:
             stages["shared_assembly"] = shared
         if coarse is not None:
-            stages["coarse"] = finished - corrected
+            stages["coarse"] = time.perf_counter() - corrected
         _LOG.debug("solve_radial D=%d l=%d %s: %d points from r_min %.6g with h %.6g, "
                    "%d of %d levels %s%s; %sassembly %.4f s, eigensolve %.4f s, "
                    "refinement %.4f s%s",
@@ -650,8 +686,7 @@ def _solve(params: PotentialParams, D: int, l: int, mode: CentrifugalMode, k: in
                        f"; coarse {coarse.grid.n_points} points, {held} of {k_found} levels "
                        + coarse_path.replace(" from approx", " from fine", 1)),
                    "" if shared is None else f"shared assembly {shared:.4f} s, ",
-                   stages["assembly"], stages["eigensolve"], stages["refinement"],
-                   "" if coarse is None else f", coarse {stages['coarse']:.4f} s",
+                   *times, "" if coarse is None else f", coarse {stages['coarse']:.4f} s",
                    extra={"oracle_stages": stages})
     result = OracleResult(eigenvalues=energies, node_counts=tuple(range(k_found)), grid=grid,
                           mode=mode, refined=refined, truncated=k_found < k, warnings=warnings)
@@ -671,46 +706,6 @@ def _check_levels(params: PotentialParams, grid: LogRadialGrid, energies: tuple[
                 f"grid {grid}: the level lies closer to threshold than the grid resolves")
 
 
-def _two_grid(params: PotentialParams, D: int, l: int, mode: CentrifugalMode,
-              coarse: _ChannelParts, values: np.ndarray, delta: np.ndarray,
-              vectors: np.ndarray, refined: tuple[float, ...]):
-    """Refined levels E_n = (16 R_n - R_coarse,n) / 15, their warnings, and for the DEBUG
-    line the number of levels the coarse grid holds and its ``_bound_levels`` path.
-
-    ``refined`` holds the fine grid's R_n = lambda_n + delta_n in energy
-    units, which err by O(h^4); the extrapolation cancels that term.  Coarse
-    level n is seeded at lambda_n - 3 delta_n = 4 lambda_n - 3 R_n, because
-    the O(h^2) error, about -delta_n, grows 4-fold at twice the spacing;
-    inverse iteration starts from the fine eigenvector at the shared nodes,
-    and ``_bound_levels`` certifies each level.  Where that raises
-    :class:`ConvergenceError`, the coarse grid holds no level.
-    e_n = |E_n - R_n| / |E_n| estimates the error of R_n; above
-    ``_MAX_TWO_GRID_ERROR`` it adds one warning.  A level the coarse grid
-    does not hold keeps R_n and adds another.
-    """
-    grid = coarse.grid
-    diag, off, v_scaled, _ = _tridiagonal(params, D, l, mode, grid, coarse)
-    try:
-        coarse_values, starts, path = _bound_levels(params.b, len(values), grid, diag, off,
-                                                    v_scaled, list(values - 3.0 * delta),
-                                                    vectors[1::2])
-    except ConvergenceError as exc:
-        coarse_values, starts, path = np.empty(0), np.empty((len(diag), 0)), f"none ({exc})"
-    held = len(coarse_values)
-    coarse_refined = coarse_values + _deferred_correction(coarse, v_scaled, coarse_values, starts)
-    extrapolated = (16.0 * (values[:held] + delta[:held]) - coarse_refined) / 15.0
-    kappa = params.kappa
-    levels = tuple([v / kappa for v in extrapolated.tolist()]) + refined[held:]
-    estimate = max((abs(e - x) / abs(e) for e, x in zip(levels, refined)), default=0.0)
-    warnings = () if estimate <= _MAX_TWO_GRID_ERROR else (
-        f"two-grid error estimate {estimate:.1e} relative (want <= {_MAX_TWO_GRID_ERROR:g}): "
-        "the default grid is too coarse",)
-    if held < len(values):
-        warnings += (f"the coarse grid holds {held} of {len(values)} levels: levels n >= {held} "
-                     "keep their one-grid refined value",)
-    return levels, warnings, held, path
-
-
 @dataclass(frozen=True)
 class AuditResult:
     """Closed form vs. both oracle modes for one state; None where a mode has no value."""
@@ -726,23 +721,24 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
     """``solve_radial`` on ``grid`` in each of ``modes``, from one ``_channel_parts``.
 
     The one sequencer of the oracle's solves: ``solve_radial`` and
-    ``audit_channel`` reach ``_solve`` only through it.  It solves each mode
-    in ``modes`` once, approximated first.  At q^2 = 1 the two matrices and
-    their seeds are the same, so after an approximated solve the exact
-    result is that one in exact mode, logged as such, and no second solve
-    runs.  For q^2 != 1 the approximated eigenpairs seed the exact solve;
-    exact mode asked alone gets them from an approximated solve of its own,
-    on the fine grid only, and where that raises :class:`ConvergenceError`
-    or :class:`DomainError`, from bisection.  Every other solve seeds from
-    the closed-form levels, ``bound_states(params, D, l, k - 1)``, computed
-    once here; where that raises :class:`DomainError` (eps undefined, for
-    q = 0 with |1 - 2 alpha| < 1, or E not normal), an explicit grid's
-    solves have no closed-form seeds and the default grids raise it.
+    ``audit_channel`` reach ``_solve`` only through it.  It picks each
+    solve's seeds and solves each mode in ``modes`` once, approximated
+    first.  At q^2 = 1 the two matrices and their seeds are the same, so
+    after an approximated solve the exact result is that one in exact mode,
+    logged as such, and no second solve runs.  For q^2 != 1 the approximated
+    eigenpairs seed the exact solve; exact mode asked alone gets them from
+    an approximated solve of its own, on the fine grid only, and where that
+    raises :class:`ConvergenceError` or :class:`DomainError`, from
+    bisection.  Every other solve seeds from the closed-form levels,
+    ``bound_states(params, D, l, k - 1)``, computed once here; where that
+    raises :class:`DomainError` (eps undefined, for q = 0 with
+    |1 - 2 alpha| < 1, or E not normal), an explicit grid's solves have no
+    closed-form seeds and the default grids raise it.
 
     ``grid`` None solves each mode on both grids of ``_grid_pair(
     default_grid(params, D, l, k))``, the coarse grid's parts sliced from
-    the fine ones (``_coarse_parts``).  The first solve that logs reports
-    the time that the shared parts took.
+    the fine ones (``_coarse_parts``), each grid through ``_grid_levels``.
+    The first solve that logs reports the time that the shared parts took.
     """
     try:
         levels = bound_states(params, D, l, k - 1)
@@ -757,7 +753,7 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
     coarse = None if coarse_grid is None else _coarse_parts(parts, coarse_grid)
     shared = time.perf_counter() - started
     closed = [-s * s for s in [entry.epsilon / params.b for entry in levels]]
-    solves, approx = {}, None
+    solves, approx, unseeded = {}, None, ""
     for mode in sorted(set(modes), key=lambda mode: mode is CentrifugalMode.EXACT):
         if mode is CentrifugalMode.EXACT and approx is not None and q * q == 1:
             solves[mode] = dataclasses.replace(solves[CentrifugalMode.APPROXIMATED], mode=mode)
@@ -768,18 +764,18 @@ def _solve_modes(params: PotentialParams, D: int, l: int, modes: list[Centrifuga
                            grid.n_points, grid.r_min, grid.spacing, len(solves[mode].refined), k,
                            extra={"oracle_stages": {}})
             continue
+        seeds = closed
         if mode is CentrifugalMode.EXACT and q * q != 1:
+            seeds = []
             if approx is None:
                 try:  # exact mode alone: an approximated solve on this grid seeds it
                     approx = _solve(params, D, l, CentrifugalMode.APPROXIMATED, k, closed, parts,
                                     None, shared)[1]
                     shared = None
                 except (ConvergenceError, DomainError) as exc:  # bisection seeds the exact levels
-                    approx = exc
-            seeds = approx
-        else:
-            seeds = closed
-        solves[mode], approx = _solve(params, D, l, mode, k, seeds, parts, coarse, shared)
+                    unseeded = f", no approximated seeds ({exc})"
+        solves[mode], approx = _solve(params, D, l, mode, k, seeds, parts, coarse, shared, approx,
+                                      unseeded)
         shared = None
     return solves
 

@@ -1474,6 +1474,28 @@ class TestTwoGridDefault:
                     got = f"{type(exc).__name__}: {exc}"
                 assert got == case[key], (key, case)
 
+    def test_default_grids_keep_their_outcomes(self):
+        # reprs recorded before the two grids of a default solve shared one per-grid
+        # stage: the table's channels and drawn ones, bit for bit
+        path = Path(__file__).parent / "data" / "default_grid_outcomes.json"
+        cases = json.loads(path.read_text(encoding="utf-8"))["cases"]
+        assert len(cases) == 91
+        for case in cases:
+            params = PotentialParams(A=case["A"], alpha=case["alpha"], b=case["b"])
+            D, l, k = case["D"], case["l"], case["k"]
+            outcomes = {
+                "solve_approx": lambda: solve_radial(params, D, l, CentrifugalMode.APPROXIMATED,
+                                                     k=k),
+                "solve_exact": lambda: solve_radial(params, D, l, CentrifugalMode.EXACT, k=k),
+                "audit": lambda: audit_channel(params, D, l, case["ns"]),
+            }
+            for key, call in outcomes.items():
+                try:
+                    got = repr(call())
+                except (ConvergenceError, DomainError, UnboundStateError) as exc:
+                    got = f"{type(exc).__name__}: {exc}"
+                assert got == case[key], (key, case)
+
     def test_estimate_bounds_the_error_on_every_table_level(self):
         # e_n reads the fine grid's own error, which the extrapolation cuts by 66x or more
         checked = 0
